@@ -10,12 +10,11 @@ pipelines.
 """
 
 from .errors import (
+    BadConfigError,
     BadLiteralError,
     CycleError,
     DanglingReferenceError,
-    DuplicateIdError,
     InvalidLogError,
-    LevelViolationError,
     MalformedDocumentError,
     MissingCaseAttributeError,
     MissingColumnError,
@@ -27,7 +26,6 @@ from .errors import (
     TriggerNeverFiresWarning,
     UILogError,
     UnknownGroupError,
-    UnknownParentError,
     UnresolvedReferenceError,
     UnserializableValueError,
 )
@@ -41,7 +39,6 @@ from .model import (
     Level,
     MAX_NESTING_DEPTH,
     NamingScheme,
-    NodeDecl,
     SystemNode,
     Target,
     TaskRef,
@@ -53,7 +50,6 @@ from .model import (
     UserRef,
     ancestry,
     append_event,
-    build_hierarchy,
     join_group_path,
     level_of,
     make_activity_name,

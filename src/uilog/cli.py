@@ -72,16 +72,29 @@ def _load_log(args) -> UILog:
     return xes.read_xes(text, lenient_names=lenient)
 
 
-def _write_log(log: UILog, path: str, fmt, args) -> None:
-    fmt = _guess_format(path, fmt)
+def _write_log(log: UILog, args, report=None) -> int:
+    """Write ``log`` to ``args.output`` and return the exit code.
+
+    With ``--strict`` a log with validation findings is not written; the
+    findings go to stderr instead. ``report`` is a validation of ``log``
+    the caller already has.
+    """
+    if args.strict:
+        if report is None:
+            report = validation.validate(log)
+        if not report.ok:
+            print(validation.render_report(report), file=sys.stderr)
+            return _EXIT_FINDINGS
+    fmt = _guess_format(args.output, args.out_format)
     if fmt == "xes":
-        text = xes.write_xes(log, check=args.strict)
+        text = xes.write_xes(log, check=False)
     else:
         mapping = None
         if getattr(args, "mapping", None):
             mapping = tabular.load_mapping(Path(args.mapping).read_text(encoding="utf-8"))
         text = tabular.write_table(log, mapping, delimiter=args.delimiter)
-    Path(path).write_text(text, encoding="utf-8")
+    Path(args.output).write_text(text, encoding="utf-8")
+    return _EXIT_OK
 
 
 def _write_violation_report(report, path) -> None:
@@ -101,11 +114,7 @@ def _cmd_convert(args) -> int:
             f"note: log has {len(report.violations)} validation finding(s)",
             file=sys.stderr,
         )
-        if args.strict:
-            print(validation.render_report(report), file=sys.stderr)
-            return _EXIT_FINDINGS
-    _write_log(log, args.output, args.out_format, args)
-    return _EXIT_OK
+    return _write_log(log, args, report)
 
 
 def _cmd_validate(args) -> int:
@@ -165,9 +174,9 @@ def _cmd_segment(args) -> int:
     log = _load_log(args)
     notion = transform.load_case_notion(Path(args.notion).read_text(encoding="utf-8"))
     segmented = transform.segment(log, notion)
-    _write_log(segmented, args.output, args.out_format, args)
+    code = _write_log(segmented, args)
     print(f"note: {len(segmented.traces)} trace(s)", file=sys.stderr)
-    return _EXIT_OK
+    return code
 
 
 def _cmd_abstract(args) -> int:
@@ -178,12 +187,12 @@ def _cmd_abstract(args) -> int:
         abstracted = transform.abstract(log, rules)
     for item in caught:
         print(f"note: {item.message}", file=sys.stderr)
-    _write_log(abstracted, args.output, args.out_format, args)
+    code = _write_log(abstracted, args)
     print(
         f"note: {len(log.events)} event(s) in, {len(abstracted.events)} out",
         file=sys.stderr,
     )
-    return _EXIT_OK
+    return code
 
 
 def _cmd_extension(args) -> int:
@@ -205,12 +214,12 @@ def _add_io_arguments(parser, *, needs_output: bool) -> None:
         "--delimiter", default=",", help="csv delimiter (default: comma)"
     )
     parser.add_argument("--report", help="write findings/statistics to this file")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="refuse to write logs that fail validation",
-    )
     if needs_output:
+        parser.add_argument(
+            "--strict",
+            action="store_true",
+            help="refuse to write logs that fail validation",
+        )
         parser.add_argument("--output", "-o", required=True, help="output log file")
         parser.add_argument(
             "--out-format", choices=("csv", "xes"), help="output format (default: by suffix)"

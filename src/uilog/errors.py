@@ -21,18 +21,6 @@ class CycleError(UILogError):
     """A parent chain in the UI hierarchy does not terminate."""
 
 
-class LevelViolationError(UILogError):
-    """A node is parented to a level the composition rules forbid."""
-
-
-class UnknownParentError(UILogError):
-    """A declared parent cannot be resolved to a known node."""
-
-
-class DuplicateIdError(UILogError):
-    """Two sibling nodes (or two registry entries) share an id."""
-
-
 class OutOfOrderTimestampError(UILogError):
     """An appended event is older than the last timestamped event."""
 
@@ -87,6 +75,10 @@ class MissingTimestampsError(UILogError):
     def __init__(self, message, event_indices=()):
         super().__init__(message)
         self.event_indices = tuple(event_indices)
+
+
+class BadConfigError(UILogError, ValueError):
+    """A mapping, case notion, or rules file cannot be interpreted."""
 
 
 class UnknownGroupError(UILogError):

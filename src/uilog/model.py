@@ -29,11 +29,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .errors import (
     CycleError,
     DanglingReferenceError,
-    DuplicateIdError,
-    LevelViolationError,
     NoTargetError,
     OutOfOrderTimestampError,
-    UnknownParentError,
     UnresolvedReferenceError,
 )
 
@@ -62,6 +59,37 @@ def normalize_timestamp(value: datetime) -> datetime:
     else:
         value = value.astimezone(timezone.utc)
     return value.replace(microsecond=value.microsecond - value.microsecond % 1000)
+
+
+def format_timestamp(value: datetime) -> str:
+    """ISO 8601 text of a timestamp in UTC, to the millisecond."""
+    value = value.astimezone(timezone.utc)
+    return (
+        f"{value.year:04d}-{value.month:02d}-{value.day:02d}"
+        f"T{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
+        f".{value.microsecond // 1000:03d}+00:00"
+    )
+
+
+def parse_timestamp(text: str) -> tuple:
+    """Parse ISO 8601 text into (normalized timestamp, truncated?).
+
+    "Z" denotes UTC and naive text is taken as UTC. Fractions of any
+    length are accepted on every supported Python version; ``truncated``
+    says the text was more precise than a millisecond. Raises ValueError
+    for text that is not an ISO timestamp.
+    """
+    normalized = text.strip().replace("Z", "+00:00").replace("z", "+00:00")
+    head, _, rest = normalized.partition(".")
+    index = 0
+    while index < len(rest) and rest[index].isdigit():
+        index += 1
+    digits, tail = rest[:index], rest[index:]
+    if digits:
+        # Pre-3.11 fromisoformat only takes 3- or 6-digit fractions.
+        normalized = f"{head}.{digits[:6].ljust(6, '0')}{tail}"
+    value = normalize_timestamp(datetime.fromisoformat(normalized))
+    return value, digits[3:].strip("0") != ""
 
 
 def normalize_value(value: AttributeValue, _depth: int = 0) -> AttributeValue:
@@ -552,34 +580,23 @@ def ancestry(node: TargetNode, hierarchy: UIHierarchy) -> list:
 class _Pending:
     """Mutable node record used while a hierarchy is being assembled."""
 
-    __slots__ = ("level", "id", "parent", "attributes", "current_state")
+    __slots__ = ("id", "parent", "attributes", "current_state")
 
-    def __init__(self, level, node_id, parent):
-        self.level = level
+    def __init__(self, node_id, parent):
         self.id = node_id
         self.parent = parent
         self.attributes = {}
         self.current_state = None
 
 
-_ALLOWED_PARENT_LEVELS = {
-    Level.SYSTEM: frozenset(),
-    Level.APPLICATION: frozenset({Level.SYSTEM}),
-    Level.GROUP: frozenset({Level.GROUP, Level.APPLICATION}),
-    Level.ELEMENT: frozenset({Level.GROUP, Level.APPLICATION}),
-}
-
-
 class HierarchyBuilder:
-    """Incremental, duplicate-aware constructor for a UIHierarchy.
+    """Incremental constructor for a UIHierarchy.
 
-    The ``system``/``application``/``group``/``element`` methods declare
-    one node each and reject re-declarations of the same path with
-    DuplicateIdError. ``chain`` instead reuses already-known nodes, which
-    is what ingestion wants when every row repeats its context.
-
-    Nodes are materialized once, in :meth:`build`; the handles returned
-    in the meantime are only useful as ``parent`` arguments.
+    :meth:`chain` declares one recorded location at a time and reuses
+    the nodes earlier calls created, which is what ingestion wants when
+    every row repeats its context. Chains only link levels the
+    composition rules admit, so the result is well-formed by
+    construction. Nodes are materialized once, in :meth:`build`.
     """
 
     def __init__(self):
@@ -587,41 +604,6 @@ class HierarchyBuilder:
         self._applications = {}
         self._groups = {}
         self._elements = {}
-        self._known = set()
-
-    # -- strict declarations -------------------------------------------------
-
-    def system(self, node_id: str, attributes: Optional[Mapping] = None) -> _Pending:
-        _check_id(node_id)
-        if node_id in self._systems:
-            raise DuplicateIdError(f"system {node_id!r} declared twice")
-        return self._new_system(node_id, attributes)
-
-    def application(self, node_id, *, system=None, attributes=None) -> _Pending:
-        _check_id(node_id)
-        system = self._check_parent(system, Level.APPLICATION)
-        key = (system.id if system else None, node_id)
-        if key in self._applications:
-            raise DuplicateIdError(f"application {node_id!r} declared twice")
-        return self._new_application(key, attributes)
-
-    def group(self, node_id, *, parent=None, attributes=None) -> _Pending:
-        _check_id(node_id)
-        parent = self._check_parent(parent, Level.GROUP)
-        key = (id(parent) if parent else None, node_id)
-        if key in self._groups:
-            raise DuplicateIdError(f"group {node_id!r} declared twice under one parent")
-        return self._new_group(key, parent, attributes)
-
-    def element(self, node_id, *, parent=None, current_state=None, attributes=None) -> _Pending:
-        _check_id(node_id)
-        parent = self._check_parent(parent, Level.ELEMENT)
-        key = (id(parent) if parent else None, node_id)
-        if key in self._elements:
-            raise DuplicateIdError(f"element {node_id!r} declared twice under one parent")
-        return self._new_element(key, parent, current_state, attributes)
-
-    # -- reuse-friendly declaration ------------------------------------------
 
     def chain(
         self,
@@ -648,73 +630,35 @@ class HierarchyBuilder:
         target = Target(element=element, groups=groups, application=application, system=system)
         system_rec = None
         if system is not None:
-            system_rec = self._systems.get(system) or self._new_system(system, None)
+            system_rec = self._systems.get(system) or _add(
+                self._systems, system, system, None
+            )
             _merge(system_rec, system_attributes)
         parent = None
         if application is not None:
             app_key = (system, application)
-            app_rec = self._applications.get(app_key)
-            if app_rec is None:
-                app_rec = self._new_application(app_key, None, system_rec)
+            app_rec = self._applications.get(app_key) or _add(
+                self._applications, app_key, application, system_rec
+            )
             _merge(app_rec, application_attributes)
             parent = app_rec
         prefix = []
         for gid in groups:
             prefix.append(gid)
             key = (id(parent) if parent else None, gid)
-            group_rec = self._groups.get(key) or self._new_group(key, parent, None)
+            group_rec = self._groups.get(key) or _add(self._groups, key, gid, parent)
             if group_attributes:
                 _merge(group_rec, group_attributes.get(tuple(prefix)))
             parent = group_rec
         if element is not None:
             key = (id(parent) if parent else None, element)
-            element_rec = self._elements.get(key) or self._new_element(key, parent, None, None)
+            element_rec = self._elements.get(key) or _add(
+                self._elements, key, element, parent
+            )
             _merge(element_rec, element_attributes)
             if current_state is not None:
                 element_rec.current_state = normalize_value(current_state)
         return target
-
-    # -- internals -------------------------------------------------------------
-
-    def _check_parent(self, parent, child_level):
-        if parent is None:
-            return None
-        if not isinstance(parent, _Pending) or id(parent) not in self._known:
-            raise UnknownParentError("parent must be a node handle from this builder")
-        if parent.level not in _ALLOWED_PARENT_LEVELS[child_level]:
-            raise LevelViolationError(
-                f"a {child_level.name.lower()} cannot be parented to a {parent.level.name.lower()}"
-            )
-        return parent
-
-    def _register(self, rec):
-        self._known.add(id(rec))
-        return rec
-
-    def _new_system(self, node_id, attributes):
-        rec = _Pending(Level.SYSTEM, node_id, None)
-        _merge(rec, attributes)
-        self._systems[node_id] = rec
-        return self._register(rec)
-
-    def _new_application(self, key, attributes, system_rec=None):
-        rec = _Pending(Level.APPLICATION, key[1], system_rec)
-        _merge(rec, attributes)
-        self._applications[key] = rec
-        return self._register(rec)
-
-    def _new_group(self, key, parent, attributes):
-        rec = _Pending(Level.GROUP, key[1], parent)
-        _merge(rec, attributes)
-        self._groups[key] = rec
-        return self._register(rec)
-
-    def _new_element(self, key, parent, current_state, attributes):
-        rec = _Pending(Level.ELEMENT, key[1], parent)
-        rec.current_state = current_state
-        _merge(rec, attributes)
-        self._elements[key] = rec
-        return self._register(rec)
 
     def build(self) -> UIHierarchy:
         built = {}
@@ -753,132 +697,14 @@ class HierarchyBuilder:
         )
 
 
+def _add(table: dict, key, node_id: str, parent) -> _Pending:
+    rec = table[key] = _Pending(node_id, parent)
+    return rec
+
+
 def _merge(rec: _Pending, attributes: Optional[Mapping]) -> None:
     if attributes:
         rec.attributes.update(normalize_attributes(attributes))
-
-
-_LEVEL_NAMES = {
-    "system": Level.SYSTEM,
-    "application": Level.APPLICATION,
-    "group": Level.GROUP,
-    "element": Level.ELEMENT,
-}
-
-
-@dataclass(frozen=True)
-class NodeDecl:
-    """One node declaration for :func:`build_hierarchy`.
-
-    ``parent`` names another declared node by id; when the same id occurs
-    at more than one admissible level, ``parent_level`` disambiguates.
-    Sibling-scoped duplicate ids cannot be expressed declaratively; use
-    :class:`HierarchyBuilder` directly for those.
-    """
-
-    level: Union[Level, str]
-    id: str
-    parent: Optional[str] = None
-    parent_level: Union[Level, str, None] = None
-    current_state: Optional[AttributeValue] = None
-    attributes: Optional[Mapping] = None
-
-    def __post_init__(self):
-        if isinstance(self.level, str):
-            try:
-                object.__setattr__(self, "level", _LEVEL_NAMES[self.level.lower()])
-            except KeyError:
-                raise ValueError(f"unknown level {self.level!r}") from None
-        if isinstance(self.parent_level, str):
-            try:
-                object.__setattr__(
-                    self, "parent_level", _LEVEL_NAMES[self.parent_level.lower()]
-                )
-            except KeyError:
-                raise ValueError(f"unknown level {self.parent_level!r}") from None
-
-
-def build_hierarchy(declarations: Iterable[NodeDecl]) -> UIHierarchy:
-    """Construct a hierarchy from level-tagged node declarations.
-
-    Raises UnknownParentError for unresolvable or ambiguous parents,
-    LevelViolationError for composition-rule breaches, CycleError when
-    parent references loop, and DuplicateIdError for re-declared nodes.
-    """
-    decls = list(declarations)
-    by_id = {}
-    for decl in decls:
-        by_id.setdefault(decl.id, []).append(decl)
-
-    resolved = {}
-    for decl in decls:
-        if decl.parent is None:
-            resolved[id(decl)] = None
-            continue
-        allowed = _ALLOWED_PARENT_LEVELS[decl.level]
-        if not allowed:
-            raise LevelViolationError(f"a {decl.level.name.lower()} cannot have a parent")
-        if decl.parent_level is not None and decl.parent_level not in allowed:
-            raise LevelViolationError(
-                f"a {decl.level.name.lower()} cannot be parented to a "
-                f"{decl.parent_level.name.lower()}"
-            )
-        wanted = {decl.parent_level} if decl.parent_level is not None else allowed
-        candidates = [d for d in by_id.get(decl.parent, []) if d.level in wanted]
-        if not candidates:
-            raise UnknownParentError(
-                f"{decl.level.name.lower()} {decl.id!r}: parent {decl.parent!r} not declared"
-            )
-        if len(candidates) > 1:
-            raise UnknownParentError(
-                f"{decl.level.name.lower()} {decl.id!r}: parent {decl.parent!r} is "
-                "ambiguous; set parent_level"
-            )
-        resolved[id(decl)] = candidates[0]
-
-    order = []
-    state = {}  # id(decl) -> 1 while on stack, 2 when done
-    for decl in decls:
-        if state.get(id(decl)):
-            continue
-        stack = [decl]
-        while stack:
-            current = stack[-1]
-            if state.get(id(current)) == 2:
-                stack.pop()
-                continue
-            parent = resolved[id(current)]
-            if parent is None or state.get(id(parent)) == 2:
-                state[id(current)] = 2
-                order.append(current)
-                stack.pop()
-            elif state.get(id(parent)) == 1:
-                raise CycleError(
-                    f"parent references loop through {current.id!r} and {parent.id!r}"
-                )
-            else:
-                state[id(current)] = 1
-                state[id(parent)] = max(state.get(id(parent), 0), 1)
-                stack.append(parent)
-        state[id(decl)] = 2
-
-    builder = HierarchyBuilder()
-    handles = {}
-    adders = {
-        Level.SYSTEM: lambda d, p: builder.system(d.id, attributes=d.attributes),
-        Level.APPLICATION: lambda d, p: builder.application(
-            d.id, system=p, attributes=d.attributes
-        ),
-        Level.GROUP: lambda d, p: builder.group(d.id, parent=p, attributes=d.attributes),
-        Level.ELEMENT: lambda d, p: builder.element(
-            d.id, parent=p, current_state=d.current_state, attributes=d.attributes
-        ),
-    }
-    for decl in order:
-        parent_decl = resolved[id(decl)]
-        parent = handles[id(parent_decl)] if parent_decl is not None else None
-        handles[id(decl)] = adders[decl.level](decl, parent)
-    return builder.build()
 
 
 # ---------------------------------------------------------------------------

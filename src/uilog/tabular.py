@@ -25,9 +25,10 @@ import io
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import (
+    BadConfigError,
     BadLiteralError,
     MissingColumnError,
     NoUsableColumnsError,
@@ -41,9 +42,11 @@ from .model import (
     UIElementNode,
     UILog,
     UserRef,
+    format_timestamp,
     join_group_path,
     make_activity_name,
     normalize_timestamp,
+    parse_timestamp,
     split_group_path,
 )
 
@@ -337,23 +340,16 @@ def _plain_text(value) -> str:
 
 
 def _render_timestamp(value: datetime, pattern: Optional[str]) -> str:
-    value = value.astimezone(timezone.utc)
     if pattern:
-        return value.strftime(pattern)
-    return (
-        f"{value.year:04d}-{value.month:02d}-{value.day:02d}"
-        f"T{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
-        f".{value.microsecond // 1000:03d}+00:00"
-    )
+        return value.astimezone(timezone.utc).strftime(pattern)
+    return format_timestamp(value)
 
 
 def _parse_row_timestamp(text: str, pattern: Optional[str]):
     """(timestamp, truncated?); truncated means sub-millisecond input."""
-    if pattern:
-        parsed = datetime.strptime(text, pattern)
-    else:
-        normalized = text.replace("Z", "+00:00").replace("z", "+00:00")
-        parsed = datetime.fromisoformat(normalized)
+    if not pattern:
+        return parse_timestamp(text)
+    parsed = datetime.strptime(text, pattern)
     return normalize_timestamp(parsed), parsed.microsecond % 1000 != 0
 
 
@@ -707,6 +703,22 @@ def write_table(
 # Mapping files
 
 
+def load_ini(text: str, kind: str, interpret: Callable):
+    """Parse INI text and return what ``interpret`` makes of the parser.
+
+    Keys keep their case and values are taken literally. Any syntax or
+    value error, in parsing or in ``interpret``, is raised as a
+    BadConfigError naming the ``kind`` of file.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+        return interpret(parser)
+    except (configparser.Error, ValueError) as exc:
+        raise BadConfigError(f"bad {kind} file: {exc}") from exc
+
+
 def load_mapping(text: str) -> ColumnMapping:
     """Read a ColumnMapping from its INI form.
 
@@ -715,12 +727,10 @@ def load_mapping(text: str) -> ColumnMapping:
     ``[parsers]`` forces a parser ("plain", "map", "list", "auto") per
     column name.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"bad mapping file: {exc}") from exc
+    return load_ini(text, "mapping", _mapping_from_ini)
+
+
+def _mapping_from_ini(parser) -> ColumnMapping:
     assignments = {}
     if parser.has_section("columns"):
         for name, column in parser.items("columns"):

@@ -8,12 +8,12 @@ event (conventionally "A_"-prefixed), the way a login mask's keystrokes
 become a single "A_Login". :func:`flatten` undoes segmentation.
 
 Both notions and rules can be loaded from the same INI format the column
-mappings use, so CLI pipelines can keep them in files.
+mappings use (:func:`uilog.tabular.load_ini`), so CLI pipelines can keep
+them in files.
 """
 
 from __future__ import annotations
 
-import configparser
 import warnings
 from dataclasses import dataclass, replace
 from datetime import timedelta
@@ -36,6 +36,7 @@ from .model import (
     parent_of,
     split_group_path,
 )
+from .tabular import load_ini
 
 #: Marker attribute carried by events produced by :func:`abstract`, so a
 #: second application never re-matches them as raw in-group runs.
@@ -284,35 +285,8 @@ def _in_subtree(log: UILog, event: InteractionEvent, group: UIGroupNode) -> bool
     return False
 
 
-def _abstract_event(log: UILog, rule: AbstractionRule, group, run: list) -> InteractionEvent:
-    trigger = run[-1]
-    latest: dict = {}
-    for event in run:
-        if event.target is None or event.target.element is None:
-            continue
-        if event.input_value is None:
-            continue
-        if rule.collect is not None and event.target.element not in rule.collect:
-            continue
-        latest[event.target.element] = event.input_value
-    if rule.collect is not None:
-        values = {eid: latest[eid] for eid in rule.collect if eid in latest}
-    else:
-        values = latest
-    return InteractionEvent(
-        activity_name=rule.abstract_name,
-        action=Action("none"),
-        target=log.hierarchy.location_of(group),
-        input_value=values,
-        timestamp=trigger.timestamp,
-        user=trigger.user,
-        task=trigger.task,
-        attributes={ABSTRACTED_KEY: True},
-    )
-
-
-def _contributors(rule: AbstractionRule, run: list) -> set:
-    """Indexes into the run of the events whose value the map kept."""
+def _kept_positions(rule: AbstractionRule, run: list) -> dict:
+    """Element id → run position of its latest collected input value."""
     kept: dict = {}
     for position, event in enumerate(run):
         if event.target is None or event.target.element is None:
@@ -322,9 +296,24 @@ def _contributors(rule: AbstractionRule, run: list) -> set:
         if rule.collect is not None and event.target.element not in rule.collect:
             continue
         kept[event.target.element] = position
-    out = set(kept.values())
-    out.add(len(run) - 1)  # the trigger
-    return out
+    return kept
+
+
+def _abstract_event(
+    log: UILog, rule: AbstractionRule, group, run: list, kept: dict
+) -> InteractionEvent:
+    trigger = run[-1]
+    order = kept if rule.collect is None else [eid for eid in rule.collect if eid in kept]
+    return InteractionEvent(
+        activity_name=rule.abstract_name,
+        action=Action("none"),
+        target=log.hierarchy.location_of(group),
+        input_value={eid: run[kept[eid]].input_value for eid in order},
+        timestamp=trigger.timestamp,
+        user=trigger.user,
+        task=trigger.task,
+        attributes={ABSTRACTED_KEY: True},
+    )
 
 
 def _abstract_sequence(log: UILog, events: list, rules, groups) -> list:
@@ -362,10 +351,11 @@ def _abstract_sequence(log: UILog, events: list, rules, groups) -> list:
         run.append(event)
         rule = rules[matched]
         if event.activity_name == rule.trigger_activity:
+            kept = _kept_positions(rule, run)
             if not rule.drop_noise:
-                contributing = _contributors(rule, run)
+                contributing = {*kept.values(), len(run) - 1}  # the trigger too
                 out.extend(e for i, e in enumerate(run) if i not in contributing)
-            out.append(_abstract_event(log, rule, groups[matched], run))
+            out.append(_abstract_event(log, rule, groups[matched], run, kept))
             run = []
             active = None
     flush_unabstracted()
@@ -448,9 +438,10 @@ def load_case_notion(text: str) -> CaseNotion:
     parameters); multiple ``[notion:<label>]`` sections, in file order,
     form a composite.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read_string(text)
+    return load_ini(text, "case notion", _notion_from_ini)
+
+
+def _notion_from_ini(parser) -> CaseNotion:
     sections = [s for s in parser.sections() if s == "notion" or s.startswith("notion:")]
     if not sections:
         raise ValueError("no [notion] section found")
@@ -463,9 +454,10 @@ def load_case_notion(text: str) -> CaseNotion:
 def load_rules(text: str) -> tuple:
     """Read abstraction rules from INI text, one ``[rule:<label>]``
     section per rule, in file order."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read_string(text)
+    return load_ini(text, "rules", _rules_from_ini)
+
+
+def _rules_from_ini(parser) -> tuple:
     rules = []
     for name in parser.sections():
         if not (name == "rule" or name.startswith("rule:")):

@@ -19,7 +19,7 @@ the log-level boolean ``uilog:untraced`` so the reader can undo it.
 from __future__ import annotations
 
 import warnings
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import Mapping, Optional
 from xml.etree import ElementTree as ET
 
@@ -38,7 +38,9 @@ from .model import (
     Trace,
     UILog,
     UserRef,
+    format_timestamp,
     join_group_path,
+    parse_timestamp,
     split_group_path,
 )
 from .validation import validate
@@ -109,15 +111,6 @@ def emit_extension_definition() -> str:
 # Writing
 
 
-def _format_timestamp(value: datetime) -> str:
-    value = value.astimezone(timezone.utc)
-    return (
-        f"{value.year:04d}-{value.month:02d}-{value.day:02d}"
-        f"T{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
-        f".{value.microsecond // 1000:03d}+00:00"
-    )
-
-
 def _value_element(key: str, value, depth: int = 0) -> ET.Element:
     if depth > MAX_NESTING_DEPTH:
         raise UnserializableValueError(
@@ -132,7 +125,7 @@ def _value_element(key: str, value, depth: int = 0) -> ET.Element:
     if isinstance(value, str):
         return ET.Element("string", key=key, value=value)
     if isinstance(value, datetime):
-        return ET.Element("date", key=key, value=_format_timestamp(value))
+        return ET.Element("date", key=key, value=format_timestamp(value))
     if isinstance(value, list):
         element = ET.Element("list", key=key)
         values = ET.SubElement(element, "values")
@@ -160,7 +153,7 @@ def _event_element(event: InteractionEvent, log: UILog, registries) -> ET.Elemen
     out.append(ET.Element("string", key=KEY_CONCEPT_NAME, value=event.activity_name))
     if event.timestamp is not None:
         out.append(
-            ET.Element("date", key=KEY_TIMESTAMP, value=_format_timestamp(event.timestamp))
+            ET.Element("date", key=KEY_TIMESTAMP, value=format_timestamp(event.timestamp))
         )
     if event.action is not None:
         action = ET.Element("string", key=KEY_ACTION_TYPE, value=event.action.action_type)
@@ -280,33 +273,16 @@ def _local_name(tag: str) -> str:
 
 
 def _parse_timestamp(text: str, where: str) -> datetime:
-    raw = text.strip()
-    normalized = raw.replace("Z", "+00:00").replace("z", "+00:00")
-    # Pre-3.11 fromisoformat only accepts up to microsecond fractions.
-    if "." in normalized:
-        head, _, rest = normalized.partition(".")
-        digits = ""
-        index = 0
-        while index < len(rest) and rest[index].isdigit():
-            digits += rest[index]
-            index += 1
-        tail = rest[index:]
-        if len(digits) > 6:
-            digits = digits[:6]
-        normalized = f"{head}.{digits.ljust(6, '0')}{tail}" if digits else head + tail
     try:
-        value = datetime.fromisoformat(normalized)
+        value, truncated = parse_timestamp(text)
     except ValueError as exc:
-        raise MalformedDocumentError(f"{where}: bad timestamp {raw!r}") from exc
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=timezone.utc)
-    truncated = value.replace(microsecond=value.microsecond - value.microsecond % 1000)
-    if truncated != value.astimezone(timezone.utc):
+        raise MalformedDocumentError(f"{where}: bad timestamp {text.strip()!r}") from exc
+    if truncated:
         warnings.warn(
-            f"{where}: timestamp {raw!r} truncated to millisecond precision",
+            f"{where}: timestamp {text.strip()!r} truncated to millisecond precision",
             stacklevel=2,
         )
-    return truncated
+    return value
 
 
 def _parse_attribute(element: ET.Element, where: str):

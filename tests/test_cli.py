@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import uilog
 from uilog.cli import main
 from uilog.fixtures import fixture_path
 
@@ -139,6 +146,21 @@ class TestSegment:
         notion.write_text("[notion]\nkind = gap\nthreshold = 60\n")
         assert run("segment", "-i", KC, "--notion", notion, "-o", tmp_path / "x.xes") == 1
 
+    @pytest.mark.parametrize("suffix", ["csv", "xes"])
+    def test_strict_blocks_validation_findings(self, tmp_path, suffix):
+        source = tmp_path / "unordered.csv"
+        source.write_text(
+            "Activity,Timestamp\na,2024-01-01T00:01:00Z\nb,2024-01-01T00:00:00Z\n"
+        )
+        notion = tmp_path / "marker.notion"
+        notion.write_text("[notion]\nkind = marker\nmarkers = a\n")
+        out = tmp_path / f"out.{suffix}"
+        argv = ["segment", "-i", source, "--notion", notion, "-o", out]
+        assert run(*argv, "--strict") == 2
+        assert not out.exists()
+        assert run(*argv) == 0  # lenient default writes
+        assert out.exists()
+
 
 class TestAbstract:
     def test_login_rule_on_raw_fixture(self, tmp_path):
@@ -179,3 +201,34 @@ def test_no_color_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UILOG_NO_COLOR", "1")
     assert run("validate", "-i", KC) == 0
     assert "\x1b[" not in capsys.readouterr().out
+
+
+BAD_CONFIGS = {
+    "rules-empty-trigger": (
+        "abstract", "--rules", "[rule:r]\ngroup = login\ntrigger =\nname = A_Login\n"
+    ),
+    "rules-no-section-header": ("abstract", "--rules", "group = login\n"),
+    "notion-bad-threshold": (
+        "segment", "--notion", "[notion]\nkind = time_gap\nthreshold = abc\n"
+    ),
+    "mapping-unknown-field": ("convert", "--mapping", "[columns]\nnope = X\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,option,text", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS)
+)
+def test_bad_config_file_is_an_operational_error(tmp_path, command, option, text):
+    config = tmp_path / "config.ini"
+    config.write_text(text)
+    argv = [command, "-i", LOGIN, option, config, "-o", tmp_path / "out.xes"]
+    env = dict(os.environ, PYTHONPATH=str(Path(uilog.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "uilog", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr

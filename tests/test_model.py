@@ -8,23 +8,18 @@ from uilog import (
     ABBREVIATED_NAMING,
     CycleError,
     DanglingReferenceError,
-    DuplicateIdError,
     HierarchyBuilder,
     InteractionEvent,
     Level,
-    LevelViolationError,
     NamingScheme,
-    NodeDecl,
     NoTargetError,
     OutOfOrderTimestampError,
     Target,
     UILog,
-    UnknownParentError,
     UnresolvedReferenceError,
     UserRef,
     ancestry,
     append_event,
-    build_hierarchy,
     join_group_path,
     level_of,
     make_activity_name,
@@ -162,71 +157,6 @@ class TestActivityNaming:
             )
 
 
-class TestBuildHierarchy:
-    def test_empty(self):
-        h = build_hierarchy([])
-        assert h.node_count == 0
-
-    def test_self_parent_is_cycle(self):
-        with pytest.raises(CycleError):
-            build_hierarchy([NodeDecl("group", "g", parent="g")])
-
-    def test_mutual_cycle(self):
-        with pytest.raises(CycleError):
-            build_hierarchy(
-                [NodeDecl("group", "g1", parent="g2"), NodeDecl("group", "g2", parent="g1")]
-            )
-
-    def test_unknown_parent(self):
-        with pytest.raises(UnknownParentError):
-            build_hierarchy([NodeDecl("group", "g", parent="missing")])
-
-    def test_level_violation(self):
-        decls = [
-            NodeDecl("system", "s"),
-            NodeDecl("group", "g", parent="s", parent_level="system"),
-        ]
-        with pytest.raises(LevelViolationError):
-            build_hierarchy(decls)
-
-    def test_ambiguous_parent_needs_level(self):
-        decls = [
-            NodeDecl("application", "x"),
-            NodeDecl("group", "x"),
-            NodeDecl("element", "e", parent="x"),
-        ]
-        with pytest.raises(UnknownParentError, match="ambiguous"):
-            build_hierarchy(decls)
-        decls[2] = NodeDecl("element", "e", parent="x", parent_level="group")
-        h = build_hierarchy(decls)
-        assert h.find_element("e", ("x",)) is not None
-
-    def test_duplicate_declaration(self):
-        with pytest.raises(DuplicateIdError):
-            build_hierarchy([NodeDecl("group", "g"), NodeDecl("group", "g")])
-
-    def test_keyword_creation_groups(self):
-        decls = [NodeDecl("group", g) for g in keyword_log.GROUPS]
-        decls += [
-            NodeDecl("element", element, parent=group)
-            for _, _, element, group, _, _ in keyword_log.ROWS
-            if element is not None
-        ]
-        # drop duplicate element declarations, keeping first mention
-        seen = set()
-        unique = []
-        for decl in decls:
-            key = (decl.level, decl.id, decl.parent)
-            if key not in seen:
-                seen.add(key)
-                unique.append(decl)
-        h = build_hierarchy(unique)
-        assert len(h.ui_groups) == 6
-        assert len(h.ui_elements) == keyword_log.ELEMENT_NODES
-        assert h.find_element("confirm", ("fpanel keyword",)) is not None
-        assert h.find_element("confirm", ("dialog logout",)) is not None
-
-
 class TestBuilder:
     def test_sibling_uniqueness_is_scoped(self):
         b = HierarchyBuilder()
@@ -236,24 +166,6 @@ class TestBuilder:
         first = h.find_element("A1", ("sheet1",))
         second = h.find_element("A1", ("sheet2",))
         assert first is not None and second is not None and first is not second
-
-    def test_strict_add_rejects_duplicates(self):
-        b = HierarchyBuilder()
-        b.group("g")
-        with pytest.raises(DuplicateIdError):
-            b.group("g")
-
-    def test_parent_from_other_builder_rejected(self):
-        other = HierarchyBuilder()
-        parent = other.group("g")
-        with pytest.raises(UnknownParentError):
-            HierarchyBuilder().element("e", parent=parent)
-
-    def test_level_rules(self):
-        b = HierarchyBuilder()
-        system = b.system("s")
-        with pytest.raises(LevelViolationError):
-            b.group("g", parent=system)
 
     def test_chain_merges_state_last_wins(self):
         b = HierarchyBuilder()
