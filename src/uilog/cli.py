@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from . import tabular, transform, validation, xes
-from .errors import UILogError
+from .errors import BadConfigError, UILogError
 from .model import UILog
 
 _EXIT_OK = 0
@@ -55,14 +55,35 @@ def _guess_format(path: str, explicit) -> str:
     )
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UILogError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _load_configs(args) -> None:
+    """Replace each config file path in ``args`` by what the file holds,
+    so that every file is read and parsed once."""
+    for option, load in (
+        ("mapping", tabular.load_mapping),
+        ("notion", transform.load_case_notion),
+        ("rules", transform.load_rules),
+    ):
+        path = getattr(args, option, None)
+        try:
+            if path is not None:
+                setattr(args, option, load(_read_text(path)))
+        except BadConfigError as exc:
+            # The loaders see only text, which configparser names '<string>'.
+            raise BadConfigError(f"{path}: {exc}".replace("'<string>'", repr(path))) from exc
+
+
 def _load_log(args) -> UILog:
     fmt = _guess_format(args.input, getattr(args, "format", None))
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = _read_text(args.input)
     if fmt == "csv":
-        mapping = None
-        if getattr(args, "mapping", None):
-            mapping = tabular.load_mapping(Path(args.mapping).read_text(encoding="utf-8"))
-        log, report = tabular.ingest(text, mapping, delimiter=args.delimiter)
+        log, report = tabular.ingest(text, args.mapping, delimiter=args.delimiter)
         for skipped in report.rows_skipped:
             print(f"note: skipped row {skipped.row}: {skipped.reason}", file=sys.stderr)
         for message in report.warnings:
@@ -89,10 +110,7 @@ def _write_log(log: UILog, args, report=None) -> int:
     if fmt == "xes":
         text = xes.write_xes(log, check=False)
     else:
-        mapping = None
-        if getattr(args, "mapping", None):
-            mapping = tabular.load_mapping(Path(args.mapping).read_text(encoding="utf-8"))
-        text = tabular.write_table(log, mapping, delimiter=args.delimiter)
+        text = tabular.write_table(log, args.mapping, delimiter=args.delimiter)
     Path(args.output).write_text(text, encoding="utf-8")
     return _EXIT_OK
 
@@ -172,8 +190,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_segment(args) -> int:
     log = _load_log(args)
-    notion = transform.load_case_notion(Path(args.notion).read_text(encoding="utf-8"))
-    segmented = transform.segment(log, notion)
+    segmented = transform.segment(log, args.notion)
     code = _write_log(segmented, args)
     print(f"note: {len(segmented.traces)} trace(s)", file=sys.stderr)
     return code
@@ -181,10 +198,9 @@ def _cmd_segment(args) -> int:
 
 def _cmd_abstract(args) -> int:
     log = _load_log(args)
-    rules = transform.load_rules(Path(args.rules).read_text(encoding="utf-8"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        abstracted = transform.abstract(log, rules)
+        abstracted = transform.abstract(log, args.rules)
     for item in caught:
         print(f"note: {item.message}", file=sys.stderr)
     code = _write_log(abstracted, args)
@@ -267,6 +283,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _load_configs(args)
         return args.handler(args)
     except UILogError as exc:
         return _fail(str(exc))

@@ -21,6 +21,7 @@ All types are immutable after construction; operations return new values.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -71,25 +72,38 @@ def format_timestamp(value: datetime) -> str:
     )
 
 
+# ISO 8601 calendar date, optionally followed by a time of day (after any
+# one separator character) and a UTC offset. Date, time and offset are
+# each either basic (no separators) or extended; fractions take "." or ",".
+_ISO_TIMESTAMP = re.compile(
+    r"(\d{4})(-?)(\d{2})\2(\d{2})"
+    r"(?:\D(\d{2})(?:(:?)(\d{2})(?:\6(\d{2})(?:[.,](\d+))?)?)?"
+    r"(?:[Zz]|([+-])(\d{2})(?:(:?)(\d{2})(?:\12(\d{2}))?)?)?)?",
+    re.ASCII,
+)
+
+
 def parse_timestamp(text: str) -> tuple:
     """Parse ISO 8601 text into (normalized timestamp, truncated?).
 
-    "Z" denotes UTC and naive text is taken as UTC. Fractions of any
-    length are accepted on every supported Python version; ``truncated``
-    says the text was more precise than a millisecond. Raises ValueError
-    for text that is not an ISO timestamp.
+    "Z" denotes UTC and text without an offset is taken as UTC; fractions
+    may have any length, and ``truncated`` says the text was more precise
+    than a millisecond. Only the canonical extended form of a match
+    reaches ``datetime.fromisoformat``, so every supported Python accepts
+    the same texts. Raises ValueError for anything else.
     """
-    normalized = text.strip().replace("Z", "+00:00").replace("z", "+00:00")
-    head, _, rest = normalized.partition(".")
-    index = 0
-    while index < len(rest) and rest[index].isdigit():
-        index += 1
-    digits, tail = rest[:index], rest[index:]
-    if digits:
-        # Pre-3.11 fromisoformat only takes 3- or 6-digit fractions.
-        normalized = f"{head}.{digits[:6].ljust(6, '0')}{tail}"
-    value = normalize_timestamp(datetime.fromisoformat(normalized))
-    return value, digits[3:].strip("0") != ""
+    match = _ISO_TIMESTAMP.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not an ISO 8601 timestamp: {text.strip()!r}")
+    year, _, month, day, hour, _, minute, second, digits, sign, oh, _, om, osec = (
+        match.groups("")
+    )
+    offset = f"{sign}{oh}:{om or '00'}:{osec or '00'}" if sign else ""
+    value = datetime.fromisoformat(
+        f"{year}-{month}-{day}T{hour or '00'}:{minute or '00'}:{second or '00'}"
+        f".{digits[:6].ljust(6, '0')}{offset}"
+    )
+    return normalize_timestamp(value), digits[3:].strip("0") != ""
 
 
 def normalize_value(value: AttributeValue, _depth: int = 0) -> AttributeValue:
@@ -340,13 +354,6 @@ class Target:
             return self.application
         return self.system
 
-    def _chain_scope(self):
-        # (system, application) ids that scope the group/element chain.
-        # A system without an application does not join the chain.
-        if self.application is not None:
-            return self.system, self.application
-        return None, None
-
 
 @dataclass(frozen=True)
 class UIHierarchy:
@@ -382,134 +389,99 @@ class UIHierarchy:
     def _member_ids(self) -> frozenset:
         return frozenset(id(n) for n in self.all_nodes())
 
-    def _chain_key(self, node: TargetNode):
-        """(system id, application id, group id path) above a node.
+    @cached_property
+    def _locations(self) -> dict:
+        """Location (see :meth:`_location`) → first node registered there.
 
-        Returns None when the parent chain is broken (cycles, foreign
-        parents, level garbage); validation reports those separately.
+        Nodes whose parent chain is broken get no entry.
         """
-        system_id = None
-        app_id = None
+        index = {}
+        for node in self.all_nodes():
+            location = self._location(node)
+            if location is not None:
+                index.setdefault(location, node)
+        return index
+
+    def _location(self, node: TargetNode) -> Optional[tuple]:
+        """(system id, application id, group id path, element id) of a node.
+
+        Levels the node does not hang under are None or the empty path.
+        None when the parent chain is broken: it cycles, leaves the
+        hierarchy, or links levels composition does not allow.
+        """
+        members = self._member_ids
+        element = application = system = None
         groups = []
-        current = parent_of(node)
-        steps = 0
-        cap = self.node_count + 1
-        while current is not None:
-            steps += 1
-            if steps > cap:
-                return None
-            if isinstance(current, UIGroupNode):
-                groups.append(current.id)
-            elif isinstance(current, ApplicationNode):
-                app_id = current.id
-            elif isinstance(current, SystemNode):
-                system_id = current.id
-            else:
-                return None
-            current = parent_of(current)
-        groups.reverse()
-        return system_id, app_id, tuple(groups)
-
-    @cached_property
-    def _system_index(self) -> dict:
-        index = {}
-        for node in self.systems:
-            index.setdefault(node.id, node)
-        return index
-
-    @cached_property
-    def _application_index(self) -> dict:
-        index = {}
-        for node in self.applications:
-            system_id = node.system.id if isinstance(node.system, SystemNode) else None
-            index.setdefault((system_id, node.id), node)
-        return index
-
-    @cached_property
-    def _group_index(self) -> dict:
-        index = {}
-        for node in self.ui_groups:
-            key = self._chain_key(node)
-            if key is not None:
-                system_id, app_id, groups = key
-                index.setdefault((system_id, app_id, groups + (node.id,)), node)
-        return index
-
-    @cached_property
-    def _element_index(self) -> dict:
-        index = {}
-        for node in self.ui_elements:
-            key = self._chain_key(node)
-            if key is not None:
-                index.setdefault(key + (node.id,), node)
-        return index
+        current = node
+        if isinstance(current, UIElementNode):
+            element, current = current.id, current.parent
+        while isinstance(current, UIGroupNode) and id(current) in members:
+            if len(groups) == len(self.ui_groups):
+                return None  # a cycle
+            groups.append(current.id)
+            current = current.parent
+        if isinstance(current, ApplicationNode) and id(current) in members:
+            application, current = current.id, current.system
+        if isinstance(current, SystemNode) and id(current) in members:
+            if application is None and current is not node:
+                return None  # only applications compose into systems
+            system, current = current.id, None
+        if current is not None:
+            return None
+        return system, application, tuple(reversed(groups)), element
 
     def __contains__(self, node) -> bool:
         return id(node) in self._member_ids
 
-    def find_system(self, system_id: str) -> Optional[SystemNode]:
-        return self._system_index.get(system_id)
+    def lookup(self, target: Target) -> tuple:
+        """The nodes a target addresses: (element, groups, application, system).
 
-    def find_application(self, app_id: str, system: Optional[str] = None):
-        return self._application_index.get((system, app_id))
+        ``groups`` has the node of every recorded group path prefix,
+        outermost first. An entry is None where its level is not recorded
+        or not found. This is the one place that applies the rule, stated
+        on :class:`Target`, that a system without an application does not
+        scope the group/element chain.
+        """
+        get = self._locations.get
+        element, path, application, system = (
+            target.element, target.groups, target.application, target.system
+        )
+        scope = system if application is not None else None
+        groups = []
+        for depth in range(1, len(path) + 1):
+            groups.append(get((scope, application, path[:depth], None)))
+        return (
+            None if element is None else get((scope, application, path, element)),
+            groups,
+            None if application is None else get((system, application, (), None)),
+            None if system is None else get((system, None, (), None)),
+        )
 
-    def find_group(self, groups, application=None, system=None):
-        if application is None:
-            system = None
-        return self._group_index.get((system, application, tuple(groups)))
-
-    def find_element(self, element_id, groups=(), application=None, system=None):
-        if application is None:
-            system = None
-        return self._element_index.get((system, application, tuple(groups), element_id))
+    def _recorded(self, target: Target) -> list:
+        """(level, node or None) per recorded level, most specific first."""
+        element, groups, application, system = self.lookup(target)
+        levels = (
+            (Level.ELEMENT, target.element, element),
+            (Level.GROUP, groups, groups[-1] if groups else None),
+            (Level.APPLICATION, target.application, application),
+            (Level.SYSTEM, target.system, system),
+        )
+        return [(level, node) for level, recorded, node in levels if recorded]
 
     def check_target(self, target: Target) -> None:
-        """Verify that every level the target records exists here."""
-        system, application = target._chain_scope()
-        if target.element is not None:
-            if self.find_element(target.element, target.groups, application, system) is None:
-                raise DanglingReferenceError(
-                    f"element {target.element!r} not found under "
-                    f"group path {join_group_path(target.groups)!r}",
-                    node_id=target.element,
-                )
-        if target.groups:
-            if self.find_group(target.groups, application, system) is None:
-                raise DanglingReferenceError(
-                    f"group path {join_group_path(target.groups)!r} not found",
-                    node_id=target.groups[-1],
-                )
-        if target.application is not None:
-            if self.find_application(target.application, target.system) is None:
-                raise DanglingReferenceError(
-                    f"application {target.application!r} not found",
-                    node_id=target.application,
-                )
-        if target.system is not None:
-            if self.find_system(target.system) is None:
-                raise DanglingReferenceError(
-                    f"system {target.system!r} not found", node_id=target.system
-                )
+        """Verify that every level the target records exists here; the
+        most specific missing level is the one reported."""
+        for level, node in self._recorded(target):
+            if node is None:
+                raise _not_found(target, level)
 
     def resolve(self, target: Optional[Target]) -> TargetNode:
         """Return the node for the most specific recorded level."""
         if target is None or target.is_empty:
             raise NoTargetError("event has no UI hierarchy association")
-        system, application = target._chain_scope()
-        if target.element is not None:
-            node = self.find_element(target.element, target.groups, application, system)
-            kind, missing = "element", target.element
-        elif target.groups:
-            node = self.find_group(target.groups, application, system)
-            kind, missing = "group", join_group_path(target.groups)
-        elif target.application is not None:
-            node = self.find_application(target.application, target.system)
-            kind, missing = "application", target.application
-        else:
-            node = self.find_system(target.system)
-            kind, missing = "system", target.system
+        level, node = self._recorded(target)[0]
         if node is None:
-            raise DanglingReferenceError(f"{kind} {missing!r} not found", node_id=missing)
+            raise _not_found(target, level)
         return node
 
     def ancestors(self, node: TargetNode) -> list:
@@ -529,32 +501,29 @@ class UIHierarchy:
         return chain
 
     def location_of(self, node: TargetNode) -> Target:
-        """The Target chain that addresses a member node."""
-        if node not in self:
+        """The Target chain that addresses a member node.
+
+        Raises DanglingReferenceError for a foreign node or a broken
+        parent chain (see :meth:`_location`).
+        """
+        location = self._location(node) if node in self else None
+        if location is None:
             raise DanglingReferenceError(
-                f"node {node.id!r} is not part of this hierarchy", node_id=node.id
+                f"node {node.id!r} has no location in this hierarchy", node_id=node.id
             )
-        ids = {Level.ELEMENT: None, Level.APPLICATION: None, Level.SYSTEM: None}
-        groups = []
-        current = node
-        if isinstance(current, UIElementNode):
-            ids[Level.ELEMENT] = current.id
-            current = parent_of(current)
-        while isinstance(current, UIGroupNode):
-            groups.append(current.id)
-            current = parent_of(current)
-        if isinstance(current, ApplicationNode):
-            ids[Level.APPLICATION] = current.id
-            current = parent_of(current)
-        if isinstance(current, SystemNode):
-            ids[Level.SYSTEM] = current.id
-        groups.reverse()
-        return Target(
-            element=ids[Level.ELEMENT],
-            groups=tuple(groups),
-            application=ids[Level.APPLICATION],
-            system=ids[Level.SYSTEM],
-        )
+        system, application, groups, element = location
+        return Target(element=element, groups=groups, application=application, system=system)
+
+
+def _not_found(target: Target, level: Level) -> DanglingReferenceError:
+    path = join_group_path(target.groups)
+    if level is Level.ELEMENT:
+        message = f"element {target.element!r} not found under group path {path!r}"
+        return DanglingReferenceError(message, node_id=target.element)
+    if level is Level.GROUP:
+        return DanglingReferenceError(f"group path {path!r} not found", node_id=target.groups[-1])
+    node_id = target.application if level is Level.APPLICATION else target.system
+    return DanglingReferenceError(f"{level.name.lower()} {node_id!r} not found", node_id=node_id)
 
 
 def resolve_target(event: "InteractionEvent", hierarchy: UIHierarchy) -> TargetNode:

@@ -39,7 +39,6 @@ from .model import (
     InteractionEvent,
     NamingScheme,
     TaskRef,
-    UIElementNode,
     UILog,
     UserRef,
     format_timestamp,
@@ -596,13 +595,8 @@ def _field_cell(event: InteractionEvent, name: str, log: UILog, ts_format):
     if name == "input_value":
         return event.input_value
     if name == "current_state":
-        if target is None or target.element is None:
-            return None
-        system, application = target._chain_scope()
-        node = log.hierarchy.find_element(target.element, target.groups, application, system)
-        if isinstance(node, UIElementNode):
-            return node.current_state
-        return None
+        node = log.hierarchy.lookup(target)[0] if target is not None else None
+        return node.current_state if node is not None else None
     if name == "timestamp":
         return _render_timestamp(event.timestamp, ts_format) if event.timestamp else None
     if name == "user":

@@ -33,7 +33,6 @@ from .model import (
     Trace,
     UIGroupNode,
     UILog,
-    parent_of,
     split_group_path,
 )
 from .tabular import load_ini
@@ -254,13 +253,11 @@ class AbstractionRule:
 
 def _rule_group_node(log: UILog, rule: AbstractionRule) -> UIGroupNode:
     path = split_group_path(rule.group)
-    matches = []
-    for node in log.hierarchy.ui_groups:
-        if node.id != path[-1]:
-            continue
-        location = log.hierarchy.location_of(node)
-        if location.groups[-len(path):] == path:
-            matches.append(node)
+    matches = [
+        node
+        for node in log.hierarchy.ui_groups
+        if node.id == path[-1] and log.hierarchy.location_of(node).groups[-len(path):] == path
+    ]
     if not matches:
         raise UnknownGroupError(f"no UI group matches {rule.group!r}")
     if len(matches) > 1:
@@ -278,11 +275,7 @@ def _in_subtree(log: UILog, event: InteractionEvent, group: UIGroupNode) -> bool
         node = log.hierarchy.resolve(event.target)
     except (NoTargetError, DanglingReferenceError):
         return False
-    while node is not None:
-        if node is group:
-            return True
-        node = parent_of(node)
-    return False
+    return node is group or any(parent is group for parent in log.hierarchy.ancestors(node))
 
 
 def _kept_positions(rule: AbstractionRule, run: list) -> dict:

@@ -25,7 +25,7 @@ from .model import (
     level_of,
     parent_of,
 )
-from .errors import DanglingReferenceError, NoTargetError
+from .errors import CycleError, DanglingReferenceError, NoTargetError
 
 
 class ViolationCode(enum.Enum):
@@ -72,14 +72,12 @@ _ALLOWED_PARENTS = {
 
 def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
     out = []
-    members = {id(n) for n in hierarchy.all_nodes()}
-    cap = hierarchy.node_count + 1
 
     for node in hierarchy.all_nodes():
         parent = parent_of(node)
         if parent is None:
             continue
-        if id(parent) not in members:
+        if parent not in hierarchy:
             out.append(
                 Violation(
                     ViolationCode.DANGLING_REFERENCE,
@@ -100,20 +98,12 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
             )
 
     for node in hierarchy.all_nodes():
-        steps = 0
-        current = parent_of(node)
-        while current is not None:
-            steps += 1
-            if steps > cap:
-                out.append(
-                    Violation(
-                        ViolationCode.CYCLE_DETECTED,
-                        node_id=node.id,
-                        message=f"parent chain from {node.id!r} does not terminate",
-                    )
-                )
-                break
-            current = parent_of(current)
+        try:
+            hierarchy.ancestors(node)
+        except CycleError as exc:
+            out.append(
+                Violation(ViolationCode.CYCLE_DETECTED, node_id=node.id, message=str(exc))
+            )
 
     siblings = Counter()
     for node in hierarchy.systems:

@@ -40,6 +40,7 @@ from .model import (
     UserRef,
     format_timestamp,
     join_group_path,
+    normalize_value,
     parse_timestamp,
     split_group_path,
 )
@@ -147,6 +148,15 @@ def _append_attributes(parent: ET.Element, attributes: Mapping) -> None:
         parent.append(_value_element(key, value))
 
 
+def _string_with(key: str, value: str, owner) -> ET.Element:
+    """A string attribute with the attributes of ``owner`` (the action,
+    node or registry entry it names, if any) nested in it."""
+    element = ET.Element("string", key=key, value=value)
+    if owner is not None:
+        _append_attributes(element, owner.attributes)
+    return element
+
+
 def _event_element(event: InteractionEvent, log: UILog, registries) -> ET.Element:
     users, tasks = registries
     out = ET.Element("event")
@@ -156,62 +166,36 @@ def _event_element(event: InteractionEvent, log: UILog, registries) -> ET.Elemen
             ET.Element("date", key=KEY_TIMESTAMP, value=format_timestamp(event.timestamp))
         )
     if event.action is not None:
-        action = ET.Element("string", key=KEY_ACTION_TYPE, value=event.action.action_type)
-        _append_attributes(action, event.action.attributes)
-        out.append(action)
+        out.append(_string_with(KEY_ACTION_TYPE, event.action.action_type, event.action))
     if event.input_value is not None:
         out.append(_value_element(KEY_INPUT_VALUE, event.input_value))
     target = event.target
     if target is not None and not target.is_empty:
-        scope_system, scope_application = target._chain_scope()
+        element, groups, application, system = log.hierarchy.lookup(target)
         if target.element is not None:
-            node = log.hierarchy.find_element(
-                target.element, target.groups, scope_application, scope_system
-            )
-            element = ET.Element("string", key=KEY_UI_ELEMENT, value=target.element)
-            if node is not None:
-                _append_attributes(element, node.attributes)
-            out.append(element)
-            if node is not None and node.current_state is not None:
-                out.append(_value_element(KEY_UI_ELEMENT_STATE, node.current_state))
+            out.append(_string_with(KEY_UI_ELEMENT, target.element, element))
+            if element is not None and element.current_state is not None:
+                out.append(_value_element(KEY_UI_ELEMENT_STATE, element.current_state))
         if target.groups:
             path = ET.Element(
                 "string", key=KEY_UI_GROUP_PATH, value=join_group_path(target.groups)
             )
-            for index in range(len(target.groups)):
-                prefix = target.groups[: index + 1]
-                group = log.hierarchy.find_group(prefix, scope_application, scope_system)
+            for index, group in enumerate(groups):
                 if group is not None and group.attributes:
-                    nested = ET.Element("container", key=join_group_path(prefix))
+                    nested = ET.Element(
+                        "container", key=join_group_path(target.groups[: index + 1])
+                    )
                     _append_attributes(nested, group.attributes)
                     path.append(nested)
             out.append(path)
         if target.application is not None:
-            application = ET.Element(
-                "string", key=KEY_APPLICATION, value=target.application
-            )
-            node = log.hierarchy.find_application(target.application, target.system)
-            if node is not None:
-                _append_attributes(application, node.attributes)
-            out.append(application)
+            out.append(_string_with(KEY_APPLICATION, target.application, application))
         if target.system is not None:
-            system = ET.Element("string", key=KEY_SYSTEM, value=target.system)
-            node = log.hierarchy.find_system(target.system)
-            if node is not None:
-                _append_attributes(system, node.attributes)
-            out.append(system)
+            out.append(_string_with(KEY_SYSTEM, target.system, system))
     if event.user is not None:
-        user = ET.Element("string", key=KEY_USER, value=event.user)
-        ref = users.get(event.user)
-        if ref is not None:
-            _append_attributes(user, ref.attributes)
-        out.append(user)
+        out.append(_string_with(KEY_USER, event.user, users.get(event.user)))
     if event.task is not None:
-        task = ET.Element("string", key=KEY_TASK, value=event.task)
-        ref = tasks.get(event.task)
-        if ref is not None:
-            _append_attributes(task, ref.attributes)
-        out.append(task)
+        out.append(_string_with(KEY_TASK, event.task, tasks.get(event.task)))
     _append_attributes(out, event.attributes)
     return out
 
@@ -318,10 +302,11 @@ def _parse_attribute(element: ET.Element, where: str):
         raise MalformedDocumentError(f"{where}: {tag} attribute {key!r} without value")
     if tag == "string" or tag == "id":
         value = raw
-    elif tag == "int":
-        value = int(raw)
-    elif tag == "float":
-        value = float(raw)
+    elif tag == "int" or tag == "float":
+        try:
+            value = normalize_value(int(raw)) if tag == "int" else float(raw)
+        except ValueError as exc:
+            raise MalformedDocumentError(f"{where}: {exc}") from None
     elif tag == "boolean":
         value = raw.strip().lower() == "true"
     elif tag == "date":
@@ -451,7 +436,7 @@ def read_xes(
     aliases = dict(aliases or {})
     try:
         root = ET.fromstring(source)
-    except ET.ParseError as exc:
+    except (ET.ParseError, ValueError) as exc:
         raise MalformedDocumentError(f"not well-formed XML: {exc}") from exc
     if _local_name(root.tag) != "log":
         raise MalformedDocumentError(
@@ -465,6 +450,14 @@ def read_xes(
     untraced = False
     events = []
     traces = []
+
+    def read_event(element: ET.Element, where: str) -> None:
+        try:
+            events.append(
+                _read_event(element, where, builder, users, tasks, aliases, lenient_names)
+            )
+        except ValueError as exc:  # an empty id or key, nesting too deep
+            raise MalformedDocumentError(f"{where}: {exc}") from exc
 
     trace_elements = []
     for child in root:
@@ -487,10 +480,7 @@ def read_xes(
 
     for position, trace_element in enumerate(trace_elements):
         if _local_name(trace_element.tag) == "event":
-            where = f"log event {len(events)}"
-            events.append(
-                _read_event(trace_element, where, builder, users, tasks, aliases, lenient_names)
-            )
+            read_event(trace_element, f"log event {len(events)}")
             continue
         trace_id = None
         trace_attributes = {}
@@ -498,10 +488,7 @@ def read_xes(
         for child in trace_element:
             tag = _local_name(child.tag)
             if tag == "event":
-                where = f"trace {position}, event {len(indices)}"
-                events.append(
-                    _read_event(child, where, builder, users, tasks, aliases, lenient_names)
-                )
+                read_event(child, f"trace {position}, event {len(indices)}")
                 indices.append(len(events) - 1)
             elif tag in _STRUCTURAL_TAGS:
                 continue
@@ -512,13 +499,16 @@ def read_xes(
                     trace_id = str(value)
                 else:
                     trace_attributes[key] = value
-        traces.append(
-            Trace(
-                id=trace_id if trace_id else f"trace_{position}",
-                events=tuple(indices),
-                attributes=trace_attributes,
+        try:
+            traces.append(
+                Trace(
+                    id=trace_id if trace_id else f"trace_{position}",
+                    events=tuple(indices),
+                    attributes=trace_attributes,
+                )
             )
-        )
+        except ValueError as exc:
+            raise MalformedDocumentError(f"trace {position}: {exc}") from exc
 
     # Stray log-level events ended up as pseudo-traces above only when the
     # document mixed levels; fold them away for untraced documents.
@@ -527,11 +517,14 @@ def read_xes(
     else:
         final_traces = tuple(traces)
 
-    return UILog(
-        events=tuple(events),
-        hierarchy=builder.build(),
-        users=tuple(users.values()),
-        tasks=tuple(tasks.values()),
-        attributes=log_attributes,
-        traces=final_traces,
-    )
+    try:
+        return UILog(
+            events=tuple(events),
+            hierarchy=builder.build(),
+            users=tuple(users.values()),
+            tasks=tuple(tasks.values()),
+            attributes=log_attributes,
+            traces=final_traces,
+        )
+    except ValueError as exc:
+        raise MalformedDocumentError(f"log: {exc}") from exc

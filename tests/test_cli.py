@@ -19,6 +19,17 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_child(*argv):
+    """Run the CLI in a child process, so tracebacks show in its stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(uilog.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "uilog", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestConvert:
     def test_csv_to_xes(self, tmp_path):
         out = tmp_path / "kc.xes"
@@ -221,14 +232,33 @@ BAD_CONFIGS = {
 def test_bad_config_file_is_an_operational_error(tmp_path, command, option, text):
     config = tmp_path / "config.ini"
     config.write_text(text)
-    argv = [command, "-i", LOGIN, option, config, "-o", tmp_path / "out.xes"]
-    env = dict(os.environ, PYTHONPATH=str(Path(uilog.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-m", "uilog", *map(str, argv)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    done = run_child(command, "-i", LOGIN, option, config, "-o", tmp_path / "out.xes")
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
+    assert str(config) in done.stderr
+    assert "<string>" not in done.stderr
+
+
+def test_mapping_file_is_read_once_for_csv_to_csv(tmp_path, monkeypatch):
+    mapping = tmp_path / "kc.mapping"
+    mapping.write_text("[columns]\nactivity_name = Activity\naction_type = Action type\n")
+    calls = []
+    load_ini = uilog.tabular.load_ini
+    monkeypatch.setattr(
+        uilog.tabular, "load_ini", lambda *a: calls.append(a[1]) or load_ini(*a)
+    )
+    out = tmp_path / "kc.csv"
+    assert run("convert", "-i", KC, "--mapping", mapping, "-o", out) == 0
+    assert calls == ["mapping"]
+    assert len(out.read_text().splitlines()) == 21
+
+
+def test_non_utf8_input_is_an_operational_error(tmp_path):
+    source = tmp_path / "bad.csv"
+    source.write_bytes(b"Activity,Action type\nclick \xff,left click\n")
+    done = run_child("validate", "-i", source)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+    assert str(source) in done.stderr

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from uilog import (
     ABBREVIATED_NAMING,
+    AbstractionRule,
     CycleError,
     DanglingReferenceError,
     HierarchyBuilder,
@@ -15,9 +18,13 @@ from uilog import (
     NoTargetError,
     OutOfOrderTimestampError,
     Target,
+    UIGroupNode,
+    UIHierarchy,
     UILog,
+    UILogError,
     UnresolvedReferenceError,
     UserRef,
+    abstract,
     ancestry,
     append_event,
     join_group_path,
@@ -93,28 +100,71 @@ class TestResolveTarget:
 
 class TestAncestry:
     def test_element_in_parentless_group(self, erp_hierarchy):
-        node = erp_hierarchy.find_element("name", ("fpanel keyword",))
+        node = erp_hierarchy.resolve(Target(element="name", groups=("fpanel keyword",)))
         assert ancestry(node, erp_hierarchy) == ["name", "fpanel keyword"]
 
     def test_root_is_its_own_path(self):
         b = HierarchyBuilder()
         b.chain(system="win-host")
         h = b.build()
-        assert ancestry(h.find_system("win-host"), h) == ["win-host"]
+        assert ancestry(h.resolve(Target(system="win-host")), h) == ["win-host"]
 
     def test_spreadsheet_chain(self):
         b = HierarchyBuilder()
         b.chain(application="Excel", groups=("workbook1", "sheet1"), element="A1")
         h = b.build()
-        node = h.find_element("A1", ("workbook1", "sheet1"), "Excel")
+        node = h.resolve(
+            Target(element="A1", groups=("workbook1", "sheet1"), application="Excel")
+        )
         assert ancestry(node, h) == ["A1", "sheet1", "workbook1", "Excel"]
 
     def test_foreign_node_raises(self, erp_hierarchy):
         b = HierarchyBuilder()
         b.chain(groups=("other",))
-        foreign = b.build().find_group(("other",))
+        foreign = b.build().resolve(Target(groups=("other",)))
         with pytest.raises(DanglingReferenceError):
             ancestry(foreign, erp_hierarchy)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test instead of hanging when the body runs too long."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+class TestGroupCycle:
+    @pytest.fixture
+    def cycle(self):
+        g1 = UIGroupNode("g1")
+        g2 = UIGroupNode("g2", parent=g1)
+        object.__setattr__(g1, "parent", g2)
+        return g1, UIHierarchy(ui_groups=(g1, g2))
+
+    def test_location_of_raises(self, cycle):
+        g1, h = cycle
+        with deadline(5), pytest.raises(UILogError):
+            h.location_of(g1)
+
+    def test_abstraction_rule_on_cycle_raises(self, cycle):
+        _, h = cycle
+        with deadline(5), pytest.raises(UILogError):
+            abstract(UILog(hierarchy=h), AbstractionRule("g1", "t", "A"))
+
+    def test_cycle_members_do_not_resolve(self, cycle):
+        _, h = cycle
+        with deadline(5), pytest.raises(DanglingReferenceError):
+            h.resolve(Target(groups=("g2", "g1")))
 
 
 class TestActivityNaming:
@@ -163,8 +213,8 @@ class TestBuilder:
         b.chain(groups=("sheet1",), element="A1")
         b.chain(groups=("sheet2",), element="A1")
         h = b.build()
-        first = h.find_element("A1", ("sheet1",))
-        second = h.find_element("A1", ("sheet2",))
+        first = h.resolve(Target(element="A1", groups=("sheet1",)))
+        second = h.resolve(Target(element="A1", groups=("sheet2",)))
         assert first is not None and second is not None and first is not second
 
     def test_chain_merges_state_last_wins(self):
@@ -172,7 +222,7 @@ class TestBuilder:
         b.chain(groups=("g",), element="dd", current_state=["a"])
         b.chain(groups=("g",), element="dd", current_state=["a", "b"])
         h = b.build()
-        assert h.find_element("dd", ("g",)).current_state == ["a", "b"]
+        assert h.resolve(Target(element="dd", groups=("g",))).current_state == ["a", "b"]
 
     def test_floating_system_stays_out_of_the_chain(self):
         b = HierarchyBuilder()
@@ -180,7 +230,7 @@ class TestBuilder:
         h = b.build()
         node = h.resolve(target)
         assert ancestry(node, h) == ["e", "g"]
-        assert h.find_system("host") is not None
+        assert h.resolve(Target(system="host")) is not None
 
 
 class TestAppendEvent:

@@ -8,6 +8,7 @@ from uilog import (
     BadLiteralError,
     MissingColumnError,
     NoUsableColumnsError,
+    Target,
     coverage,
     infer_mapping,
     ingest,
@@ -52,7 +53,9 @@ class TestIngestFixture:
 
     def test_dropdown_current_state(self):
         log, _ = ingest(keyword_creation_csv())
-        node = log.hierarchy.find_element("dd type", ("fpanel keyword",))
+        node = log.hierarchy.resolve(
+            Target(element="dd type", groups=("fpanel keyword",))
+        )
         assert node.current_state == ["keyword", "keywords folder"]
 
     def test_coverage_matches_hand_counts(self):

@@ -3,6 +3,7 @@ from datetime import datetime, timezone
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from uilog import (
     Action,
@@ -11,9 +12,11 @@ from uilog import (
     InvalidLogError,
     MalformedDocumentError,
     MissingConceptNameError,
+    Target,
     TaskRef,
     Trace,
     UILog,
+    UILogError,
     UserRef,
     emit_extension_definition,
     read_xes,
@@ -176,6 +179,62 @@ class TestRead:
         assert log.events[0].timestamp.microsecond == 123000
 
 
+BAD_VALUES = {
+    "int-not-a-number": '<int key="n" value="abc"/>',
+    "int-above-64-bit": f'<int key="n" value="{2**63}"/>',
+    "int-below-64-bit": f'<int key="n" value="{-(2**63) - 1}"/>',
+    "float-not-a-number": '<float key="x" value="zz"/>',
+    "empty-element-id": '<string key="uilog:ui-element" value=""/>',
+    "empty-group-id": '<string key="uilog:ui-group-path" value="a//b"/>',
+    "empty-application-id": '<string key="uilog:application" value=""/>',
+    "empty-system-id": '<string key="uilog:system" value=""/>',
+    "empty-user-id": '<string key="uilog:user" value=""/>',
+    "empty-task-id": '<string key="uilog:task" value=""/>',
+    "empty-action-type": '<string key="uilog:action-type" value=""/>',
+}
+
+
+@pytest.mark.parametrize("attribute", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+def test_bad_values_are_located_document_errors(attribute):
+    document = (
+        '<log><trace><string key="concept:name" value="t"/>'
+        '<event><string key="concept:name" value="ok"/></event>'
+        f'<event><string key="concept:name" value="a"/>{attribute}</event>'
+        "</trace></log>"
+    )
+    with pytest.raises(MalformedDocumentError, match="trace 0, event 1"):
+        read_xes(document)
+
+
+@pytest.mark.parametrize(
+    "document,where",
+    [
+        ('<log><trace><string key="" value="x"/></trace></log>', "trace 0"),
+        ('<log><string key="" value="x"/><trace/></log>', "log"),
+        ('<log><string key="a" value="\ud800"/></log>', "not well-formed"),
+    ],
+    ids=["empty-trace-key", "empty-log-key", "lone-surrogate"],
+)
+def test_bad_documents_outside_events_are_document_errors(document, where):
+    with pytest.raises(MalformedDocumentError, match=where):
+        read_xes(document)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_attribute_value_reads_or_raises_a_uilog_error(data):
+    log = genlogs.random_log(random.Random(data.draw(st.integers(0, 99))), max_events=8)
+    root = ET.fromstring(write_xes(log))
+    valued = [node for node in root.iter() if node.get("value") is not None]
+    assume(valued)
+    node = data.draw(st.sampled_from(valued))
+    node.set("value", data.draw(st.text(max_size=12)))
+    try:
+        read_xes(ET.tostring(root, encoding="unicode"))
+    except UILogError:
+        pass
+
+
 class TestExtensionDefinition:
     def test_stable_and_complete(self):
         first = emit_extension_definition()
@@ -261,11 +320,16 @@ class TestRoundTrip:
         log = UILog(events=(InteractionEvent("x", target=target),), hierarchy=b.build())
         back = read_xes(write_xes(log))
         h = back.hierarchy
-        assert h.find_system("host").attributes == {"os": "linux"}
-        assert h.find_application("app", "host").attributes == {"version": 7}
-        assert h.find_group(("outer",), "app", "host").attributes == {"kind": "window"}
-        assert h.find_group(("outer", "inner"), "app", "host").attributes == {"kind": "panel"}
-        element = h.find_element("dd", ("outer", "inner"), "app", "host")
+        assert h.resolve(Target(system="host")).attributes == {"os": "linux"}
+        app = Target(application="app", system="host")
+        assert h.resolve(app).attributes == {"version": 7}
+        outer = Target(groups=("outer",), application="app", system="host")
+        assert h.resolve(outer).attributes == {"kind": "window"}
+        inner = Target(groups=("outer", "inner"), application="app", system="host")
+        assert h.resolve(inner).attributes == {"kind": "panel"}
+        element = h.resolve(
+            Target(element="dd", groups=("outer", "inner"), application="app", system="host")
+        )
         assert element.attributes == {"widget": "dropdown"}
         assert element.current_state == ["a", "b"]
 
