@@ -64,12 +64,7 @@ def normalize_timestamp(value: datetime) -> datetime:
 
 def format_timestamp(value: datetime) -> str:
     """ISO 8601 text of a timestamp in UTC, to the millisecond."""
-    value = value.astimezone(timezone.utc)
-    return (
-        f"{value.year:04d}-{value.month:02d}-{value.day:02d}"
-        f"T{value.hour:02d}:{value.minute:02d}:{value.second:02d}"
-        f".{value.microsecond // 1000:03d}+00:00"
-    )
+    return value.astimezone(timezone.utc).isoformat(timespec="milliseconds")
 
 
 # ISO 8601 calendar date, optionally followed by a time of day (after any
@@ -278,6 +273,8 @@ def split_group_path(text: str) -> tuple:
     """Inverse of :func:`join_group_path`; "" yields the empty path."""
     if not text:
         return ()
+    if "\\" not in text:
+        return tuple(text.split("/"))
     parts = []
     current = []
     i = 0

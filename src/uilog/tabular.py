@@ -644,18 +644,19 @@ def write_table(
             if log.traces is None
             else [log.events[i] for t in log.traces for i in t.events]
         )
-        populated = set()
+        populated = {"activity_name"}
         extra_keys = []
         seen_extras = set()
         for event in order:
             for name in FIELDS:
-                if _field_cell(event, name, log, mapping.timestamp_format) is not None:
+                if name not in populated and (
+                    _field_cell(event, name, log, mapping.timestamp_format) is not None
+                ):
                     populated.add(name)
             for key in event.attributes:
                 if key not in seen_extras:
                     seen_extras.add(key)
                     extra_keys.append(key)
-        populated.add("activity_name")
         columns = [CANONICAL_HEADERS[name] for name in FIELDS if name in populated]
         column_to_field = {
             CANONICAL_HEADERS[name]: name for name in FIELDS if name in populated

@@ -14,10 +14,17 @@ flat format and is accepted deliberately.
 
 Logs without traces are wrapped in a single artificial trace, marked by
 the log-level boolean ``uilog:untraced`` so the reader can undo it.
+
+The writer emits the document as text in one pass: each element is
+appended to one list of pieces, indented from a precomputed table and
+escaped as ElementTree escapes attribute values, and the list is joined
+once; the context of each distinct target is rendered once per document.
+ElementTree is used only for reading.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from datetime import datetime
 from typing import Mapping, Optional
@@ -34,12 +41,15 @@ from .model import (
     HierarchyBuilder,
     InteractionEvent,
     MAX_NESTING_DEPTH,
+    Target,
     TaskRef,
     Trace,
     UILog,
     UserRef,
+    _check_id,
     format_timestamp,
     join_group_path,
+    normalize_attributes,
     normalize_value,
     parse_timestamp,
     split_group_path,
@@ -112,92 +122,109 @@ def emit_extension_definition() -> str:
 # Writing
 
 
-def _value_element(key: str, value, depth: int = 0) -> ET.Element:
-    if depth > MAX_NESTING_DEPTH:
-        raise UnserializableValueError(
-            f"attribute {key!r} nests deeper than {MAX_NESTING_DEPTH}"
-        )
-    if isinstance(value, bool):
-        return ET.Element("boolean", key=key, value="true" if value else "false")
-    if isinstance(value, int):
-        return ET.Element("int", key=key, value=str(value))
-    if isinstance(value, float):
-        return ET.Element("float", key=key, value=repr(value))
+# Indentation by element depth, deep enough for values nested MAX_NESTING_DEPTH levels.
+_INDENT = tuple("\n" + "  " * depth for depth in range(2 * MAX_NESTING_DEPTH + 8))
+
+# Characters that need escaping or that XML 1.0 forbids; then only those it forbids.
+_SPECIAL = re.compile('[\x00-\x1f"&<>\ud800-\udfff\ufffe\uffff]')
+_NOT_XML_CHAR = re.compile('[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]')
+
+_HEADER = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<log xes.version="1849-2016" xes.features="nested-attributes">'
+    f'\n  <extension name="Concept" prefix="concept" uri="{CONCEPT_URI}" />'
+    f'\n  <extension name="Time" prefix="time" uri="{TIME_URI}" />'
+    f'\n  <extension name="UILog" prefix="uilog" uri="{UILOG_URI}" />'
+)
+
+
+def _escape(text: str, key: str) -> str:
+    """``text`` as an XML attribute value, escaped as ElementTree does."""
+    if _SPECIAL.search(text) is None:
+        return text
+    if _NOT_XML_CHAR.search(text) is not None:
+        raise UnserializableValueError(f"attribute {key!r} holds text outside XML 1.0")
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("\r", "&#13;").replace("\n", "&#10;")
+            .replace("\t", "&#09;"))
+
+
+def _attribute(out: list, depth: int, key: str, value, nested=None, nesting: int = 0) -> None:
+    """Append one attribute element; a string value carries ``nested`` attributes."""
+    if nesting > MAX_NESTING_DEPTH:
+        raise UnserializableValueError(f"attribute {key!r} nests deeper than {MAX_NESTING_DEPTH}")
+    pad, name, children = _INDENT[depth], _escape(key, key), None
     if isinstance(value, str):
-        return ET.Element("string", key=key, value=value)
-    if isinstance(value, datetime):
-        return ET.Element("date", key=key, value=format_timestamp(value))
-    if isinstance(value, list):
-        element = ET.Element("list", key=key)
-        values = ET.SubElement(element, "values")
+        tag, text, children = "string", _escape(value, key), nested
+    elif isinstance(value, list):
+        inner = _INDENT[depth + 1]
+        if not value:
+            return out.append(f'{pad}<list key="{name}">{inner}<values />{pad}</list>')
+        out.append(f'{pad}<list key="{name}">{inner}<values>')
         for position, item in enumerate(value):
-            values.append(_value_element(str(position), item, depth + 1))
-        return element
-    if isinstance(value, Mapping):
-        element = ET.Element("container", key=key)
-        for child_key, item in value.items():
-            element.append(_value_element(child_key, item, depth + 1))
-        return element
-    raise UnserializableValueError(
-        f"attribute {key!r} has unsupported type {type(value).__name__}"
-    )
-
-
-def _append_attributes(parent: ET.Element, attributes: Mapping) -> None:
-    for key, value in attributes.items():
-        parent.append(_value_element(key, value))
-
-
-def _string_with(key: str, value: str, owner) -> ET.Element:
-    """A string attribute with the attributes of ``owner`` (the action,
-    node or registry entry it names, if any) nested in it."""
-    element = ET.Element("string", key=key, value=value)
-    if owner is not None:
-        _append_attributes(element, owner.attributes)
-    return element
-
-
-def _event_element(event: InteractionEvent, log: UILog, registries) -> ET.Element:
-    users, tasks = registries
-    out = ET.Element("event")
-    out.append(ET.Element("string", key=KEY_CONCEPT_NAME, value=event.activity_name))
-    if event.timestamp is not None:
-        out.append(
-            ET.Element("date", key=KEY_TIMESTAMP, value=format_timestamp(event.timestamp))
+            _attribute(out, depth + 2, str(position), item, None, nesting + 1)
+        return out.append(f"{inner}</values>{pad}</list>")
+    elif isinstance(value, bool):
+        tag, text = "boolean", "true" if value else "false"
+    elif isinstance(value, int):
+        tag, text = "int", str(value)
+    elif isinstance(value, float):
+        tag, text = "float", repr(value)
+    elif isinstance(value, datetime):
+        tag, text = "date", format_timestamp(value)
+    elif isinstance(value, (dict, Mapping)):
+        tag, text, children, nesting = "container", None, value, nesting + 1
+    else:
+        raise UnserializableValueError(
+            f"attribute {key!r} has unsupported type {type(value).__name__}"
         )
+    head = f'{pad}<{tag} key="{name}"' + ("" if text is None else f' value="{text}"')
+    if not children:
+        return out.append(head + " />")
+    out.append(head + ">")
+    for child_key, item in children.items():
+        _attribute(out, depth + 1, child_key, item, None, nesting)
+    out.append(f"{pad}</{tag}>")
+
+
+def _context(target: Target, hierarchy, contexts: dict) -> str:
+    """The elements recording ``target`` and its nodes' attributes, kept in ``contexts``."""
+    out = []
+    element, groups, application, system = hierarchy.lookup(target)
+    if target.element is not None:
+        _attribute(out, 3, KEY_UI_ELEMENT, target.element, element and element.attributes)
+        if element is not None and element.current_state is not None:
+            _attribute(out, 3, KEY_UI_ELEMENT_STATE, element.current_state)
+    if target.groups:  # a container per attributed group; they do not count as nesting
+        nested = {join_group_path(target.groups[: i + 1]): group.attributes
+                  for i, group in enumerate(groups) if group is not None and group.attributes}
+        _attribute(out, 3, KEY_UI_GROUP_PATH, join_group_path(target.groups), nested, -1)
+    for key, recorded, node in ((KEY_APPLICATION, target.application, application),
+                                (KEY_SYSTEM, target.system, system)):
+        if recorded is not None:
+            _attribute(out, 3, key, recorded, node and node.attributes)
+    text = contexts[target] = "".join(out)
+    return text
+
+
+def _event(out: list, event: InteractionEvent, hierarchy, registries, contexts: dict) -> None:
+    out.append("\n    <event>")
+    _attribute(out, 3, KEY_CONCEPT_NAME, event.activity_name)
+    if event.timestamp is not None:
+        _attribute(out, 3, KEY_TIMESTAMP, event.timestamp)
     if event.action is not None:
-        out.append(_string_with(KEY_ACTION_TYPE, event.action.action_type, event.action))
+        _attribute(out, 3, KEY_ACTION_TYPE, event.action.action_type, event.action.attributes)
     if event.input_value is not None:
-        out.append(_value_element(KEY_INPUT_VALUE, event.input_value))
+        _attribute(out, 3, KEY_INPUT_VALUE, event.input_value)
     target = event.target
     if target is not None and not target.is_empty:
-        element, groups, application, system = log.hierarchy.lookup(target)
-        if target.element is not None:
-            out.append(_string_with(KEY_UI_ELEMENT, target.element, element))
-            if element is not None and element.current_state is not None:
-                out.append(_value_element(KEY_UI_ELEMENT_STATE, element.current_state))
-        if target.groups:
-            path = ET.Element(
-                "string", key=KEY_UI_GROUP_PATH, value=join_group_path(target.groups)
-            )
-            for index, group in enumerate(groups):
-                if group is not None and group.attributes:
-                    nested = ET.Element(
-                        "container", key=join_group_path(target.groups[: index + 1])
-                    )
-                    _append_attributes(nested, group.attributes)
-                    path.append(nested)
-            out.append(path)
-        if target.application is not None:
-            out.append(_string_with(KEY_APPLICATION, target.application, application))
-        if target.system is not None:
-            out.append(_string_with(KEY_SYSTEM, target.system, system))
-    if event.user is not None:
-        out.append(_string_with(KEY_USER, event.user, users.get(event.user)))
-    if event.task is not None:
-        out.append(_string_with(KEY_TASK, event.task, tasks.get(event.task)))
-    _append_attributes(out, event.attributes)
-    return out
+        out.append(contexts.get(target) or _context(target, hierarchy, contexts))
+    for key, ref, registry in zip((KEY_USER, KEY_TASK), (event.user, event.task), registries):
+        if ref is not None:
+            _attribute(out, 3, key, ref, registry.get(ref))
+    for key, value in event.attributes.items():
+        _attribute(out, 3, key, value)
+    out.append("\n    </event>")
 
 
 def write_xes(log: UILog, *, check: bool = True) -> str:
@@ -205,47 +232,30 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
 
     With ``check`` (the default) the log must validate cleanly;
     InvalidLogError carries the report otherwise. Output is deterministic
-    for a given log: fixed key order, fixed formatting.
+    for a given log: fixed key order, fixed formatting. Text outside the
+    XML 1.0 character set raises UnserializableValueError.
     """
-    if check:
-        report = validate(log)
-        if not report.ok:
-            raise InvalidLogError(
-                f"log failed validation with {len(report.violations)} violation(s)",
-                report=report,
-            )
-    root = ET.Element("log", {"xes.version": "1849-2016", "xes.features": "nested-attributes"})
-    for name, prefix, uri in (
-        ("Concept", "concept", CONCEPT_URI),
-        ("Time", "time", TIME_URI),
-        ("UILog", "uilog", UILOG_URI),
-    ):
-        root.append(ET.Element("extension", name=name, prefix=prefix, uri=uri))
-    _append_attributes(root, log.attributes)
-
-    registries = (
-        {u.id: u for u in log.users},
-        {t.id: t for t in log.tasks},
-    )
-    if log.traces is None:
-        if log.events:
-            root.append(ET.Element("boolean", key=KEY_UNTRACED, value="true"))
-            trace = ET.SubElement(root, "trace")
-            trace.append(ET.Element("string", key=KEY_CONCEPT_NAME, value="all-events"))
-            for event in log.events:
-                trace.append(_event_element(event, log, registries))
-    else:
-        for stored in log.traces:
-            trace = ET.SubElement(root, "trace")
-            trace.append(ET.Element("string", key=KEY_CONCEPT_NAME, value=stored.id))
-            _append_attributes(trace, stored.attributes)
-            for index in stored.events:
-                trace.append(_event_element(log.events[index], log, registries))
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    body = ET.tostring(root, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+    if check and not (report := validate(log)).ok:
+        count = len(report.violations)
+        raise InvalidLogError(f"log failed validation with {count} violation(s)", report=report)
+    out = [_HEADER]
+    for key, value in log.attributes.items():
+        _attribute(out, 1, key, value)
+    registries = ({u.id: u.attributes for u in log.users}, {t.id: t.attributes for t in log.tasks})
+    traces = [(stored.id, stored.attributes, stored.events) for stored in log.traces or ()]
+    if log.traces is None and log.events:
+        out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
+        traces = [("all-events", {}, range(len(log.events)))]
+    contexts = {}  # the rendered context of each distinct target
+    for trace_id, attributes, indices in traces:
+        out.append("\n  <trace>")
+        for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
+            _attribute(out, 2, key, value)
+        for index in indices:
+            _event(out, log.events[index], log.hierarchy, registries, contexts)
+        out.append("\n  </trace>")
+    out.append("\n</log>\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +263,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
 
 
 def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+    return tag.rsplit("}", 1)[-1] if "}" in tag else tag
 
 
 def _parse_timestamp(text: str, where: str) -> datetime:
@@ -387,27 +397,27 @@ def _read_event(
             element_attributes=nested_by_key.get(KEY_UI_ELEMENT),
         )
 
-    user = fields.get(KEY_USER)
-    if user is not None:
-        user = str(user)
-        users[user] = UserRef(user, attributes={**users.get(user, UserRef(user)).attributes,
-                                                **nested_by_key.get(KEY_USER, {})})
-    task = fields.get(KEY_TASK)
-    if task is not None:
-        task = str(task)
-        tasks[task] = TaskRef(task, attributes={**tasks.get(task, TaskRef(task)).attributes,
-                                                **nested_by_key.get(KEY_TASK, {})})
-
     return InteractionEvent(
         activity_name=name,
         action=action,
         target=target,
         input_value=fields.get(KEY_INPUT_VALUE),
         timestamp=timestamp,
-        user=user,
-        task=task,
+        user=_merge_ref(users, fields.get(KEY_USER), nested_by_key.get(KEY_USER)),
+        task=_merge_ref(tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK)),
         attributes=extras,
     )
+
+
+def _merge_ref(registry: dict, ref, attributes: Optional[Mapping]) -> Optional[str]:
+    """Record a user or task id and merge one event's attributes for it;
+    the registry entries become UserRef/TaskRef once, with the log."""
+    if ref is None:
+        return None
+    ref = str(ref)
+    _check_id(ref)
+    registry.setdefault(ref, {}).update(normalize_attributes(attributes))
+    return ref
 
 
 _EVENT_FIELD_KEYS = frozenset(
@@ -521,8 +531,8 @@ def read_xes(
         return UILog(
             events=tuple(events),
             hierarchy=builder.build(),
-            users=tuple(users.values()),
-            tasks=tuple(tasks.values()),
+            users=tuple(UserRef(ref, attributes) for ref, attributes in users.items()),
+            tasks=tuple(TaskRef(ref, attributes) for ref, attributes in tasks.items()),
             attributes=log_attributes,
             traces=final_traces,
         )

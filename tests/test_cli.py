@@ -262,3 +262,14 @@ def test_non_utf8_input_is_an_operational_error(tmp_path):
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
     assert str(source) in done.stderr
+
+
+def test_text_outside_xml_is_an_operational_error(tmp_path):
+    source = tmp_path / "control.csv"
+    source.write_text("Activity,Action type,Input value\ninput name,input,a\x01b\n")
+    out = tmp_path / "control.xes"
+    done = run_child("convert", "-i", source, "-o", out)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+    assert "uilog:input-value" in done.stderr

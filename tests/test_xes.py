@@ -17,6 +17,7 @@ from uilog import (
     Trace,
     UILog,
     UILogError,
+    UnserializableValueError,
     UserRef,
     emit_extension_definition,
     read_xes,
@@ -233,6 +234,42 @@ def test_any_attribute_value_reads_or_raises_a_uilog_error(data):
         read_xes(ET.tostring(root, encoding="unicode"))
     except UILogError:
         pass
+
+
+def is_xml_text(text):
+    """Whether every character of ``text`` is in the XML 1.0 Char production."""
+    return all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+        for c in text
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["a\x01b", "\ud800", "\ufffe"], ids=["control", "lone-surrogate", "non-character"]
+)
+def test_text_outside_xml_is_unserializable(text):
+    log = UILog(events=(InteractionEvent("x", input_value=text),))
+    assert validate(log).ok
+    with pytest.raises(UnserializableValueError, match="uilog:input-value"):
+        write_xes(log)
+    keyed = UILog(events=(InteractionEvent("x", attributes={f"k{text}": 1}),))
+    with pytest.raises(UnserializableValueError):
+        write_xes(keyed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(exclude_categories=())))
+def test_any_text_value_reads_back_or_is_unserializable(text):
+    log = UILog(events=(InteractionEvent("x", input_value=text, attributes={"note": text}),))
+    try:
+        document = write_xes(log)
+    except UnserializableValueError:
+        assert not is_xml_text(text)
+        return
+    assert is_xml_text(text)
+    event = read_xes(document).events[0]
+    assert event.input_value == text
+    assert event.attributes == {"note": text}
 
 
 class TestExtensionDefinition:
