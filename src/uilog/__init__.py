@@ -22,23 +22,18 @@ from .errors import (
     MissingTimestampsError,
     NoTargetError,
     NoUsableColumnsError,
-    OutOfOrderTimestampError,
     TriggerNeverFiresWarning,
     UILogError,
     UnknownGroupError,
-    UnresolvedReferenceError,
     UnserializableValueError,
 )
 from .model import (
-    ABBREVIATED_NAMING,
     Action,
     ApplicationNode,
-    DEFAULT_NAMING,
     HierarchyBuilder,
     InteractionEvent,
     Level,
     MAX_NESTING_DEPTH,
-    NamingScheme,
     SystemNode,
     Target,
     TaskRef,
@@ -48,15 +43,12 @@ from .model import (
     UIHierarchy,
     UILog,
     UserRef,
-    ancestry,
-    append_event,
     join_group_path,
     level_of,
     make_activity_name,
     normalize_timestamp,
     normalize_value,
     parent_of,
-    resolve_target,
     split_group_path,
 )
 from .tabular import (
@@ -65,7 +57,6 @@ from .tabular import (
     infer_mapping,
     ingest,
     load_mapping,
-    render_ingest_report,
     write_table,
 )
 from .transform import (

@@ -10,6 +10,7 @@ operational error, 2 validation findings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -139,14 +140,8 @@ def _cmd_validate(args) -> int:
     args.lenient_names = True
     log = _load_log(args)
     report = validation.validate(log)
-    rendered = validation.render_report(report)
-    if report.ok:
-        head, _, rest = rendered.partition("\n")
-        rendered = _style(head, "32", sys.stdout) + (f"\n{rest}" if rest else "")
-    else:
-        head, _, rest = rendered.partition("\n")
-        rendered = _style(head, "31", sys.stdout) + (f"\n{rest}" if rest else "")
-    print(rendered)
+    head, _, rest = validation.render_report(report).partition("\n")
+    print(_style(head, "32" if report.ok else "31", sys.stdout) + (f"\n{rest}" if rest else ""))
     if args.report:
         _write_violation_report(report, args.report)
     return _EXIT_OK if report.ok else _EXIT_FINDINGS
@@ -171,16 +166,7 @@ def _cmd_stats(args) -> int:
                 }
                 for name, cell in matrix.as_dict().items()
             },
-            "profile": {
-                "events": summary.events,
-                "distinct_activities": summary.distinct_activities,
-                "distinct_action_types": summary.distinct_action_types,
-                "systems": summary.systems,
-                "applications": summary.applications,
-                "ui_groups": summary.ui_groups,
-                "ui_elements": summary.ui_elements,
-                "traces": summary.traces,
-            },
+            "profile": dataclasses.asdict(summary),
         }
         Path(args.report).write_text(
             json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"

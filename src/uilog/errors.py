@@ -21,14 +21,6 @@ class CycleError(UILogError):
     """A parent chain in the UI hierarchy does not terminate."""
 
 
-class OutOfOrderTimestampError(UILogError):
-    """An appended event is older than the last timestamped event."""
-
-
-class UnresolvedReferenceError(UILogError):
-    """An event references a target, user, or task the log does not hold."""
-
-
 class InvalidLogError(UILogError):
     """The log failed validation; see the attached report."""
 

@@ -13,7 +13,7 @@ nest other groups and elements. Node ids only need to be unique among
 siblings, so the same element id may exist under different groups (think
 of cell "A1" on two spreadsheet tabs). Events therefore record their
 location as the full id chain (:class:`Target`), and
-:func:`resolve_target` maps that chain to the most specific node.
+:meth:`UIHierarchy.resolve` maps that chain to the most specific node.
 
 All types are immutable after construction; operations return new values.
 """
@@ -22,18 +22,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import (
-    CycleError,
-    DanglingReferenceError,
-    NoTargetError,
-    OutOfOrderTimestampError,
-    UnresolvedReferenceError,
-)
+from .errors import CycleError, DanglingReferenceError, NoTargetError
 
 #: Maximum nesting depth of list/map attribute values.
 MAX_NESTING_DEPTH = 32
@@ -329,19 +323,6 @@ class Target:
         return not (self.element or self.groups or self.application or self.system)
 
     @property
-    def level(self) -> Optional[Level]:
-        """Most specific recorded level, or None when nothing is recorded."""
-        if self.element is not None:
-            return Level.ELEMENT
-        if self.groups:
-            return Level.GROUP
-        if self.application is not None:
-            return Level.APPLICATION
-        if self.system is not None:
-            return Level.SYSTEM
-        return None
-
-    @property
     def most_specific_id(self) -> Optional[str]:
         if self.element is not None:
             return self.element
@@ -431,35 +412,32 @@ class UIHierarchy:
         return id(node) in self._member_ids
 
     def lookup(self, target: Target) -> tuple:
-        """The nodes a target addresses: (element, groups, application, system).
+        """The nodes a target addresses: (element, group, application, system).
 
-        ``groups`` has the node of every recorded group path prefix,
-        outermost first. An entry is None where its level is not recorded
-        or not found. This is the one place that applies the rule, stated
-        on :class:`Target`, that a system without an application does not
-        scope the group/element chain.
+        ``group`` is the node at the full recorded group path. An entry is
+        None where its level is not recorded or not found. This is the one
+        place that applies the rule, stated on :class:`Target`, that a
+        system without an application does not scope the group/element
+        chain.
         """
         get = self._locations.get
         element, path, application, system = (
             target.element, target.groups, target.application, target.system
         )
         scope = system if application is not None else None
-        groups = []
-        for depth in range(1, len(path) + 1):
-            groups.append(get((scope, application, path[:depth], None)))
         return (
             None if element is None else get((scope, application, path, element)),
-            groups,
+            get((scope, application, path, None)) if path else None,
             None if application is None else get((system, application, (), None)),
             None if system is None else get((system, None, (), None)),
         )
 
     def _recorded(self, target: Target) -> list:
         """(level, node or None) per recorded level, most specific first."""
-        element, groups, application, system = self.lookup(target)
+        element, group, application, system = self.lookup(target)
         levels = (
             (Level.ELEMENT, target.element, element),
-            (Level.GROUP, groups, groups[-1] if groups else None),
+            (Level.GROUP, target.groups, group),
             (Level.APPLICATION, target.application, application),
             (Level.SYSTEM, target.system, system),
         )
@@ -521,22 +499,6 @@ def _not_found(target: Target, level: Level) -> DanglingReferenceError:
         return DanglingReferenceError(f"group path {path!r} not found", node_id=target.groups[-1])
     node_id = target.application if level is Level.APPLICATION else target.system
     return DanglingReferenceError(f"{level.name.lower()} {node_id!r} not found", node_id=node_id)
-
-
-def resolve_target(event: "InteractionEvent", hierarchy: UIHierarchy) -> TargetNode:
-    """Resolve an event's recorded location to its most specific node.
-
-    The priority is element over group over application over system.
-    Raises NoTargetError when the event records nothing at any level and
-    DanglingReferenceError when the recorded chain is not in the
-    hierarchy.
-    """
-    return hierarchy.resolve(event.target)
-
-
-def ancestry(node: TargetNode, hierarchy: UIHierarchy) -> list:
-    """Ids from a node up to its root, starting with the node itself."""
-    return [node.id] + [n.id for n in hierarchy.ancestors(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -784,13 +746,6 @@ class UILog:
         if self.traces is not None:
             object.__setattr__(self, "traces", tuple(self.traces))
 
-    @property
-    def is_traced(self) -> bool:
-        return self.traces is not None
-
-    def trace_events(self, trace: Trace) -> tuple:
-        return tuple(self.events[i] for i in trace.events)
-
     def user_ids(self) -> frozenset:
         return frozenset(u.id for u in self.users)
 
@@ -798,66 +753,15 @@ class UILog:
         return frozenset(t.id for t in self.tasks)
 
 
-def append_event(log: UILog, event: InteractionEvent, *, strict: bool = False) -> UILog:
-    """Return a new log with the event appended.
-
-    The event's target chain and user/task ids must resolve inside the
-    log (UnresolvedReferenceError otherwise). With ``strict`` the event
-    may not be older than the last timestamped event
-    (OutOfOrderTimestampError). Traced logs cannot be appended to; call
-    :func:`uilog.transform.flatten` first.
-    """
-    if log.traces is not None:
-        raise ValueError("cannot append to a traced log; flatten it first")
-    if event.target is not None and not event.target.is_empty:
-        try:
-            log.hierarchy.check_target(event.target)
-        except DanglingReferenceError as exc:
-            raise UnresolvedReferenceError(f"event target does not resolve: {exc}") from exc
-    if event.user is not None and event.user not in log.user_ids():
-        raise UnresolvedReferenceError(f"unknown user {event.user!r}")
-    if event.task is not None and event.task not in log.task_ids():
-        raise UnresolvedReferenceError(f"unknown task {event.task!r}")
-    if strict and event.timestamp is not None:
-        last = next(
-            (e.timestamp for e in reversed(log.events) if e.timestamp is not None), None
-        )
-        if last is not None and event.timestamp < last:
-            raise OutOfOrderTimestampError(
-                f"event at {event.timestamp.isoformat()} is older than {last.isoformat()}"
-            )
-    return replace(log, events=log.events + (event,))
-
-
 # ---------------------------------------------------------------------------
 # Activity naming
 
 
-@dataclass(frozen=True)
-class NamingScheme:
-    """How synthesized activity names are formed from action and target."""
-
-    separator: str = " "
-    rewrites: Mapping = field(default_factory=dict)
-
-
-DEFAULT_NAMING = NamingScheme()
-
-#: Common click abbreviations for compact activity names.
-ABBREVIATED_NAMING = NamingScheme(
-    rewrites={"left click": "click", "right click": "rclick"}
-)
-
-
-def make_activity_name(
-    action_type: Optional[str], target_id: str, naming: NamingScheme = DEFAULT_NAMING
-) -> str:
-    """Concatenate (rewritten) action type and target id into a name.
+def make_activity_name(action_type: Optional[str], target_id: str) -> str:
+    """Join action type and target id into an activity name.
 
     An empty or None action type is treated as the literal "none".
     Deterministic: equal inputs always produce the same name.
     """
     _check_id(target_id)
-    action = action_type or "none"
-    action = naming.rewrites.get(action, action)
-    return f"{action}{naming.separator}{target_id}"
+    return f"{action_type or 'none'} {target_id}"

@@ -37,7 +37,6 @@ from .model import (
     Action,
     HierarchyBuilder,
     InteractionEvent,
-    NamingScheme,
     TaskRef,
     UILog,
     UserRef,
@@ -377,26 +376,11 @@ class IngestReport:
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
-def render_ingest_report(report: IngestReport) -> str:
-    lines = [
-        f"  rows read          {report.rows_read}",
-        f"  events created     {report.events_created}",
-        f"  rows skipped       {len(report.rows_skipped)}",
-        f"  synthesized names  {report.synthesized_names}",
-    ]
-    for skipped in report.rows_skipped:
-        lines.append(f"    row {skipped.row}: {skipped.reason}")
-    for message in report.warnings:
-        lines.append(f"  warning: {message}")
-    return "\n".join(lines)
-
-
 def ingest(
     source: Union[str, Iterable[str]],
     mapping: Optional[ColumnMapping] = None,
     *,
     delimiter: str = ",",
-    naming: Optional[NamingScheme] = None,
 ) -> tuple:
     """Turn delimiter-separated text into a (UILog, IngestReport) pair.
 
@@ -449,7 +433,6 @@ def ingest(
     warnings_out = []
     synthesized = 0
     rows_read = 0
-    scheme = naming or NamingScheme()
 
     for row_number, row in enumerate(reader, start=1):
         rows_read += 1
@@ -519,7 +502,7 @@ def ingest(
                     SkippedRow(row_number, "no activity name and no target to name it by")
                 )
                 continue
-            name = make_activity_name(cell("action_type"), target.most_specific_id, scheme)
+            name = make_activity_name(cell("action_type"), target.most_specific_id)
             synthesized += 1
 
         action = None

@@ -106,24 +106,16 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
             )
 
     siblings = Counter()
-    for node in hierarchy.systems:
-        siblings[("system", None, node.id)] += 1
-    for node in hierarchy.applications:
-        parent = node.system
-        siblings[("application", id(parent) if parent else None, node.id)] += 1
-    for node in hierarchy.ui_groups:
-        parent = node.parent
-        siblings[("group", id(parent) if parent else None, node.id)] += 1
-    for node in hierarchy.ui_elements:
-        parent = node.parent
-        siblings[("element", id(parent) if parent else None, node.id)] += 1
-    for (kind, _parent, node_id), count in siblings.items():
+    for node in hierarchy.all_nodes():
+        parent = parent_of(node)
+        siblings[(level_of(node), id(parent) if parent is not None else None, node.id)] += 1
+    for (level, _parent, node_id), count in siblings.items():
         if count > 1:
             out.append(
                 Violation(
                     ViolationCode.DUPLICATE_ID,
                     node_id=node_id,
-                    message=f"{count} sibling {kind} nodes share the id {node_id!r}",
+                    message=f"{count} sibling {level.name.lower()} nodes share the id {node_id!r}",
                 )
             )
     return out

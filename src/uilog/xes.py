@@ -190,14 +190,19 @@ def _attribute(out: list, depth: int, key: str, value, nested=None, nesting: int
 def _context(target: Target, hierarchy, contexts: dict) -> str:
     """The elements recording ``target`` and its nodes' attributes, kept in ``contexts``."""
     out = []
-    element, groups, application, system = hierarchy.lookup(target)
+    element, _, application, system = hierarchy.lookup(target)
     if target.element is not None:
         _attribute(out, 3, KEY_UI_ELEMENT, target.element, element and element.attributes)
         if element is not None and element.current_state is not None:
             _attribute(out, 3, KEY_UI_ELEMENT_STATE, element.current_state)
     if target.groups:  # a container per attributed group; they do not count as nesting
-        nested = {join_group_path(target.groups[: i + 1]): group.attributes
-                  for i, group in enumerate(groups) if group is not None and group.attributes}
+        nested = {}
+        for depth in range(1, len(target.groups) + 1):
+            prefix = Target(groups=target.groups[:depth], application=target.application,
+                            system=target.system)
+            group = hierarchy.lookup(prefix)[1]
+            if group is not None and group.attributes:
+                nested[join_group_path(prefix.groups)] = group.attributes
         _attribute(out, 3, KEY_UI_GROUP_PATH, join_group_path(target.groups), nested, -1)
     for key, recorded, node in ((KEY_APPLICATION, target.application, application),
                                 (KEY_SYSTEM, target.system, system)):

@@ -192,7 +192,7 @@ def assert_equivalent(a: UILog, b: UILog) -> None:
         assert [t.id for t in a.traces] == [t.id for t in b.traces]
         for ta, tb in zip(a.traces, b.traces):
             assert ta.attributes == tb.attributes
-            assert a.trace_events(ta) == b.trace_events(tb)
+            assert [a.events[i] for i in ta.events] == [b.events[i] for i in tb.events]
     assert referenced_users(a) == referenced_users(b)
     assert referenced_tasks(a) == referenced_tasks(b)
     assert a.attributes == b.attributes

@@ -29,7 +29,6 @@ from uilog import (
     level_of,
     profile,
     read_xes,
-    resolve_target,
     validate,
     write_xes,
 )
@@ -135,9 +134,9 @@ def test_criterion_3_target_resolution_matches_oracle():
         if expected is None:
             checked_empty += 1
             with pytest.raises(NoTargetError):
-                resolve_target(event, hierarchy)
+                hierarchy.resolve(event.target)
             continue
-        node = resolve_target(event, hierarchy)
+        node = hierarchy.resolve(event.target)
         assert (level_of(node).name, node.id) == expected
     assert checked_empty > 0
     done(3, "target resolution oracle, 1000 events")

@@ -7,36 +7,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uilog import (
-    ABBREVIATED_NAMING,
     AbstractionRule,
     CycleError,
     DanglingReferenceError,
     HierarchyBuilder,
     InteractionEvent,
     Level,
-    NamingScheme,
     NoTargetError,
-    OutOfOrderTimestampError,
     Target,
     UIGroupNode,
     UIHierarchy,
     UILog,
     UILogError,
-    UnresolvedReferenceError,
-    UserRef,
     abstract,
-    ancestry,
-    append_event,
     join_group_path,
     level_of,
     make_activity_name,
     normalize_timestamp,
     normalize_value,
-    resolve_target,
     split_group_path,
+    validate,
 )
-
-import keyword_log
 
 
 def event_at(target):
@@ -54,29 +45,29 @@ def erp_hierarchy():
 
 class TestResolveTarget:
     def test_element_wins_over_group(self, erp_hierarchy):
-        node = resolve_target(
-            event_at(Target(element="name", groups=("fpanel keyword",))), erp_hierarchy
+        node = erp_hierarchy.resolve(
+            event_at(Target(element="name", groups=("fpanel keyword",))).target
         )
         assert node.id == "name"
         assert node.parent.id == "fpanel keyword"
 
     def test_group_when_no_element(self, erp_hierarchy):
-        node = resolve_target(event_at(Target(groups=("explorer tree",))), erp_hierarchy)
+        node = erp_hierarchy.resolve(event_at(Target(groups=("explorer tree",))).target)
         assert node.id == "explorer tree"
 
     def test_application_only(self, erp_hierarchy):
-        node = resolve_target(event_at(Target(application="ERP client")), erp_hierarchy)
+        node = erp_hierarchy.resolve(event_at(Target(application="ERP client")).target)
         assert node.id == "ERP client"
 
     def test_no_association_raises(self, erp_hierarchy):
         with pytest.raises(NoTargetError):
-            resolve_target(event_at(None), erp_hierarchy)
+            erp_hierarchy.resolve(event_at(None).target)
         with pytest.raises(NoTargetError):
-            resolve_target(event_at(Target()), erp_hierarchy)
+            erp_hierarchy.resolve(event_at(Target()).target)
 
     def test_unknown_chain_raises(self, erp_hierarchy):
         with pytest.raises(DanglingReferenceError):
-            resolve_target(event_at(Target(element="nope")), erp_hierarchy)
+            erp_hierarchy.resolve(event_at(Target(element="nope")).target)
 
     def test_removing_levels_raises_resolution(self):
         b = HierarchyBuilder()
@@ -92,7 +83,7 @@ class TestResolveTarget:
             Target(system="win-host"),
         ):
             node = h.resolve(target)
-            seen.append(Level(target.level))
+            seen.append(level_of(node))
             assert node.id == target.most_specific_id
         assert seen == [Level.ELEMENT, Level.GROUP, Level.APPLICATION, Level.SYSTEM]
         assert seen == sorted(seen, reverse=True)
@@ -101,13 +92,17 @@ class TestResolveTarget:
 class TestAncestry:
     def test_element_in_parentless_group(self, erp_hierarchy):
         node = erp_hierarchy.resolve(Target(element="name", groups=("fpanel keyword",)))
-        assert ancestry(node, erp_hierarchy) == ["name", "fpanel keyword"]
+        assert [node.id] + [n.id for n in erp_hierarchy.ancestors(node)] == [
+            "name",
+            "fpanel keyword",
+        ]
 
     def test_root_is_its_own_path(self):
         b = HierarchyBuilder()
         b.chain(system="win-host")
         h = b.build()
-        assert ancestry(h.resolve(Target(system="win-host")), h) == ["win-host"]
+        node = h.resolve(Target(system="win-host"))
+        assert [node.id] + [n.id for n in h.ancestors(node)] == ["win-host"]
 
     def test_spreadsheet_chain(self):
         b = HierarchyBuilder()
@@ -116,14 +111,19 @@ class TestAncestry:
         node = h.resolve(
             Target(element="A1", groups=("workbook1", "sheet1"), application="Excel")
         )
-        assert ancestry(node, h) == ["A1", "sheet1", "workbook1", "Excel"]
+        assert [node.id] + [n.id for n in h.ancestors(node)] == [
+            "A1",
+            "sheet1",
+            "workbook1",
+            "Excel",
+        ]
 
     def test_foreign_node_raises(self, erp_hierarchy):
         b = HierarchyBuilder()
         b.chain(groups=("other",))
         foreign = b.build().resolve(Target(groups=("other",)))
         with pytest.raises(DanglingReferenceError):
-            ancestry(foreign, erp_hierarchy)
+            erp_hierarchy.ancestors(foreign)
 
 
 @contextlib.contextmanager
@@ -169,18 +169,16 @@ class TestGroupCycle:
 
 class TestActivityNaming:
     @pytest.mark.parametrize(
-        "action,target,scheme,expected",
+        "action,target,expected",
         [
-            ("input", "name", NamingScheme(), "input name"),
-            ("KEY_F5", "explorer tree", NamingScheme(), "KEY_F5 explorer tree"),
-            ("left click", "confirm", ABBREVIATED_NAMING, "click confirm"),
-            ("right click", "keywords", ABBREVIATED_NAMING, "rclick keywords"),
-            ("", "logout", NamingScheme(), "none logout"),
-            (None, "logout", NamingScheme(), "none logout"),
+            ("input", "name", "input name"),
+            ("KEY_F5", "explorer tree", "KEY_F5 explorer tree"),
+            ("", "logout", "none logout"),
+            (None, "logout", "none logout"),
         ],
     )
-    def test_examples(self, action, target, scheme, expected):
-        assert make_activity_name(action, target, scheme) == expected
+    def test_examples(self, action, target, expected):
+        assert make_activity_name(action, target) == expected
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
@@ -188,10 +186,7 @@ class TestActivityNaming:
 
     @given(st.text(min_size=1), st.text(min_size=1))
     def test_deterministic(self, action, target):
-        scheme = NamingScheme()
-        assert make_activity_name(action, target, scheme) == make_activity_name(
-            action, target, scheme
-        )
+        assert make_activity_name(action, target) == make_activity_name(action, target)
 
     @given(
         st.text(alphabet="abcdef_", min_size=1),
@@ -200,11 +195,8 @@ class TestActivityNaming:
     )
     def test_injective_in_target_when_separator_free(self, action, t1, t2):
         # action tokens without the separator cannot collide across targets
-        scheme = NamingScheme()
         if t1 != t2:
-            assert make_activity_name(action, t1, scheme) != make_activity_name(
-                action, t2, scheme
-            )
+            assert make_activity_name(action, t1) != make_activity_name(action, t2)
 
 
 class TestBuilder:
@@ -229,47 +221,8 @@ class TestBuilder:
         target = b.chain(system="host", groups=("g",), element="e")
         h = b.build()
         node = h.resolve(target)
-        assert ancestry(node, h) == ["e", "g"]
+        assert [node.id] + [n.id for n in h.ancestors(node)] == ["e", "g"]
         assert h.resolve(Target(system="host")) is not None
-
-
-class TestAppendEvent:
-    def test_append_to_empty(self):
-        log = append_event(UILog(), InteractionEvent("a"))
-        assert len(log.events) == 1
-
-    def test_out_of_order_strict(self):
-        t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
-        log = append_event(UILog(), InteractionEvent("a", timestamp=t0), strict=True)
-        with pytest.raises(OutOfOrderTimestampError):
-            append_event(
-                log,
-                InteractionEvent("b", timestamp=t0 - timedelta(seconds=1)),
-                strict=True,
-            )
-
-    def test_out_of_order_allowed_when_lenient(self):
-        t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
-        log = append_event(UILog(), InteractionEvent("a", timestamp=t0))
-        log = append_event(log, InteractionEvent("b", timestamp=t0 - timedelta(seconds=1)))
-        assert len(log.events) == 2
-
-    def test_twenty_rows_append(self):
-        hand = keyword_log.build_by_hand()
-        log = UILog(hierarchy=hand.hierarchy)
-        for event in hand.events:
-            log = append_event(log, event, strict=True)
-        assert len(log.events) == 20
-
-    def test_unresolved_target_rejected(self):
-        with pytest.raises(UnresolvedReferenceError):
-            append_event(UILog(), InteractionEvent("a", target=Target(element="ghost")))
-
-    def test_unknown_user_rejected(self):
-        with pytest.raises(UnresolvedReferenceError):
-            append_event(UILog(), InteractionEvent("a", user="u1"))
-        log = UILog(users=(UserRef("u1"),))
-        assert len(append_event(log, InteractionEvent("a", user="u1")).events) == 1
 
 
 class TestValues:
@@ -373,13 +326,15 @@ def test_parent_walks_terminate_within_node_count(seed):
 def test_sorting_by_timestamp_is_noop_on_strict_logs():
     rng = random.Random(7)
     clock = datetime(2024, 3, 1, tzinfo=timezone.utc)
-    log = UILog()
+    events = []
     for i in range(120):
         ts = None
         if rng.random() < 0.7:
             clock += timedelta(seconds=rng.randrange(0, 30))
             ts = clock
-        log = append_event(log, InteractionEvent(f"e{i}", timestamp=ts), strict=True)
+        events.append(InteractionEvent(f"e{i}", timestamp=ts))
+    log = UILog(events=events)
+    assert validate(log).ok
 
     # stable sort in which events without timestamps keep their position
     timestamped = [e for e in log.events if e.timestamp is not None]

@@ -161,17 +161,6 @@ class TestIngestBehavior:
         assert log.events[0].target.element == "go"
 
 
-def test_render_ingest_report_lists_skips_and_warnings():
-    from uilog import render_ingest_report
-
-    text = "Activity,Timestamp\nok,2024-01-01T00:00:00Z\nbad,???\n"
-    _, report = ingest(text)
-    rendered = render_ingest_report(report)
-    assert "rows read          2" in rendered
-    assert "events created     1" in rendered
-    assert "row 2" in rendered and "bad timestamp" in rendered
-
-
 class TestInferMapping:
     def test_keyword_creation_header(self):
         header = keyword_creation_csv().splitlines()[0].split(",")
