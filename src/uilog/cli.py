@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -268,6 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds many objects and few reference cycles, so cyclic
+    # collection is paused while it runs and the caller's setting restored.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _load_configs(args)
         return args.handler(args)
@@ -275,6 +280,9 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:

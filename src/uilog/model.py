@@ -146,6 +146,17 @@ def _check_id(node_id) -> None:
         raise ValueError(f"id must be non-empty text, got {node_id!r}")
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    Skips ``__post_init__``: for the loaders only, which check and
+    normalize every value where they first type it and pass every field.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 # ---------------------------------------------------------------------------
 # UI hierarchy
 
@@ -524,7 +535,8 @@ class HierarchyBuilder:
     the nodes earlier calls created, which is what ingestion wants when
     every row repeats its context. Chains only link levels the
     composition rules admit, so the result is well-formed by
-    construction. Nodes are materialized once, in :meth:`build`.
+    construction. Nodes are materialized, and their attributes and
+    states checked and normalized, once, in :meth:`build`.
     """
 
     def __init__(self):
@@ -532,6 +544,7 @@ class HierarchyBuilder:
         self._applications = {}
         self._groups = {}
         self._elements = {}
+        self._chains = {}  # (system, application, groups, element) -> (Target, records)
 
     def chain(
         self,
@@ -548,45 +561,63 @@ class HierarchyBuilder:
     ) -> Target:
         """Ensure the nodes for one recorded location exist; return it.
 
-        Attribute mappings are merged into the nodes (later values win),
-        ``group_attributes`` maps group id paths (tuples) to attribute
-        sets, and a non-None ``current_state`` replaces the element's
-        previous one. A system recorded without an application stays a
-        free-standing root next to the group/element chain.
+        Attribute mappings are merged into the nodes as given (later
+        values win), ``group_attributes`` maps group id paths (tuples) to
+        attribute sets, and a non-None ``current_state`` replaces the
+        element's previous one. Values are checked when :meth:`build`
+        materializes the nodes, so an unsupported or too deeply nested
+        attribute value or state raises TypeError or ValueError from
+        there; an empty id raises ValueError here. A system recorded
+        without an application stays a free-standing root next to the
+        group/element chain. Each distinct location is walked once; later
+        calls for it reuse its Target and node records.
         """
         groups = tuple(groups)
+        key = (system, application, groups, element)
+        try:
+            known = self._chains.get(key)
+        except TypeError:  # an unhashable id, which Target rejects in _walk
+            known = None
+        if known is None:
+            known = self._chains[key] = self._walk(*key)
+        target, system_rec, app_rec, group_recs, element_rec = known
+        _merge(system_rec, system_attributes)
+        _merge(app_rec, application_attributes)
+        if group_attributes:
+            for depth, group_rec in enumerate(group_recs, start=1):
+                _merge(group_rec, group_attributes.get(groups[:depth]))
+        _merge(element_rec, element_attributes)
+        if element_rec is not None and current_state is not None:
+            element_rec.current_state = current_state
+        return target
+
+    def _walk(self, system, application, groups, element) -> tuple:
+        """(Target, system, application, group and element records) of a
+        location, creating the records it lacks."""
         target = Target(element=element, groups=groups, application=application, system=system)
         system_rec = None
         if system is not None:
             system_rec = self._systems.get(system) or _add(
                 self._systems, system, system, None
             )
-            _merge(system_rec, system_attributes)
-        parent = None
+        parent = app_rec = None
         if application is not None:
             app_key = (system, application)
-            app_rec = self._applications.get(app_key) or _add(
+            parent = app_rec = self._applications.get(app_key) or _add(
                 self._applications, app_key, application, system_rec
             )
-            _merge(app_rec, application_attributes)
-            parent = app_rec
-        prefix = []
+        group_recs = []
         for gid in groups:
-            prefix.append(gid)
             key = (id(parent) if parent else None, gid)
-            group_rec = self._groups.get(key) or _add(self._groups, key, gid, parent)
-            if group_attributes:
-                _merge(group_rec, group_attributes.get(tuple(prefix)))
-            parent = group_rec
+            parent = self._groups.get(key) or _add(self._groups, key, gid, parent)
+            group_recs.append(parent)
+        element_rec = None
         if element is not None:
             key = (id(parent) if parent else None, element)
             element_rec = self._elements.get(key) or _add(
                 self._elements, key, element, parent
             )
-            _merge(element_rec, element_attributes)
-            if current_state is not None:
-                element_rec.current_state = normalize_value(current_state)
-        return target
+        return target, system_rec, app_rec, group_recs, element_rec
 
     def build(self) -> UIHierarchy:
         built = {}
@@ -630,9 +661,9 @@ def _add(table: dict, key, node_id: str, parent) -> _Pending:
     return rec
 
 
-def _merge(rec: _Pending, attributes: Optional[Mapping]) -> None:
-    if attributes:
-        rec.attributes.update(normalize_attributes(attributes))
+def _merge(rec: Optional[_Pending], attributes: Optional[Mapping]) -> None:
+    if rec is not None and attributes:
+        rec.attributes.update(attributes)
 
 
 # ---------------------------------------------------------------------------

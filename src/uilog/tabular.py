@@ -40,6 +40,7 @@ from .model import (
     TaskRef,
     UILog,
     UserRef,
+    _trusted,
     format_timestamp,
     join_group_path,
     make_activity_name,
@@ -415,17 +416,28 @@ def ingest(
             raise MissingColumnError(
                 f"mapped column {column!r} not in header {header}"
             ) from None
+    parsers = mapping.value_parsers
     extra_columns = []
     if mapping.extras == "keep":
         mapped_positions = set(positions.values())
         extra_columns = [
-            (i, column) for i, column in enumerate(header) if i not in mapped_positions
+            (i, column, parsers.get(column, "auto"))
+            for i, column in enumerate(header)
+            if i not in mapped_positions
         ]
 
-    def parser_for(column: str) -> str:
-        return mapping.value_parsers.get(column, "auto")
+    # Each row is cut or padded to the header's width plus one empty cell,
+    # which stands in for every unmapped field.
+    width = len(header)
+    padding = [""] * (width + 1)
+    (name_at, action_at, element_at, groups_at, application_at, system_at, input_at,
+     state_at, timestamp_at, user_at, task_at) = (positions.get(name, width) for name in FIELDS)
+    input_parser = parsers.get(mapping.input_value, "auto")
+    state_parser = parsers.get(mapping.current_state, "auto")
+    timestamp_format = mapping.timestamp_format
 
     builder = HierarchyBuilder()
+    actions: dict = {}
     users: dict = {}
     tasks: dict = {}
     events = []
@@ -434,24 +446,27 @@ def ingest(
     synthesized = 0
     rows_read = 0
 
+    def literal(text: str, parser: str, row_number: int):
+        try:
+            return _parse_cell(text, parser)
+        except BadLiteralError as exc:
+            warnings_out.append(f"row {row_number}: {exc}; kept as text")
+            return text
+
     for row_number, row in enumerate(reader, start=1):
         rows_read += 1
-        if not any(cell.strip() for cell in row):
+        row = [cell.strip() for cell in row]
+        if not any(row):
             skipped.append(SkippedRow(row_number, "empty row"))
             continue
-
-        def cell(name: str) -> Optional[str]:
-            index = positions.get(name)
-            if index is None or index >= len(row):
-                return None
-            text = row[index].strip()
-            return text or None
+        del row[width:]
+        row += padding[len(row):]
 
         timestamp = None
-        raw_ts = cell("timestamp")
-        if raw_ts is not None:
+        raw_ts = row[timestamp_at]
+        if raw_ts:
             try:
-                timestamp, truncated = _parse_row_timestamp(raw_ts, mapping.timestamp_format)
+                timestamp, truncated = _parse_row_timestamp(raw_ts, timestamp_format)
             except ValueError:
                 skipped.append(SkippedRow(row_number, f"bad timestamp {raw_ts!r}"))
                 continue
@@ -460,25 +475,16 @@ def ingest(
                     f"row {row_number}: timestamp {raw_ts!r} truncated to milliseconds"
                 )
 
-        def literal(name: str):
-            text = cell(name)
-            if text is None:
-                return None
-            column = mapping.mapped()[name]
-            try:
-                return _parse_cell(text, parser_for(column))
-            except BadLiteralError as exc:
-                warnings_out.append(f"row {row_number}: {exc}; kept as text")
-                return text
+        text = row[input_at]
+        input_value = literal(text, input_parser, row_number) if text else None
+        text = row[state_at]
+        current_state = literal(text, state_parser, row_number) if text else None
 
-        input_value = literal("input_value")
-        current_state = literal("current_state")
-
-        element = cell("ui_element")
-        group_cell = cell("ui_group_path")
+        element = row[element_at] or None
+        group_cell = row[groups_at]
         groups = split_group_path(group_cell) if group_cell else ()
-        application = cell("application")
-        system = cell("system")
+        application = row[application_at] or None
+        system = row[system_at] or None
         if current_state is not None and element is None:
             warnings_out.append(
                 f"row {row_number}: current state without a UI element; ignored"
@@ -495,41 +501,43 @@ def ingest(
                 current_state=current_state,
             )
 
-        name = cell("activity_name")
-        if name is None:
+        action_type = row[action_at] or None
+        name = row[name_at]
+        if not name:
             if target is None:
                 skipped.append(
                     SkippedRow(row_number, "no activity name and no target to name it by")
                 )
                 continue
-            name = make_activity_name(cell("action_type"), target.most_specific_id)
+            name = make_activity_name(action_type, target.most_specific_id)
             synthesized += 1
 
         action = None
-        action_type = cell("action_type")
         if action_type is not None:
-            action = Action(action_type)
+            action = actions.get(action_type) or actions.setdefault(
+                action_type, _trusted(Action, action_type=action_type, attributes={})
+            )
 
-        user = cell("user")
+        user = row[user_at] or None
         if user is not None and user not in users:
             users[user] = UserRef(user)
-        task = cell("task")
+        task = row[task_at] or None
         if task is not None and task not in tasks:
             tasks[task] = TaskRef(task)
 
         attributes = {}
-        for index, column in extra_columns:
-            if index < len(row):
-                text = row[index].strip()
-                if text:
-                    try:
-                        attributes[column] = _parse_cell(text, parser_for(column))
-                    except BadLiteralError as exc:
-                        warnings_out.append(f"row {row_number}: {exc}; kept as text")
-                        attributes[column] = text
+        for index, column, parser in extra_columns:
+            text = row[index]
+            if text:
+                if not column:
+                    raise MissingColumnError(
+                        f"row {row_number}: column {index + 1} holds {text!r} but has no name"
+                    )
+                attributes[column] = literal(text, parser, row_number)
 
         events.append(
-            InteractionEvent(
+            _trusted(
+                InteractionEvent,
                 activity_name=name,
                 action=action,
                 target=target,

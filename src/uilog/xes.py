@@ -18,8 +18,10 @@ the log-level boolean ``uilog:untraced`` so the reader can undo it.
 The writer emits the document as text in one pass: each element is
 appended to one list of pieces, indented from a precomputed table and
 escaped as ElementTree escapes attribute values, and the list is joined
-once; the context of each distinct target is rendered once per document.
-ElementTree is used only for reading.
+once; the context of each distinct target, and the group path element of
+each distinct group path, is rendered once per document. ElementTree is
+used only for reading, and the reader checks and normalizes each value
+where it types it, so the model is built without a second pass.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ from .model import (
     Trace,
     UILog,
     UserRef,
+    _INT64_MAX,
+    _INT64_MIN,
     _check_id,
+    _trusted,
     format_timestamp,
     join_group_path,
-    normalize_attributes,
-    normalize_value,
     parse_timestamp,
     split_group_path,
 )
@@ -195,20 +198,29 @@ def _context(target: Target, hierarchy, contexts: dict) -> str:
         _attribute(out, 3, KEY_UI_ELEMENT, target.element, element and element.attributes)
         if element is not None and element.current_state is not None:
             _attribute(out, 3, KEY_UI_ELEMENT_STATE, element.current_state)
-    if target.groups:  # a container per attributed group; they do not count as nesting
-        nested = {}
-        for depth in range(1, len(target.groups) + 1):
-            prefix = Target(groups=target.groups[:depth], application=target.application,
-                            system=target.system)
-            group = hierarchy.lookup(prefix)[1]
-            if group is not None and group.attributes:
-                nested[join_group_path(prefix.groups)] = group.attributes
-        _attribute(out, 3, KEY_UI_GROUP_PATH, join_group_path(target.groups), nested, -1)
+    if target.groups:  # shared by the targets in one group path
+        scope = (target.system, target.application, target.groups)
+        out.append(contexts.get(scope) or _group_path(scope, hierarchy, contexts))
     for key, recorded, node in ((KEY_APPLICATION, target.application, application),
                                 (KEY_SYSTEM, target.system, system)):
         if recorded is not None:
             _attribute(out, 3, key, recorded, node and node.attributes)
     text = contexts[target] = "".join(out)
+    return text
+
+
+def _group_path(scope: tuple, hierarchy, contexts: dict) -> str:
+    """The group path element of (system, application, groups), kept in ``contexts``."""
+    system, application, groups = scope
+    nested = {}  # a container per attributed group; they do not count as nesting
+    for depth in range(1, len(groups) + 1):
+        prefix = Target(groups=groups[:depth], application=application, system=system)
+        group = hierarchy.lookup(prefix)[1]
+        if group is not None and group.attributes:
+            nested[join_group_path(prefix.groups)] = group.attributes
+    out = []
+    _attribute(out, 3, KEY_UI_GROUP_PATH, join_group_path(groups), nested, -1)
+    text = contexts[scope] = "".join(out)
     return text
 
 
@@ -251,7 +263,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
         traces = [("all-events", {}, range(len(log.events)))]
-    contexts = {}  # the rendered context of each distinct target
+    contexts = {}  # rendered context by distinct target and group path element by scope
     for trace_id, attributes, indices in traces:
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
@@ -284,34 +296,38 @@ def _parse_timestamp(text: str, where: str) -> datetime:
     return value
 
 
-def _parse_attribute(element: ET.Element, where: str):
+def _parse_attribute(element: ET.Element, where: str, depth: int = 0):
     """Return (key, value, nested) for one attribute element.
 
-    ``nested`` holds the parsed child attributes of elementary values
-    (XES allows attributes on attributes); for lists and containers the
-    children are the value itself and ``nested`` is empty.
+    The value is checked and normalized here, once, as the model's
+    ``normalize_value`` would: ``depth`` counts the lists and containers
+    around the element, and every key must be non-empty. ``nested`` is
+    the element itself when it is an elementary value with child
+    attributes (XES allows attributes on attributes; read them with
+    :func:`_parse_map` where they are kept), else None; the children of
+    lists and containers are the value itself.
     """
     tag = _local_name(element.tag)
     key = element.get("key")
-    if key is None:
-        raise MalformedDocumentError(f"{where}: attribute element without key")
-    if tag == "list":
+    if not key:
+        if key is None:
+            raise MalformedDocumentError(f"{where}: attribute element without key")
+        raise MalformedDocumentError(f"{where}: attribute keys must be non-empty text, got ''")
+    if tag == "list" or tag == "container":
+        if depth >= MAX_NESTING_DEPTH:
+            raise MalformedDocumentError(
+                f"{where}: attribute nesting deeper than {MAX_NESTING_DEPTH}"
+            )
+        if tag == "container":
+            return key, _parse_map(element, where, depth + 1), None
         values = [child for child in element if _local_name(child.tag) == "values"]
         children = values[0] if values else element
         items = [
-            _parse_attribute(child, where)[1]
+            _parse_attribute(child, where, depth + 1)[1]
             for child in children
             if _local_name(child.tag) != "values"
         ]
-        return key, items, {}
-    if tag == "container":
-        mapping = {}
-        for child in element:
-            child_key, child_value, _ = _parse_attribute(child, where)
-            if child_key in mapping:
-                warnings.warn(f"{where}: duplicate map key {child_key!r}; keeping the last")
-            mapping[child_key] = child_value
-        return key, mapping, {}
+        return key, items, None
     raw = element.get("value")
     if raw is None:
         raise MalformedDocumentError(f"{where}: {tag} attribute {key!r} without value")
@@ -319,20 +335,32 @@ def _parse_attribute(element: ET.Element, where: str):
         value = raw
     elif tag == "int" or tag == "float":
         try:
-            value = normalize_value(int(raw)) if tag == "int" else float(raw)
+            value = int(raw) if tag == "int" else float(raw)
         except ValueError as exc:
             raise MalformedDocumentError(f"{where}: {exc}") from None
+        if tag == "int" and not _INT64_MIN <= value <= _INT64_MAX:
+            raise MalformedDocumentError(
+                f"{where}: integer attribute out of 64-bit range: {value}"
+            )
     elif tag == "boolean":
         value = raw.strip().lower() == "true"
     elif tag == "date":
         value = _parse_timestamp(raw, where)
     else:
         raise MalformedDocumentError(f"{where}: unknown attribute type {tag!r}")
-    nested = {}
+    return key, value, element if len(element) else None
+
+
+def _parse_map(element: ET.Element, where: str, depth: int = 0) -> dict:
+    """The child attributes of ``element`` as a key -> value map, each at
+    ``depth``; of a repeated key the last one is kept, with a warning."""
+    mapping = {}
     for child in element:
-        child_key, child_value, _ = _parse_attribute(child, where)
-        nested[child_key] = child_value
-    return key, value, nested
+        key, value, _ = _parse_attribute(child, where, depth)
+        if key in mapping:
+            warnings.warn(f"{where}: duplicate map key {key!r}; keeping the last")
+        mapping[key] = value
+    return mapping
 
 
 def _read_event(
@@ -355,6 +383,12 @@ def _read_event(
             nested_by_key[key] = nested
         else:
             extras[key] = value
+    # The attributes nested on field values; group containers do not count as nesting.
+    nested_by_key = {
+        key: _parse_map(nested, where, -1 if key == KEY_UI_GROUP_PATH else 0)
+        for key, nested in nested_by_key.items()
+        if nested is not None
+    }
 
     name = fields.get(KEY_CONCEPT_NAME)
     if name is None:
@@ -370,8 +404,11 @@ def _read_event(
 
     action = None
     if KEY_ACTION_TYPE in fields:
-        action = Action(
-            str(fields[KEY_ACTION_TYPE]), attributes=nested_by_key.get(KEY_ACTION_TYPE, {})
+        action_type = str(fields[KEY_ACTION_TYPE])
+        if not action_type:
+            raise ValueError("action_type must be non-empty text")
+        action = _trusted(
+            Action, action_type=action_type, attributes=nested_by_key.get(KEY_ACTION_TYPE, {})
         )
 
     element_id = fields.get(KEY_UI_ELEMENT)
@@ -388,7 +425,7 @@ def _read_event(
         group_attributes = {
             split_group_path(k): v
             for k, v in nested_by_key.get(KEY_UI_GROUP_PATH, {}).items()
-            if isinstance(v, Mapping)
+            if isinstance(v, dict)
         }
         target = builder.chain(
             system=str(system) if system is not None else None,
@@ -402,26 +439,27 @@ def _read_event(
             element_attributes=nested_by_key.get(KEY_UI_ELEMENT),
         )
 
-    return InteractionEvent(
+    return _trusted(
+        InteractionEvent,
         activity_name=name,
         action=action,
         target=target,
         input_value=fields.get(KEY_INPUT_VALUE),
         timestamp=timestamp,
-        user=_merge_ref(users, fields.get(KEY_USER), nested_by_key.get(KEY_USER)),
-        task=_merge_ref(tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK)),
+        user=_merge_ref(users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {})),
+        task=_merge_ref(tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {})),
         attributes=extras,
     )
 
 
-def _merge_ref(registry: dict, ref, attributes: Optional[Mapping]) -> Optional[str]:
+def _merge_ref(registry: dict, ref, attributes: dict) -> Optional[str]:
     """Record a user or task id and merge one event's attributes for it;
     the registry entries become UserRef/TaskRef once, with the log."""
     if ref is None:
         return None
     ref = str(ref)
     _check_id(ref)
-    registry.setdefault(ref, {}).update(normalize_attributes(attributes))
+    registry.setdefault(ref, {}).update(attributes)
     return ref
 
 
@@ -486,7 +524,7 @@ def read_xes(
             # Tolerated deviation: events directly under <log>.
             trace_elements.append(child)
             continue
-        key, value, _ = _parse_attribute(child, "log attribute")
+        key, value, _ = _parse_attribute(child, "log")
         key = aliases.get(key, key)
         if key == KEY_UNTRACED:
             untraced = bool(value)

@@ -1,14 +1,18 @@
 """Seeded random log generator shared by property and acceptance tests."""
 
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 from uilog import (
     Action,
+    ApplicationNode,
     HierarchyBuilder,
     InteractionEvent,
+    SystemNode,
     TaskRef,
     Trace,
+    UIHierarchy,
     UILog,
     UserRef,
 )
@@ -196,3 +200,31 @@ def assert_equivalent(a: UILog, b: UILog) -> None:
     assert referenced_users(a) == referenced_users(b)
     assert referenced_tasks(a) == referenced_tasks(b)
     assert a.attributes == b.attributes
+
+
+def rebuilt_by_constructors(log: UILog) -> UILog:
+    """``log`` with every event, action and hierarchy node passed through
+    its public constructor again (``dataclasses.replace``), which checks
+    and normalizes every value."""
+    rebuilt = {}
+
+    def rebuild(node):
+        if node is None:
+            return None
+        if id(node) not in rebuilt:
+            if isinstance(node, SystemNode):
+                rebuilt[id(node)] = replace(node)
+            elif isinstance(node, ApplicationNode):
+                rebuilt[id(node)] = replace(node, system=rebuild(node.system))
+            else:
+                rebuilt[id(node)] = replace(node, parent=rebuild(node.parent))
+        return rebuilt[id(node)]
+
+    h = log.hierarchy
+    hierarchy = UIHierarchy(
+        *(tuple(map(rebuild, nodes)) for nodes in (h.systems, h.applications, h.ui_groups, h.ui_elements))
+    )
+    events = tuple(
+        replace(e, action=None if e.action is None else replace(e.action)) for e in log.events
+    )
+    return replace(log, events=events, hierarchy=hierarchy)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import uilog
+from uilog import cli
 from uilog.cli import main
 from uilog.fixtures import fixture_path
 
@@ -273,3 +275,35 @@ def test_text_outside_xml_is_an_operational_error(tmp_path):
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
     assert "uilog:input-value" in done.stderr
+
+
+@pytest.mark.parametrize("header", ["Activity,,x", "Activity, ,x"], ids=["empty", "blank"])
+def test_value_under_an_unnamed_column_is_an_operational_error(tmp_path, header):
+    source = tmp_path / "unnamed.csv"
+    source.write_text(f"{header}\na,b,c\n")
+    done = run_child("convert", "-i", source, "-o", tmp_path / "unnamed.xes")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: row 1: column 2")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("missing_input", [False, True], ids=["exit-0", "exit-1"])
+def test_cyclic_gc_setting_is_restored(tmp_path, enabled, missing_input):
+    source = tmp_path / "missing.csv" if missing_input else KC
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run("stats", "-i", source) == (1 if missing_input else 0)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_cyclic_gc_is_paused_while_a_command_runs(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_extension", lambda args: seen.append(gc.isenabled()) or 0)
+    assert gc.isenabled()
+    assert run("extension") == 0
+    assert seen == [False]
+    assert gc.isenabled()

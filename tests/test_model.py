@@ -225,6 +225,50 @@ class TestBuilder:
         assert h.resolve(Target(system="host")) is not None
 
 
+    @pytest.mark.parametrize(
+        "where",
+        ["system_attributes", "application_attributes", "element_attributes", "group_attributes"],
+    )
+    @pytest.mark.parametrize("bad,error", [({1, 2}, TypeError), ("deep", ValueError)],
+                             ids=["set", "too-deep"])
+    def test_bad_attribute_value_raises_from_build(self, where, bad, error):
+        if bad == "deep":
+            bad = "leaf"
+            for _ in range(33):
+                bad = [bad]
+        attributes = {"k": bad}
+        b = HierarchyBuilder()
+        b.chain(
+            system="s", application="a", groups=("g",), element="e",
+            **{where: {("g",): attributes} if where == "group_attributes" else attributes},
+        )
+        with pytest.raises(error):
+            b.build()
+
+    @pytest.mark.parametrize("location", [{"element": ""}, {"element": ["e"]}, {"groups": [["g"]]}])
+    def test_bad_id_raises_from_chain(self, location):
+        with pytest.raises(ValueError, match="id must be non-empty text"):
+            HierarchyBuilder().chain(**location)
+
+    def test_bad_state_raises_from_build(self):
+        b = HierarchyBuilder()
+        b.chain(element="e", current_state={1, 2})
+        with pytest.raises(TypeError):
+            b.build()
+
+    def test_repeated_chain_merges_into_the_same_nodes(self):
+        b = HierarchyBuilder()
+        first = b.chain(application="a", groups=("g",), element="e",
+                        group_attributes={("g",): {"x": 1}})
+        second = b.chain(application="a", groups=("g",), element="e",
+                         group_attributes={("g",): {"x": 2, "y": 3}}, element_attributes={"z": 4})
+        h = b.build()
+        assert first == second
+        assert h.node_count == 3
+        assert h.resolve(Target(groups=("g",), application="a")).attributes == {"x": 2, "y": 3}
+        assert h.resolve(first).attributes == {"z": 4}
+
+
 class TestValues:
     def test_timestamps_truncate_to_milliseconds(self):
         ts = datetime(2024, 1, 1, 10, 0, 0, 123456, tzinfo=timezone.utc)

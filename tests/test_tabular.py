@@ -1,8 +1,9 @@
 import csv
 import io
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uilog import (
     BadLiteralError,
@@ -15,6 +16,7 @@ from uilog import (
     load_mapping,
     validate,
     write_table,
+    write_xes,
 )
 from uilog.fixtures import keyword_creation_csv, raw_login_csv
 from uilog.tabular import (
@@ -25,6 +27,7 @@ from uilog.tabular import (
     render_map_literal,
 )
 
+import genlogs
 import keyword_log
 
 
@@ -159,6 +162,39 @@ class TestIngestBehavior:
     def test_semicolon_delimiter(self):
         log, _ = ingest("Activity;UI element;UI group\nclick go;go;main\n", delimiter=";")
         assert log.events[0].target.element == "go"
+
+    @pytest.mark.parametrize("header", ["Activity,,x", "Activity, ,x"], ids=["empty", "blank"])
+    def test_value_under_an_unnamed_column_is_an_error(self, header):
+        with pytest.raises(MissingColumnError, match=r"^row 2: column 2 holds 'b'"):
+            ingest(f"{header}\na,,c\nb, b ,c\n")
+
+    def test_unnamed_column_without_values_loads(self):
+        log, _ = ingest("Activity,x,\na,1,\nb,2\n")
+        assert [e.attributes for e in log.events] == [{"x": "1"}, {"x": "2"}]
+
+    def test_unnamed_column_is_dropped_when_extras_are_ignored(self):
+        mapping = ColumnMapping(activity_name="Activity", extras="ignore")
+        log, _ = ingest("Activity,,x\na,b,c\n", mapping)
+        assert log.events[0].attributes == {}
+
+
+@pytest.mark.parametrize("text", [keyword_creation_csv(), raw_login_csv()], ids=["keyword", "login"])
+def test_ingest_builds_what_the_public_constructors_build(text):
+    log, _ = ingest(text)
+    rebuilt = genlogs.rebuilt_by_constructors(log)
+    assert rebuilt.events == log.events
+    assert rebuilt.hierarchy == log.hierarchy
+    assert write_xes(rebuilt) == write_xes(log)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 299))
+def test_ingest_of_written_tables_builds_what_the_constructors_build(seed):
+    log, _ = ingest(write_table(genlogs.random_log(random.Random(seed), max_events=60)))
+    rebuilt = genlogs.rebuilt_by_constructors(log)
+    assert rebuilt.events == log.events
+    assert rebuilt.hierarchy == log.hierarchy
+    assert write_xes(rebuilt, check=False) == write_xes(log, check=False)
 
 
 class TestInferMapping:

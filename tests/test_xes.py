@@ -291,6 +291,88 @@ def test_special_floats_round_trip_byte_stable(value):
     assert write_xes(back) == document
 
 
+def nested_attribute(kind, depth):
+    """Attribute "k" holding ``depth`` lists or containers, one inside the
+    next, around the text "x"; and the value it reads back as."""
+    element, value = '<string key="leaf" value="x"/>', "x"
+    for level in range(depth):
+        key = "k" if level == depth - 1 else "0"
+        if kind == "list":
+            element, value = f'<list key="{key}"><values>{element}</values></list>', [value]
+        else:
+            element = f'<container key="{key}">{element}</container>'
+            value = {"leaf" if level == 0 else "0": value}
+    return element, value
+
+
+def in_event(attributes):
+    return f'<string key="concept:name" value="a"/>{attributes}'
+
+
+# Where an attribute can sit: (document, location of errors, how to read it back).
+NESTING_PLACES = {
+    "event": (
+        f"<log><trace><event>{in_event('{attr}')}</event></trace></log>",
+        "trace 0, event 0",
+        lambda log: log.events[0].attributes["k"],
+    ),
+    "nested-on-action": (
+        "<log><trace><event>"
+        + in_event('<string key="uilog:action-type" value="click">{attr}</string>')
+        + "</event></trace></log>",
+        "trace 0, event 0",
+        lambda log: log.events[0].action.attributes["k"],
+    ),
+    "nested-on-user": (
+        "<log><trace><event>"
+        + in_event('<string key="uilog:user" value="u">{attr}</string>')
+        + "</event></trace></log>",
+        "trace 0, event 0",
+        lambda log: log.users[0].attributes["k"],
+    ),
+    "in-group-container": (
+        "<log><trace><event>"
+        + in_event('<string key="uilog:ui-group-path" value="g"><container key="g">{attr}'
+                   "</container></string>")
+        + "</event></trace></log>",
+        "trace 0, event 0",
+        lambda log: log.hierarchy.ui_groups[0].attributes["k"],
+    ),
+    "trace": (
+        f"<log><trace>{{attr}}<event>{in_event('')}</event></trace></log>",
+        "trace 0",
+        lambda log: log.traces[0].attributes["k"],
+    ),
+    "log": (
+        f"<log>{{attr}}<trace><event>{in_event('')}</event></trace></log>",
+        "log",
+        lambda log: log.attributes["k"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["list", "container"])
+@pytest.mark.parametrize("place", list(NESTING_PLACES))
+def test_nesting_is_capped_wherever_an_attribute_sits(place, kind):
+    # A group's container holds its attribute set and is not counted.
+    document, where, read_back = NESTING_PLACES[place]
+    element, value = nested_attribute(kind, 32)
+    assert read_back(read_xes(document.replace("{attr}", element))) == value
+    element, _ = nested_attribute(kind, 33)
+    with pytest.raises(MalformedDocumentError, match=f"^{where}: attribute nesting deeper than 32"):
+        read_xes(document.replace("{attr}", element))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 299))
+def test_read_xes_builds_what_the_public_constructors_build(seed):
+    log = read_xes(write_xes(genlogs.random_log(random.Random(seed), max_events=60)))
+    rebuilt = genlogs.rebuilt_by_constructors(log)
+    assert rebuilt.events == log.events
+    assert rebuilt.hierarchy == log.hierarchy
+    assert write_xes(rebuilt) == write_xes(log)
+
+
 class TestExtensionDefinition:
     def test_stable_and_complete(self):
         first = emit_extension_definition()
