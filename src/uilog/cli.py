@@ -81,6 +81,17 @@ def _load_configs(args) -> None:
             raise BadConfigError(f"{path}: {exc}".replace("'<string>'", repr(path))) from exc
 
 
+def _noting_warnings(call, *args, **kwargs):
+    """Return ``call(*args, **kwargs)``, printing each warning it issues
+    as a ``note:`` on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args, **kwargs)
+    for item in caught:
+        print(f"note: {item.message}", file=sys.stderr)
+    return result
+
+
 def _load_log(args) -> UILog:
     fmt = _guess_format(args.input, getattr(args, "format", None))
     text = _read_text(args.input)
@@ -92,7 +103,7 @@ def _load_log(args) -> UILog:
             print(f"note: {message}", file=sys.stderr)
         return log
     lenient = getattr(args, "lenient_names", False)
-    return xes.read_xes(text, lenient_names=lenient)
+    return _noting_warnings(xes.read_xes, text, lenient_names=lenient)
 
 
 def _write_log(log: UILog, args, report=None) -> int:
@@ -185,11 +196,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_abstract(args) -> int:
     log = _load_log(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        abstracted = transform.abstract(log, args.rules)
-    for item in caught:
-        print(f"note: {item.message}", file=sys.stderr)
+    abstracted = _noting_warnings(transform.abstract, log, args.rules)
     code = _write_log(abstracted, args)
     print(
         f"note: {len(log.events)} event(s) in, {len(abstracted.events)} out",

@@ -212,19 +212,16 @@ class UIGroupNode:
 class UIElementNode:
     """An atomic widget (button, text box, dropdown); always a leaf.
 
-    Stateful widgets record their content in ``current_state``; for list
-    and dropdown elements the convention is a list of selectable labels.
+    What a stateful widget showed is recorded per interaction, on the
+    :class:`InteractionEvent`, not on the node.
     """
 
     id: str
     parent: Union[UIGroupNode, ApplicationNode, None] = None
-    current_state: Optional[AttributeValue] = None
     attributes: AttributeSet = field(default_factory=dict)
 
     def __post_init__(self):
         _check_id(self.id)
-        if self.current_state is not None:
-            object.__setattr__(self, "current_state", normalize_value(self.current_state))
         object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
 
 
@@ -519,13 +516,12 @@ def _not_found(target: Target, level: Level) -> DanglingReferenceError:
 class _Pending:
     """Mutable node record used while a hierarchy is being assembled."""
 
-    __slots__ = ("id", "parent", "attributes", "current_state")
+    __slots__ = ("id", "parent", "attributes")
 
     def __init__(self, node_id, parent):
         self.id = node_id
         self.parent = parent
         self.attributes = {}
-        self.current_state = None
 
 
 class HierarchyBuilder:
@@ -535,8 +531,8 @@ class HierarchyBuilder:
     the nodes earlier calls created, which is what ingestion wants when
     every row repeats its context. Chains only link levels the
     composition rules admit, so the result is well-formed by
-    construction. Nodes are materialized, and their attributes and
-    states checked and normalized, once, in :meth:`build`.
+    construction. Nodes are materialized, and their attributes checked
+    and normalized, once, in :meth:`build`.
     """
 
     def __init__(self):
@@ -553,7 +549,6 @@ class HierarchyBuilder:
         application: Optional[str] = None,
         groups: Iterable[str] = (),
         element: Optional[str] = None,
-        current_state: Optional[AttributeValue] = None,
         system_attributes: Optional[Mapping] = None,
         application_attributes: Optional[Mapping] = None,
         group_attributes: Optional[Mapping] = None,
@@ -562,15 +557,14 @@ class HierarchyBuilder:
         """Ensure the nodes for one recorded location exist; return it.
 
         Attribute mappings are merged into the nodes as given (later
-        values win), ``group_attributes`` maps group id paths (tuples) to
-        attribute sets, and a non-None ``current_state`` replaces the
-        element's previous one. Values are checked when :meth:`build`
+        values win), and ``group_attributes`` maps group id paths
+        (tuples) to attribute sets. Values are checked when :meth:`build`
         materializes the nodes, so an unsupported or too deeply nested
-        attribute value or state raises TypeError or ValueError from
-        there; an empty id raises ValueError here. A system recorded
-        without an application stays a free-standing root next to the
-        group/element chain. Each distinct location is walked once; later
-        calls for it reuse its Target and node records.
+        attribute value raises TypeError or ValueError from there; an
+        empty id raises ValueError here. A system recorded without an
+        application stays a free-standing root next to the group/element
+        chain. Each distinct location is walked once; later calls for it
+        reuse its Target and node records.
         """
         groups = tuple(groups)
         key = (system, application, groups, element)
@@ -587,8 +581,6 @@ class HierarchyBuilder:
             for depth, group_rec in enumerate(group_recs, start=1):
                 _merge(group_rec, group_attributes.get(groups[:depth]))
         _merge(element_rec, element_attributes)
-        if element_rec is not None and current_state is not None:
-            element_rec.current_state = current_state
         return target
 
     def _walk(self, system, application, groups, element) -> tuple:
@@ -641,13 +633,7 @@ class HierarchyBuilder:
         elements = []
         for rec in self._elements.values():
             parent = built[id(rec.parent)] if rec.parent is not None else None
-            node = UIElementNode(
-                rec.id,
-                parent=parent,
-                current_state=rec.current_state,
-                attributes=rec.attributes,
-            )
-            elements.append(node)
+            elements.append(UIElementNode(rec.id, parent=parent, attributes=rec.attributes))
         return UIHierarchy(
             systems=tuple(systems),
             applications=tuple(applications),
@@ -716,14 +702,17 @@ class InteractionEvent:
     Only the activity name is mandatory, and even that is checked by
     validation rather than at construction so that defective logs can be
     represented and reported. Without a timestamp an event is ordered by
-    its position in the log. ``user`` and ``task`` are ids into the
-    owning log's registries.
+    its position in the log. The element state is the one the target
+    element showed at this interaction; for list and dropdown elements
+    the convention is a list of selectable labels. ``user`` and ``task``
+    are ids into the owning log's registries.
     """
 
     activity_name: str
     action: Optional[Action] = None
     target: Optional[Target] = None
     input_value: Optional[AttributeValue] = None
+    current_state: Optional[AttributeValue] = None
     timestamp: Optional[datetime] = None
     user: Optional[str] = None
     task: Optional[str] = None
@@ -736,6 +725,8 @@ class InteractionEvent:
             object.__setattr__(self, "timestamp", normalize_timestamp(self.timestamp))
         if self.input_value is not None:
             object.__setattr__(self, "input_value", normalize_value(self.input_value))
+        if self.current_state is not None:
+            object.__setattr__(self, "current_state", normalize_value(self.current_state))
         object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
 
 

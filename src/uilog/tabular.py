@@ -494,11 +494,7 @@ def ingest(
         target = None
         if element or groups or application or system:
             target = builder.chain(
-                system=system,
-                application=application,
-                groups=groups,
-                element=element,
-                current_state=current_state,
+                system=system, application=application, groups=groups, element=element
             )
 
         action_type = row[action_at] or None
@@ -542,6 +538,7 @@ def ingest(
                 action=action,
                 target=target,
                 input_value=input_value,
+                current_state=current_state,
                 timestamp=timestamp,
                 user=user,
                 task=task,
@@ -569,7 +566,7 @@ def ingest(
 # Inverse writer
 
 
-def _field_cell(event: InteractionEvent, name: str, log: UILog, ts_format):
+def _field_cell(event: InteractionEvent, name: str, ts_format):
     target = event.target
     if name == "activity_name":
         return event.activity_name
@@ -586,8 +583,7 @@ def _field_cell(event: InteractionEvent, name: str, log: UILog, ts_format):
     if name == "input_value":
         return event.input_value
     if name == "current_state":
-        node = log.hierarchy.lookup(target)[0] if target is not None else None
-        return node.current_state if node is not None else None
+        return event.current_state
     if name == "timestamp":
         return _render_timestamp(event.timestamp, ts_format) if event.timestamp else None
     if name == "user":
@@ -641,7 +637,7 @@ def write_table(
         for event in order:
             for name in FIELDS:
                 if name not in populated and (
-                    _field_cell(event, name, log, mapping.timestamp_format) is not None
+                    _field_cell(event, name, mapping.timestamp_format) is not None
                 ):
                     populated.add(name)
             for key in event.attributes:
@@ -677,7 +673,7 @@ def write_table(
                 continue
             name = column_to_field.get(column)
             if name is not None:
-                value = _field_cell(event, name, log, mapping.timestamp_format)
+                value = _field_cell(event, name, mapping.timestamp_format)
             else:
                 value = event.attributes.get(column)
             row.append(_render_cell(value, mapping.timestamp_format))

@@ -18,7 +18,6 @@ from .model import (
     ApplicationNode,
     Level,
     SystemNode,
-    UIElementNode,
     UIGroupNode,
     UIHierarchy,
     UILog,
@@ -348,17 +347,14 @@ def coverage(log: UILog) -> CoverageMatrix:
             counts["input_value"] += 1
         if event.timestamp is not None:
             counts["timestamp"] += 1
+        if event.current_state is not None:
+            counts["current_state"] += 1
         try:
             node = log.hierarchy.resolve(target)
         except (NoTargetError, DanglingReferenceError):
             node = None
         if node is not None and parent_of(node) is not None:
             counts["ui_hierarchy"] += 1
-        if (
-            isinstance(node, UIElementNode)
-            and node.current_state is not None
-        ):
-            counts["current_state"] += 1
     return CoverageMatrix(
         **{name: Coverage(counts.get(name, 0), total) for name in (
             "action_type",

@@ -19,7 +19,8 @@ The writer emits the document as text in one pass: each element is
 appended to one list of pieces, indented from a precomputed table and
 escaped as ElementTree escapes attribute values, and the list is joined
 once; the context of each distinct target, and the group path element of
-each distinct group path, is rendered once per document. ElementTree is
+each distinct group path, is rendered once per document, and each event
+writes its own element state into its target's context. ElementTree is
 used only for reading, and the reader checks and normalizes each value
 where it types it, so the model is built without a second pass.
 """
@@ -190,23 +191,22 @@ def _attribute(out: list, depth: int, key: str, value, nested=None, nesting: int
     out.append(f"{pad}</{tag}>")
 
 
-def _context(target: Target, hierarchy, contexts: dict) -> str:
-    """The elements recording ``target`` and its nodes' attributes, kept in ``contexts``."""
-    out = []
+def _context(target: Target, hierarchy, contexts: dict) -> tuple:
+    """The elements recording ``target`` and its nodes' attributes, kept in
+    ``contexts``: the element's, and the rest; an event's state goes between."""
+    head, rest = [], []
     element, _, application, system = hierarchy.lookup(target)
     if target.element is not None:
-        _attribute(out, 3, KEY_UI_ELEMENT, target.element, element and element.attributes)
-        if element is not None and element.current_state is not None:
-            _attribute(out, 3, KEY_UI_ELEMENT_STATE, element.current_state)
+        _attribute(head, 3, KEY_UI_ELEMENT, target.element, element and element.attributes)
     if target.groups:  # shared by the targets in one group path
         scope = (target.system, target.application, target.groups)
-        out.append(contexts.get(scope) or _group_path(scope, hierarchy, contexts))
+        rest.append(contexts.get(scope) or _group_path(scope, hierarchy, contexts))
     for key, recorded, node in ((KEY_APPLICATION, target.application, application),
                                 (KEY_SYSTEM, target.system, system)):
         if recorded is not None:
-            _attribute(out, 3, key, recorded, node and node.attributes)
-    text = contexts[target] = "".join(out)
-    return text
+            _attribute(rest, 3, key, recorded, node and node.attributes)
+    parts = contexts[target] = ("".join(head), "".join(rest))
+    return parts
 
 
 def _group_path(scope: tuple, hierarchy, contexts: dict) -> str:
@@ -233,9 +233,14 @@ def _event(out: list, event: InteractionEvent, hierarchy, registries, contexts: 
         _attribute(out, 3, KEY_ACTION_TYPE, event.action.action_type, event.action.attributes)
     if event.input_value is not None:
         _attribute(out, 3, KEY_INPUT_VALUE, event.input_value)
+    head = rest = ""
     target = event.target
     if target is not None and not target.is_empty:
-        out.append(contexts.get(target) or _context(target, hierarchy, contexts))
+        head, rest = contexts.get(target) or _context(target, hierarchy, contexts)
+    out.append(head)
+    if event.current_state is not None:
+        _attribute(out, 3, KEY_UI_ELEMENT_STATE, event.current_state)
+    out.append(rest)
     for key, ref, registry in zip((KEY_USER, KEY_TASK), (event.user, event.task), registries):
         if ref is not None:
             _attribute(out, 3, key, ref, registry.get(ref))
@@ -263,7 +268,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
         traces = [("all-events", {}, range(len(log.events)))]
-    contexts = {}  # rendered context by distinct target and group path element by scope
+    contexts = {}  # rendered context parts by distinct target, group path element by scope
     for trace_id, attributes, indices in traces:
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
@@ -432,7 +437,6 @@ def _read_event(
             application=str(application) if application is not None else None,
             groups=groups,
             element=str(element_id) if element_id is not None else None,
-            current_state=state,
             system_attributes=nested_by_key.get(KEY_SYSTEM),
             application_attributes=nested_by_key.get(KEY_APPLICATION),
             group_attributes=group_attributes,
@@ -445,6 +449,7 @@ def _read_event(
         action=action,
         target=target,
         input_value=fields.get(KEY_INPUT_VALUE),
+        current_state=state,
         timestamp=timestamp,
         user=_merge_ref(users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {})),
         task=_merge_ref(tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {})),

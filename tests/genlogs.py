@@ -56,7 +56,8 @@ def _attributes(rng, chance=0.4):
 
 
 def _chains(rng, builder):
-    """Register a pool of target locations; chain length stays <= 5."""
+    """Register a pool of target locations, each with the element state
+    its events record (or None); chain length stays <= 5."""
     chains = []
     for _ in range(rng.randrange(1, 12)):
         system = _ident(rng, "sys-") if rng.random() < 0.3 else None
@@ -69,18 +70,16 @@ def _chains(rng, builder):
         if element is None and not groups and application is None and system is None:
             element = _ident(rng, "el-")
         state = _value(rng) if element is not None and rng.random() < 0.3 else None
-        chains.append(
-            builder.chain(
-                system=system,
-                application=application,
-                groups=groups,
-                element=element,
-                current_state=state,
-                system_attributes=_attributes(rng, 0.2),
-                application_attributes=_attributes(rng, 0.2),
-                element_attributes=_attributes(rng, 0.2),
-            )
+        target = builder.chain(
+            system=system,
+            application=application,
+            groups=groups,
+            element=element,
+            system_attributes=_attributes(rng, 0.2),
+            application_attributes=_attributes(rng, 0.2),
+            element_attributes=_attributes(rng, 0.2),
         )
+        chains.append((target, state))
     return chains
 
 
@@ -97,7 +96,7 @@ def random_log(rng: random.Random, max_events: int = 500) -> UILog:
     with_timestamps = rng.random() < 0.8
     events = []
     for _ in range(n_events):
-        target = rng.choice(chains + [None])
+        target, state = rng.choice(chains + [(None, None)])
         action = Action(rng.choice(_ACTIONS), attributes=_attributes(rng, 0.2)) \
             if rng.random() < 0.8 else None
         timestamp = None
@@ -115,6 +114,7 @@ def random_log(rng: random.Random, max_events: int = 500) -> UILog:
                 action=action,
                 target=target,
                 input_value=_value(rng) if rng.random() < 0.4 else None,
+                current_state=state,
                 timestamp=timestamp,
                 user=rng.choice(users).id if users and rng.random() < 0.6 else None,
                 task=rng.choice(tasks).id if tasks and rng.random() < 0.4 else None,
@@ -161,10 +161,13 @@ def timestamped_log(rng: random.Random, max_events: int = 80) -> UILog:
     events = []
     for _ in range(rng.randrange(1, max_events + 1)):
         clock += timedelta(seconds=rng.choice([0, 1, 2, 5, 30, 90, 400]))
+        name = _ident(rng, "act-")
+        target, state = rng.choice(chains + [(None, None)])
         events.append(
             InteractionEvent(
-                activity_name=_ident(rng, "act-"),
-                target=rng.choice(chains + [None]),
+                activity_name=name,
+                target=target,
+                current_state=state,
                 timestamp=clock,
                 user=rng.choice(users).id,
             )

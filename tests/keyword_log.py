@@ -65,13 +65,14 @@ def build_by_hand() -> UILog:
     builder = HierarchyBuilder()
     events = []
     for activity, action, element, group, value, state in ROWS:
-        target = builder.chain(groups=(group,), element=element, current_state=state)
+        target = builder.chain(groups=(group,), element=element)
         events.append(
             InteractionEvent(
                 activity_name=activity,
                 action=Action(action),
                 target=target,
                 input_value=value,
+                current_state=state,
             )
         )
     return UILog(events=tuple(events), hierarchy=builder.build())

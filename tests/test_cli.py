@@ -287,6 +287,25 @@ def test_value_under_an_unnamed_column_is_an_operational_error(tmp_path, header)
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "attribute",
+    [
+        '<date key="time:timestamp" value="2024-01-01T00:00:00.0001Z"/>',
+        '<string key="uilog:ui-element-state" value="open"/>',
+    ],
+    ids=["sub-millisecond-timestamp", "state-without-element"],
+)
+def test_xes_reader_warnings_are_notes(tmp_path, attribute):
+    source = tmp_path / "doc.xes"
+    source.write_text(
+        f'<log><trace><event><string key="concept:name" value="a"/>{attribute}</event></trace></log>'
+    )
+    done = run_child("stats", "-i", source)
+    assert done.returncode == 0
+    assert "note: trace 0, event 0:" in done.stderr
+    assert "UserWarning" not in done.stderr
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
 @pytest.mark.parametrize("missing_input", [False, True], ids=["exit-0", "exit-1"])
 def test_cyclic_gc_setting_is_restored(tmp_path, enabled, missing_input):

@@ -209,13 +209,6 @@ class TestBuilder:
         second = h.resolve(Target(element="A1", groups=("sheet2",)))
         assert first is not None and second is not None and first is not second
 
-    def test_chain_merges_state_last_wins(self):
-        b = HierarchyBuilder()
-        b.chain(groups=("g",), element="dd", current_state=["a"])
-        b.chain(groups=("g",), element="dd", current_state=["a", "b"])
-        h = b.build()
-        assert h.resolve(Target(element="dd", groups=("g",))).current_state == ["a", "b"]
-
     def test_floating_system_stays_out_of_the_chain(self):
         b = HierarchyBuilder()
         target = b.chain(system="host", groups=("g",), element="e")
@@ -249,12 +242,6 @@ class TestBuilder:
     def test_bad_id_raises_from_chain(self, location):
         with pytest.raises(ValueError, match="id must be non-empty text"):
             HierarchyBuilder().chain(**location)
-
-    def test_bad_state_raises_from_build(self):
-        b = HierarchyBuilder()
-        b.chain(element="e", current_state={1, 2})
-        with pytest.raises(TypeError):
-            b.build()
 
     def test_repeated_chain_merges_into_the_same_nodes(self):
         b = HierarchyBuilder()
@@ -303,6 +290,14 @@ class TestValues:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             normalize_value(object())
+
+    def test_event_state_is_normalized(self):
+        event = InteractionEvent("x", current_state=("a", ("b", "c")))
+        assert event.current_state == ["a", ["b", "c"]]
+
+    def test_bad_event_state_raises(self):
+        with pytest.raises(TypeError):
+            InteractionEvent("x", current_state={1, 2})
 
 
 class TestGroupPathCodec:

@@ -14,6 +14,7 @@ from uilog import (
     infer_mapping,
     ingest,
     load_mapping,
+    read_xes,
     validate,
     write_table,
     write_xes,
@@ -56,10 +57,9 @@ class TestIngestFixture:
 
     def test_dropdown_current_state(self):
         log, _ = ingest(keyword_creation_csv())
-        node = log.hierarchy.resolve(
-            Target(element="dd type", groups=("fpanel keyword",))
-        )
-        assert node.current_state == ["keyword", "keywords folder"]
+        dropdown = Target(element="dd type", groups=("fpanel keyword",))
+        states = [e.current_state for e in log.events if e.target == dropdown]
+        assert states == [["keyword", "keywords folder"]] * 2
 
     def test_coverage_matches_hand_counts(self):
         log, _ = ingest(keyword_creation_csv())
@@ -301,6 +301,12 @@ class TestInverseWriter:
         again, _ = ingest(write_table(log))
         assert again.events == log.events
         assert again.hierarchy == log.hierarchy
+
+    def test_each_row_keeps_its_own_state_through_xes(self):
+        text = 'Activity,UI element,Current state\na,dd,"[x, y]"\nb,dd,"[x, y, z]"\nc,dd,\n'
+        log, _ = ingest(text)
+        assert [e.current_state for e in log.events] == [["x", "y"], ["x", "y", "z"], None]
+        assert write_table(read_xes(write_xes(log))) == text
 
     def test_extras_survive_the_round_trip(self):
         text = "Activity,Mood,Screen\nx,fine,main\ny,,main\n"

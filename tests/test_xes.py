@@ -449,14 +449,15 @@ class TestRoundTrip:
             application="app",
             groups=("outer", "inner"),
             element="dd",
-            current_state=["a", "b"],
             system_attributes={"os": "linux"},
             application_attributes={"version": 7},
             group_attributes={("outer",): {"kind": "window"}, ("outer", "inner"): {"kind": "panel"}},
             element_attributes={"widget": "dropdown"},
         )
-        log = UILog(events=(InteractionEvent("x", target=target),), hierarchy=b.build())
+        event = InteractionEvent("x", target=target, current_state=["a", "b"])
+        log = UILog(events=(event,), hierarchy=b.build())
         back = read_xes(write_xes(log))
+        assert back.events[0].current_state == ["a", "b"]
         h = back.hierarchy
         assert h.resolve(Target(system="host")).attributes == {"os": "linux"}
         app = Target(application="app", system="host")
@@ -469,7 +470,22 @@ class TestRoundTrip:
             Target(element="dd", groups=("outer", "inner"), application="app", system="host")
         )
         assert element.attributes == {"widget": "dropdown"}
-        assert element.current_state == ["a", "b"]
+
+    def test_events_on_one_element_keep_their_own_states(self):
+        element = '<string key="concept:name" value="e"/><string key="uilog:ui-element" value="dd"/>'
+        document = (
+            "<log><trace>"
+            f'<event>{element}<list key="uilog:ui-element-state"><values>'
+            '<string key="0" value="x"/></values></list></event>'
+            f'<event>{element}<string key="uilog:ui-element-state" value="y"/></event>'
+            f"<event>{element}</event>"
+            "</trace></log>"
+        )
+        written = write_xes(read_xes(document))
+        states = [attribute_map(e).get("uilog:ui-element-state") for e in events_of(written)]
+        assert [s.tag for s in states[:2]] == ["list", "string"]
+        assert states[1].get("value") == "y" and states[2] is None
+        assert [e.current_state for e in read_xes(written).events] == [["x"], "y", None]
 
     def test_traced_partition_round_trips(self):
         events = tuple(InteractionEvent(f"e{i}") for i in range(4))
