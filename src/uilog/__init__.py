@@ -36,13 +36,11 @@ from .model import (
     MAX_NESTING_DEPTH,
     SystemNode,
     Target,
-    TaskRef,
     Trace,
     UIElementNode,
     UIGroupNode,
     UIHierarchy,
     UILog,
-    UserRef,
     join_group_path,
     level_of,
     make_activity_name,
@@ -74,7 +72,6 @@ from .transform import (
 )
 from .validation import (
     Coverage,
-    CoverageMatrix,
     LogProfile,
     ValidationReport,
     Violation,

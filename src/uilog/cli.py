@@ -64,9 +64,16 @@ def _read_text(path: str) -> str:
         raise UILogError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def _load_configs(args) -> None:
-    """Replace each config file path in ``args`` by what the file holds,
-    so that every file is read and parsed once."""
+def _prepare(args) -> None:
+    """Check the csv delimiter, and replace each config file path in
+    ``args`` by what the file holds, so that every file is read and
+    parsed once."""
+    delimiter = getattr(args, "delimiter", ",")
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise UILogError(
+            f"--delimiter must be one character other than a quote or line break, "
+            f"got {delimiter!r}"
+        )
     for option, load in (
         ("mapping", tabular.load_mapping),
         ("notion", transform.load_case_notion),
@@ -98,7 +105,7 @@ def _load_log(args) -> UILog:
     if fmt == "csv":
         log, report = tabular.ingest(text, args.mapping, delimiter=args.delimiter)
         for skipped in report.rows_skipped:
-            print(f"note: skipped row {skipped.row}: {skipped.reason}", file=sys.stderr)
+            print(f"note: skipped {skipped}", file=sys.stderr)
         for message in report.warnings:
             print(f"note: {message}", file=sys.stderr)
         return log
@@ -176,7 +183,7 @@ def _cmd_stats(args) -> int:
                     "ratio": cell.ratio,
                     "in_log": cell.in_log,
                 }
-                for name, cell in matrix.as_dict().items()
+                for name, cell in matrix.items()
             },
             "profile": dataclasses.asdict(summary),
         }
@@ -281,7 +288,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _load_configs(args)
+        _prepare(args)
         return args.handler(args)
     except UILogError as exc:
         return _fail(str(exc))

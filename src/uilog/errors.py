@@ -34,7 +34,7 @@ class UnserializableValueError(UILogError):
 
 
 class MalformedDocumentError(UILogError):
-    """The input document is not a readable XES log."""
+    """The input document (XES or CSV text) is not a readable log."""
 
 
 class MissingConceptNameError(MalformedDocumentError):

@@ -657,30 +657,6 @@ def _merge(rec: Optional[_Pending], attributes: Optional[Mapping]) -> None:
 
 
 @dataclass(frozen=True)
-class UserRef:
-    """The entity (human or bot) that initiated interactions."""
-
-    id: str
-    attributes: AttributeSet = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_id(self.id)
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
-
-
-@dataclass(frozen=True)
-class TaskRef:
-    """A higher-level task or routine the interactions belong to."""
-
-    id: str
-    attributes: AttributeSet = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_id(self.id)
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
-
-
-@dataclass(frozen=True)
 class Action:
     """What the user did. The type domain is open ("left click", "input",
     "KEY_F5", ...); the literal "none" is a real value used by abstracted
@@ -748,31 +724,37 @@ class Trace:
 class UILog:
     """An ordered event sequence plus its hierarchy and registries.
 
-    The log itself has no case notion; ``traces``, when present, is a
-    partition of event indices produced by segmentation (or read from an
+    The registries map ids that events reference to attribute sets:
+    ``users`` the entities (human or bot) that initiated interactions,
+    ``tasks`` the higher-level tasks or routines they belong to. The log
+    itself has no case notion; ``traces``, when present, is a partition
+    of event indices produced by segmentation (or read from an
     interchange document) and must cover every event exactly once.
     """
 
     events: tuple = ()
     hierarchy: UIHierarchy = field(default_factory=UIHierarchy)
-    users: tuple = ()
-    tasks: tuple = ()
+    users: Mapping = field(default_factory=dict)
+    tasks: Mapping = field(default_factory=dict)
     attributes: AttributeSet = field(default_factory=dict)
     traces: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "users", _registry(self.users))
+        object.__setattr__(self, "tasks", _registry(self.tasks))
         object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
         if self.traces is not None:
             object.__setattr__(self, "traces", tuple(self.traces))
 
-    def user_ids(self) -> frozenset:
-        return frozenset(u.id for u in self.users)
 
-    def task_ids(self) -> frozenset:
-        return frozenset(t.id for t in self.tasks)
+def _registry(entries: Mapping) -> dict:
+    """id → normalized attribute set; ids must be non-empty text."""
+    out = {}
+    for entry_id, attributes in entries.items():
+        _check_id(entry_id)
+        out[entry_id] = normalize_attributes(attributes)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,12 @@ import io
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     BadConfigError,
     BadLiteralError,
+    MalformedDocumentError,
     MissingColumnError,
     NoUsableColumnsError,
 )
@@ -37,9 +38,7 @@ from .model import (
     Action,
     HierarchyBuilder,
     InteractionEvent,
-    TaskRef,
     UILog,
-    UserRef,
     _trusted,
     format_timestamp,
     join_group_path,
@@ -357,24 +356,30 @@ def _parse_row_timestamp(text: str, pattern: Optional[str]):
 
 
 @dataclass(frozen=True)
-class SkippedRow:
-    """A data row that produced no event, and why."""
-
-    row: int  # 1-based position among data rows
-    reason: str
-
-
-@dataclass(frozen=True)
 class IngestReport:
+    """What :func:`ingest` read: the number of data rows, and, as
+    ``"row N: ..."`` texts with N counting data rows from 1, the rows
+    that produced no event and the warnings."""
+
     rows_read: int = 0
-    events_created: int = 0
     rows_skipped: tuple = ()
-    synthesized_names: int = 0
     warnings: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows_skipped", tuple(self.rows_skipped))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+
+def _rows(reader) -> Iterator:
+    """(number, cells) per row of a csv reader, the header being row 0;
+    a row the reader cannot split raises a located MalformedDocumentError."""
+    number = 0
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            where = f"row {number}" if number else "header"
+            raise MalformedDocumentError(f"{where}: {exc}") from None
+        yield number, cells
+        number += 1
 
 
 def ingest(
@@ -389,15 +394,17 @@ def ingest(
     first mention. Rows whose timestamp does not parse are skipped (noise
     tolerance), cells whose literal does not parse are kept as raw text
     with a warning, and activity names are synthesized from action type
-    and target id when no activity column is mapped.
+    and target id when no activity column is mapped. A row the csv module
+    cannot split, or whose group path holds an empty id, raises a
+    MalformedDocumentError naming the row.
     """
     if isinstance(source, str):
         lines = io.StringIO(source)
     else:
         lines = iter(source)
-    reader = csv.reader(lines, delimiter=delimiter)
+    rows = _rows(csv.reader(lines, delimiter=delimiter))
     try:
-        header = [c.strip() for c in next(reader)]
+        header = [c.strip() for c in next(rows)[1]]
     except StopIteration:
         raise NoUsableColumnsError("input has no header row") from None
 
@@ -443,8 +450,7 @@ def ingest(
     events = []
     skipped = []
     warnings_out = []
-    synthesized = 0
-    rows_read = 0
+    row_number = 0
 
     def literal(text: str, parser: str, row_number: int):
         try:
@@ -453,11 +459,10 @@ def ingest(
             warnings_out.append(f"row {row_number}: {exc}; kept as text")
             return text
 
-    for row_number, row in enumerate(reader, start=1):
-        rows_read += 1
+    for row_number, row in rows:
         row = [cell.strip() for cell in row]
         if not any(row):
-            skipped.append(SkippedRow(row_number, "empty row"))
+            skipped.append(f"row {row_number}: empty row")
             continue
         del row[width:]
         row += padding[len(row):]
@@ -468,7 +473,7 @@ def ingest(
             try:
                 timestamp, truncated = _parse_row_timestamp(raw_ts, timestamp_format)
             except ValueError:
-                skipped.append(SkippedRow(row_number, f"bad timestamp {raw_ts!r}"))
+                skipped.append(f"row {row_number}: bad timestamp {raw_ts!r}")
                 continue
             if truncated:
                 warnings_out.append(
@@ -493,20 +498,20 @@ def ingest(
 
         target = None
         if element or groups or application or system:
-            target = builder.chain(
-                system=system, application=application, groups=groups, element=element
-            )
+            try:
+                target = builder.chain(
+                    system=system, application=application, groups=groups, element=element
+                )
+            except ValueError as exc:  # an empty group id, as in "a//b"
+                raise MalformedDocumentError(f"row {row_number}: {exc}") from None
 
         action_type = row[action_at] or None
         name = row[name_at]
         if not name:
             if target is None:
-                skipped.append(
-                    SkippedRow(row_number, "no activity name and no target to name it by")
-                )
+                skipped.append(f"row {row_number}: no activity name and no target to name it by")
                 continue
             name = make_activity_name(action_type, target.most_specific_id)
-            synthesized += 1
 
         action = None
         if action_type is not None:
@@ -516,10 +521,10 @@ def ingest(
 
         user = row[user_at] or None
         if user is not None and user not in users:
-            users[user] = UserRef(user)
+            users[user] = {}
         task = row[task_at] or None
         if task is not None and task not in tasks:
-            tasks[task] = TaskRef(task)
+            tasks[task] = {}
 
         attributes = {}
         for index, column, parser in extra_columns:
@@ -549,15 +554,11 @@ def ingest(
     log = UILog(
         events=tuple(events),
         hierarchy=builder.build(),
-        users=tuple(users.values()),
-        tasks=tuple(tasks.values()),
+        users=users,
+        tasks=tasks,
     )
     report = IngestReport(
-        rows_read=rows_read,
-        events_created=len(events),
-        rows_skipped=tuple(skipped),
-        synthesized_names=synthesized,
-        warnings=tuple(warnings_out),
+        rows_read=row_number, rows_skipped=tuple(skipped), warnings=tuple(warnings_out)
     )
     return log, report
 

@@ -36,6 +36,7 @@ class ViolationCode(enum.Enum):
     DUPLICATE_ID = "DuplicateId"
     PARTITION_GAP = "PartitionGap"
     PARTITION_OVERLAP = "PartitionOverlap"
+    STATE_WITHOUT_ELEMENT = "StateWithoutElement"
 
 
 @dataclass(frozen=True)
@@ -120,25 +121,8 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
     return out
 
 
-def _registry_violations(log: UILog) -> list:
-    out = []
-    for kind, refs in (("user", log.users), ("task", log.tasks)):
-        for ref_id, count in Counter(r.id for r in refs).items():
-            if count > 1:
-                out.append(
-                    Violation(
-                        ViolationCode.DUPLICATE_ID,
-                        node_id=ref_id,
-                        message=f"{count} {kind} entries share the id {ref_id!r}",
-                    )
-                )
-    return out
-
-
 def _event_violations(log: UILog) -> list:
     out = []
-    user_ids = log.user_ids()
-    task_ids = log.task_ids()
     for index, event in enumerate(log.events):
         if not event.activity_name:
             out.append(
@@ -146,6 +130,17 @@ def _event_violations(log: UILog) -> list:
                     ViolationCode.MISSING_ACTIVITY_NAME,
                     event_index=index,
                     message="activity name is empty",
+                )
+            )
+        if event.current_state is not None and (
+            event.target is None or event.target.element is None
+        ):
+            out.append(
+                Violation(
+                    ViolationCode.STATE_WITHOUT_ELEMENT,
+                    event_index=index,
+                    message="element state recorded without a UI element; "
+                    "the XES and CSV readers drop it",
                 )
             )
         if event.target is not None and not event.target.is_empty:
@@ -160,7 +155,7 @@ def _event_violations(log: UILog) -> list:
                         message=str(exc),
                     )
                 )
-        if event.user is not None and event.user not in user_ids:
+        if event.user is not None and event.user not in log.users:
             out.append(
                 Violation(
                     ViolationCode.DANGLING_REFERENCE,
@@ -169,7 +164,7 @@ def _event_violations(log: UILog) -> list:
                     message=f"event references unknown user {event.user!r}",
                 )
             )
-        if event.task is not None and event.task not in task_ids:
+        if event.task is not None and event.task not in log.tasks:
             out.append(
                 Violation(
                     ViolationCode.DANGLING_REFERENCE,
@@ -263,7 +258,6 @@ def validate(log: UILog) -> ValidationReport:
     """
     violations = (
         _hierarchy_violations(log.hierarchy)
-        + _registry_violations(log)
         + _event_violations(log)
         + _order_violations(log)
         + _partition_violations(log)
@@ -302,37 +296,19 @@ class Coverage:
         return self.events_present > 0
 
 
-@dataclass(frozen=True)
-class CoverageMatrix:
-    """Per-event presence counts for the core attributes.
+#: The core attributes :func:`coverage` counts, in report order.
+_COVERED = ("action_type", "target_element", "ui_hierarchy", "application",
+            "input_value", "timestamp", "current_state")
 
+
+def coverage(log: UILog) -> dict:
+    """Count, per core attribute, the events that populate it.
+
+    Returns attribute name → :class:`Coverage`, in a fixed order.
     ``ui_hierarchy`` counts events whose resolved target has at least one
     recorded ancestor above itself; an action type of "none" counts as
     present because it is recorded information.
     """
-
-    action_type: Coverage
-    target_element: Coverage
-    ui_hierarchy: Coverage
-    application: Coverage
-    input_value: Coverage
-    timestamp: Coverage
-    current_state: Coverage
-
-    def as_dict(self) -> dict:
-        return {
-            "action_type": self.action_type,
-            "target_element": self.target_element,
-            "ui_hierarchy": self.ui_hierarchy,
-            "application": self.application,
-            "input_value": self.input_value,
-            "timestamp": self.timestamp,
-            "current_state": self.current_state,
-        }
-
-
-def coverage(log: UILog) -> CoverageMatrix:
-    """Count, per core attribute, the events that populate it."""
     total = len(log.events)
     counts = Counter()
     for event in log.events:
@@ -355,17 +331,7 @@ def coverage(log: UILog) -> CoverageMatrix:
             node = None
         if node is not None and parent_of(node) is not None:
             counts["ui_hierarchy"] += 1
-    return CoverageMatrix(
-        **{name: Coverage(counts.get(name, 0), total) for name in (
-            "action_type",
-            "target_element",
-            "ui_hierarchy",
-            "application",
-            "input_value",
-            "timestamp",
-            "current_state",
-        )}
-    )
+    return {name: Coverage(counts[name], total) for name in _COVERED}
 
 
 @dataclass(frozen=True)
@@ -432,14 +398,14 @@ def report_records(report: ValidationReport) -> list:
     ]
 
 
-def render_coverage(matrix: CoverageMatrix) -> str:
+def render_coverage(matrix: dict) -> str:
     lines = [
         "attribute coverage (events with the attribute populated; ui_hierarchy",
         "counts events whose resolved target has at least one recorded ancestor)",
         "",
         f"  {'attribute':<16} {'events':>8} {'ratio':>7}  in log",
     ]
-    for name, cell in matrix.as_dict().items():
+    for name, cell in matrix.items():
         lines.append(
             f"  {name:<16} {cell.fraction:>8} {cell.ratio:>7.3f}  "
             f"{'yes' if cell.in_log else 'no'}"

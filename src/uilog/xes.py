@@ -45,10 +45,8 @@ from .model import (
     InteractionEvent,
     MAX_NESTING_DEPTH,
     Target,
-    TaskRef,
     Trace,
     UILog,
-    UserRef,
     _INT64_MAX,
     _INT64_MIN,
     _check_id,
@@ -224,7 +222,7 @@ def _group_path(scope: tuple, hierarchy, contexts: dict) -> str:
     return text
 
 
-def _event(out: list, event: InteractionEvent, hierarchy, registries, contexts: dict) -> None:
+def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> None:
     out.append("\n    <event>")
     _attribute(out, 3, KEY_CONCEPT_NAME, event.activity_name)
     if event.timestamp is not None:
@@ -236,14 +234,15 @@ def _event(out: list, event: InteractionEvent, hierarchy, registries, contexts: 
     head = rest = ""
     target = event.target
     if target is not None and not target.is_empty:
-        head, rest = contexts.get(target) or _context(target, hierarchy, contexts)
+        head, rest = contexts.get(target) or _context(target, log.hierarchy, contexts)
     out.append(head)
     if event.current_state is not None:
         _attribute(out, 3, KEY_UI_ELEMENT_STATE, event.current_state)
     out.append(rest)
-    for key, ref, registry in zip((KEY_USER, KEY_TASK), (event.user, event.task), registries):
-        if ref is not None:
-            _attribute(out, 3, key, ref, registry.get(ref))
+    if event.user is not None:
+        _attribute(out, 3, KEY_USER, event.user, log.users.get(event.user))
+    if event.task is not None:
+        _attribute(out, 3, KEY_TASK, event.task, log.tasks.get(event.task))
     for key, value in event.attributes.items():
         _attribute(out, 3, key, value)
     out.append("\n    </event>")
@@ -263,7 +262,6 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     out = [_HEADER]
     for key, value in log.attributes.items():
         _attribute(out, 1, key, value)
-    registries = ({u.id: u.attributes for u in log.users}, {t.id: t.attributes for t in log.tasks})
     traces = [(stored.id, stored.attributes, stored.events) for stored in log.traces or ()]
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
@@ -274,7 +272,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
             _attribute(out, 2, key, value)
         for index in indices:
-            _event(out, log.events[index], log.hierarchy, registries, contexts)
+            _event(out, log.events[index], log, contexts)
         out.append("\n  </trace>")
     out.append("\n</log>\n")
     return "".join(out)
@@ -458,8 +456,7 @@ def _read_event(
 
 
 def _merge_ref(registry: dict, ref, attributes: dict) -> Optional[str]:
-    """Record a user or task id and merge one event's attributes for it;
-    the registry entries become UserRef/TaskRef once, with the log."""
+    """Record a user or task id and merge one event's attributes for it."""
     if ref is None:
         return None
     ref = str(ref)
@@ -579,8 +576,8 @@ def read_xes(
         return UILog(
             events=tuple(events),
             hierarchy=builder.build(),
-            users=tuple(UserRef(ref, attributes) for ref, attributes in users.items()),
-            tasks=tuple(TaskRef(ref, attributes) for ref, attributes in tasks.items()),
+            users=users,
+            tasks=tasks,
             attributes=log_attributes,
             traces=final_traces,
         )

@@ -10,11 +10,9 @@ from uilog import (
     HierarchyBuilder,
     InteractionEvent,
     SystemNode,
-    TaskRef,
     Trace,
     UIHierarchy,
     UILog,
-    UserRef,
 )
 
 _WORDS = [
@@ -88,8 +86,8 @@ def random_log(rng: random.Random, max_events: int = 500) -> UILog:
     references, optionally traced (contiguous or interleaved)."""
     builder = HierarchyBuilder()
     chains = _chains(rng, builder)
-    users = [UserRef(f"user-{i}", attributes=_attributes(rng)) for i in range(rng.randrange(3))]
-    tasks = [TaskRef(f"task-{i}", attributes=_attributes(rng)) for i in range(rng.randrange(3))]
+    users = {f"user-{i}": _attributes(rng) for i in range(rng.randrange(3))}
+    tasks = {f"task-{i}": _attributes(rng) for i in range(rng.randrange(3))}
 
     n_events = rng.randrange(0, max_events + 1)
     clock = _EPOCH
@@ -116,8 +114,8 @@ def random_log(rng: random.Random, max_events: int = 500) -> UILog:
                 input_value=_value(rng) if rng.random() < 0.4 else None,
                 current_state=state,
                 timestamp=timestamp,
-                user=rng.choice(users).id if users and rng.random() < 0.6 else None,
-                task=rng.choice(tasks).id if tasks and rng.random() < 0.4 else None,
+                user=rng.choice(list(users)) if users and rng.random() < 0.6 else None,
+                task=rng.choice(list(tasks)) if tasks and rng.random() < 0.4 else None,
                 attributes=_attributes(rng, 0.3),
             )
         )
@@ -144,8 +142,8 @@ def random_log(rng: random.Random, max_events: int = 500) -> UILog:
     return UILog(
         events=tuple(events),
         hierarchy=builder.build(),
-        users=tuple(users),
-        tasks=tuple(tasks),
+        users=users,
+        tasks=tasks,
         attributes=_attributes(rng, 0.5),
         traces=traces,
     )
@@ -156,7 +154,7 @@ def timestamped_log(rng: random.Random, max_events: int = 80) -> UILog:
     input shape segmentation needs."""
     builder = HierarchyBuilder()
     chains = _chains(rng, builder)
-    users = [UserRef(f"user-{i}") for i in range(rng.randrange(1, 4))]
+    users = {f"user-{i}": {} for i in range(rng.randrange(1, 4))}
     clock = _EPOCH
     events = []
     for _ in range(rng.randrange(1, max_events + 1)):
@@ -169,20 +167,20 @@ def timestamped_log(rng: random.Random, max_events: int = 80) -> UILog:
                 target=target,
                 current_state=state,
                 timestamp=clock,
-                user=rng.choice(users).id,
+                user=rng.choice(list(users)),
             )
         )
-    return UILog(events=tuple(events), hierarchy=builder.build(), users=tuple(users))
+    return UILog(events=tuple(events), hierarchy=builder.build(), users=users)
 
 
 def referenced_users(log: UILog) -> dict:
     used = {e.user for e in log.events if e.user is not None}
-    return {u.id: u for u in log.users if u.id in used}
+    return {ref: attributes for ref, attributes in log.users.items() if ref in used}
 
 
 def referenced_tasks(log: UILog) -> dict:
     used = {e.task for e in log.events if e.task is not None}
-    return {t.id: t for t in log.tasks if t.id in used}
+    return {ref: attributes for ref, attributes in log.tasks.items() if ref in used}
 
 
 def assert_equivalent(a: UILog, b: UILog) -> None:

@@ -53,15 +53,15 @@ def test_criterion_1_keyword_creation_fixture_reproduction():
 
     log, report = ingest(csv_text)
     assert len(log.events) == 20
-    assert report.events_created == 20
+    assert report.rows_read - len(report.rows_skipped) == 20
 
     check = validate(log)
     assert check.ok and len(check.violations) == 0
 
     matrix = coverage(log)
-    assert matrix.input_value.fraction == "5/20"
-    assert matrix.current_state.fraction == "4/20"
-    assert matrix.target_element.fraction == "17/20"
+    assert matrix["input_value"].fraction == "5/20"
+    assert matrix["current_state"].fraction == "4/20"
+    assert matrix["target_element"].fraction == "17/20"
 
     summary = profile(log)
     assert summary.ui_groups == 6
@@ -227,6 +227,11 @@ def _mutations():
     log = UILog(events=events, traces=(Trace("t1", (0, 1)), Trace("t2", (1,))))
     mutated.append((log, ViolationCode.PARTITION_OVERLAP, {"event_index": 1}))
 
+    log = UILog(
+        events=ok.events + (InteractionEvent("x", current_state="open"),), hierarchy=ok.hierarchy
+    )
+    mutated.append((log, ViolationCode.STATE_WITHOUT_ELEMENT, {"event_index": 20}))
+
     return ok, mutated
 
 
@@ -247,7 +252,7 @@ def test_criterion_6_validator_sensitivity():
         assert located, f"{code} detected but locator {locator} missing: {matches}"
         seen.add(code)
     assert seen == set(ViolationCode)  # every violation kind was exercised
-    done(6, "validator sensitivity, 8 mutation kinds")
+    done(6, "validator sensitivity, 9 mutation kinds")
 
 
 def test_criterion_7_extension_output_is_byte_identical_across_runs():

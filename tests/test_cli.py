@@ -288,6 +288,31 @@ def test_value_under_an_unnamed_column_is_an_operational_error(tmp_path, header)
 
 
 @pytest.mark.parametrize(
+    "cell,message",
+    [
+        ("login/", "row 1: id must be non-empty text"),
+        ("a" * 131073, "row 1: field larger than field limit"),
+    ],
+    ids=["empty-group-id", "long-field"],
+)
+def test_unreadable_csv_row_is_an_operational_error(tmp_path, cell, message):
+    source = tmp_path / "bad.csv"
+    source.write_text(f"Activity,UI group,UI element\nx,{cell},user\n")
+    done = run_child("convert", "-i", source, "-o", tmp_path / "bad.xes")
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;", '"'], ids=["empty", "two", "quote"])
+def test_bad_delimiter_is_an_operational_error(tmp_path, delimiter):
+    done = run_child("convert", "-i", KC, "--delimiter", delimiter, "-o", tmp_path / "kc.xes")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: --delimiter must be one character")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
     "attribute",
     [
         '<date key="time:timestamp" value="2024-01-01T00:00:00.0001Z"/>',

@@ -299,6 +299,13 @@ class TestValues:
         with pytest.raises(TypeError):
             InteractionEvent("x", current_state={1, 2})
 
+    def test_registry_ids_and_attributes_are_checked(self):
+        with pytest.raises(ValueError):
+            UILog(users={"": {}})
+        with pytest.raises(TypeError):
+            UILog(tasks={"t": {"k": object()}})
+        assert UILog(users={"u": {"seen": (1, 2)}}).users == {"u": {"seen": [1, 2]}}
+
 
 class TestGroupPathCodec:
     @pytest.mark.parametrize(

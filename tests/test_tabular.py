@@ -1,15 +1,18 @@
 import csv
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uilog import (
     BadLiteralError,
+    MalformedDocumentError,
     MissingColumnError,
     NoUsableColumnsError,
     Target,
+    UILogError,
     coverage,
     infer_mapping,
     ingest,
@@ -21,6 +24,7 @@ from uilog import (
 )
 from uilog.fixtures import keyword_creation_csv, raw_login_csv
 from uilog.tabular import (
+    _SYNONYMS,
     ColumnMapping,
     parse_list_literal,
     parse_map_literal,
@@ -36,7 +40,7 @@ class TestIngestFixture:
     def test_keyword_creation_csv(self):
         log, report = ingest(keyword_creation_csv())
         assert report.rows_read == 20
-        assert report.events_created == 20
+        assert len(log.events) == 20
         assert report.rows_skipped == ()
         assert len(log.hierarchy.ui_groups) == 6
         assert validate(log).ok
@@ -64,8 +68,8 @@ class TestIngestFixture:
     def test_coverage_matches_hand_counts(self):
         log, _ = ingest(keyword_creation_csv())
         matrix = coverage(log)
-        assert matrix.input_value.fraction == "5/20"
-        assert matrix.current_state.fraction == "4/20"
+        assert matrix["input_value"].fraction == "5/20"
+        assert matrix["current_state"].fraction == "4/20"
 
     def test_order_preserved(self):
         log, _ = ingest(keyword_creation_csv())
@@ -93,10 +97,7 @@ class TestIngestBehavior:
         log, report = ingest(text)
         assert [e.activity_name for e in log.events] == ["ok"]
         assert report.rows_read == 2
-        assert report.events_created == 1
-        assert len(report.rows_skipped) == 1
-        assert "bad timestamp" in report.rows_skipped[0].reason
-        assert report.rows_read == report.events_created + len(report.rows_skipped)
+        assert report.rows_skipped == ("row 2: bad timestamp 'yesterdayish'",)
 
     def test_sub_millisecond_input_truncates_with_warning(self):
         text = "Activity,Timestamp\nx,2024-01-01T00:00:00.123456Z\n"
@@ -127,7 +128,7 @@ class TestIngestBehavior:
         text = "Action type,UI element,UI group\nleft click,go,main\n"
         log, report = ingest(text)
         assert log.events[0].activity_name == "left click go"
-        assert report.synthesized_names == 1
+        assert report.rows_skipped == ()
 
     def test_row_without_name_or_target_is_skipped(self):
         text = "Action type,UI element\nleft click,\n"
@@ -155,8 +156,8 @@ class TestIngestBehavior:
         text = "Activity,User,Task\nx,alice,review\n"
         log, _ = ingest(text)
         assert log.events[0].user == "alice"
-        assert [u.id for u in log.users] == ["alice"]
-        assert [t.id for t in log.tasks] == ["review"]
+        assert log.users == {"alice": {}}
+        assert log.tasks == {"review": {}}
         assert validate(log).ok
 
     def test_semicolon_delimiter(self):
@@ -176,6 +177,42 @@ class TestIngestBehavior:
         mapping = ColumnMapping(activity_name="Activity", extras="ignore")
         log, _ = ingest("Activity,,x\na,b,c\n", mapping)
         assert log.events[0].attributes == {}
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("Activity,UI group\nx,login/\n", "row 1: id must be non-empty text"),
+            ("Activity,UI group\nx,ok\ny,/login\n", "row 2: id must be non-empty text"),
+            ("Activity,UI group\nx,a//b\n", "row 1: id must be non-empty text"),
+            ("Activity,Input\nx," + "a" * 131073 + "\n", "row 1: field larger than field limit"),
+            ("Activity,UI element\nx,a\rb\n", "row 1: new-line character seen"),
+            ("Act\rivity,UI element\nx,a\n", "header: new-line character seen"),
+        ],
+        ids=["trailing-slash", "leading-slash", "double-slash", "long-field", "cr", "cr-in-header"],
+    )
+    def test_unreadable_row_is_a_located_error(self, text, message):
+        with pytest.raises(MalformedDocumentError, match="^" + re.escape(message)):
+            ingest(text)
+
+
+# Header names the synonym table knows, blank ones and unknown ones; cells
+# mixing digits and letters with the characters that csv, the literal
+# parsers and the group path codec treat specially.
+_HEADERS = st.sampled_from(sorted(_SYNONYMS) + ["", " ", "Noise", "Screen width"])
+_CELLS = st.text(alphabet=',:[]{}"/\\\r\n0123456789abcXYZ', max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_HEADERS, min_size=1, max_size=6),
+    st.lists(st.lists(_CELLS, max_size=7), max_size=5),
+)
+def test_ingest_raises_only_uilog_errors(header, rows):
+    text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
+    try:
+        ingest(text)
+    except UILogError:
+        pass
 
 
 @pytest.mark.parametrize("text", [keyword_creation_csv(), raw_login_csv()], ids=["keyword", "login"])

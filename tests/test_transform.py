@@ -17,7 +17,6 @@ from uilog import (
     TriggerNeverFiresWarning,
     UILog,
     UnknownGroupError,
-    UserRef,
     abstract,
     flatten,
     load_case_notion,
@@ -86,7 +85,7 @@ class TestSegment:
             InteractionEvent(f"e{i}", user="u1" if i % 2 == 0 else "u2")
             for i in range(6)
         )
-        log = UILog(events=events, users=(UserRef("u1"), UserRef("u2")))
+        log = UILog(events=events, users={"u1": {}, "u2": {}})
         segmented = segment(log, ByAttribute(key="user"))
         assert partition_of(segmented) == [("u1", [0, 2, 4]), ("u2", [1, 3, 5])]
 
@@ -100,7 +99,7 @@ class TestSegment:
 
     def test_missing_case_attribute_lists_events(self):
         events = (InteractionEvent("a", user="u1"), InteractionEvent("b"))
-        log = UILog(events=events, users=(UserRef("u1"),))
+        log = UILog(events=events, users={"u1": {}})
         with pytest.raises(MissingCaseAttributeError) as error:
             segment(log, ByAttribute(key="user"))
         assert error.value.event_indices == (1,)
@@ -128,7 +127,7 @@ class TestSegment:
             InteractionEvent("c", user="u2", timestamp=T0 + timedelta(seconds=100)),
             InteractionEvent("d", user="u2", timestamp=T0 + timedelta(seconds=400)),
         )
-        log = UILog(events=events, users=(UserRef("u1"), UserRef("u2")))
+        log = UILog(events=events, users={"u1": {}, "u2": {}})
         notion = Composite(parts=(ByAttribute(key="user"), ByTimeGap(threshold=60)))
         segmented = segment(log, notion)
         assert partition_of(segmented) == [

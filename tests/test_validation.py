@@ -8,12 +8,10 @@ from uilog import (
     InteractionEvent,
     SystemNode,
     Target,
-    TaskRef,
     Trace,
     UIGroupNode,
     UIHierarchy,
     UILog,
-    UserRef,
     ViolationCode,
     coverage,
     profile,
@@ -81,11 +79,17 @@ class TestValidate:
         assert codes(report) == [ViolationCode.DUPLICATE_ID]
         assert report.violations[0].node_id == "g"
 
-    def test_duplicate_registry_ids(self):
-        report = validate(UILog(users=(UserRef("u"), UserRef("u"))))
-        assert codes(report) == [ViolationCode.DUPLICATE_ID]
-        report = validate(UILog(tasks=(TaskRef("t"), TaskRef("t"))))
-        assert codes(report) == [ViolationCode.DUPLICATE_ID]
+    def test_state_without_element_located(self):
+        log = UILog(
+            events=(
+                InteractionEvent("a", current_state="open"),
+                InteractionEvent("b", target=Target(groups=("g",)), current_state=["x"]),
+            ),
+            hierarchy=UIHierarchy(ui_groups=(UIGroupNode("g"),)),
+        )
+        report = validate(log)
+        assert codes(report) == [ViolationCode.STATE_WITHOUT_ELEMENT] * 2
+        assert [v.event_index for v in report.violations] == [0, 1]
 
     def test_dangling_event_references(self):
         log = UILog(
@@ -143,24 +147,28 @@ class TestValidate:
 class TestCoverage:
     def test_keyword_creation_counts(self):
         matrix = coverage(keyword_log.build_by_hand())
-        assert matrix.input_value.fraction == "5/20"
-        assert matrix.input_value.ratio == pytest.approx(0.25)
-        assert matrix.target_element.fraction == "17/20"
-        assert matrix.current_state.fraction == "4/20"
-        assert matrix.action_type.fraction == "20/20"
-        assert matrix.ui_hierarchy.fraction == "17/20"
-        assert matrix.application.events_present == 0
-        assert matrix.timestamp.events_present == 0
+        assert list(matrix) == [
+            "action_type", "target_element", "ui_hierarchy", "application",
+            "input_value", "timestamp", "current_state",
+        ]
+        assert matrix["input_value"].fraction == "5/20"
+        assert matrix["input_value"].ratio == pytest.approx(0.25)
+        assert matrix["target_element"].fraction == "17/20"
+        assert matrix["current_state"].fraction == "4/20"
+        assert matrix["action_type"].fraction == "20/20"
+        assert matrix["ui_hierarchy"].fraction == "17/20"
+        assert matrix["application"].events_present == 0
+        assert matrix["timestamp"].events_present == 0
 
     def test_none_action_counts_as_present(self):
         from uilog import Action
 
         log = UILog(events=(InteractionEvent("a", action=Action("none")),))
-        assert coverage(log).action_type.fraction == "1/1"
+        assert coverage(log)["action_type"].fraction == "1/1"
 
     def test_empty_log_all_zero(self):
         matrix = coverage(UILog())
-        for cell in matrix.as_dict().values():
+        for cell in matrix.values():
             assert cell.ratio == 0.0
             assert cell.events_total == 0
 

@@ -14,12 +14,10 @@ from uilog import (
     MalformedDocumentError,
     MissingConceptNameError,
     Target,
-    TaskRef,
     Trace,
     UILog,
     UILogError,
     UnserializableValueError,
-    UserRef,
     emit_extension_definition,
     read_xes,
     validate,
@@ -328,7 +326,7 @@ NESTING_PLACES = {
         + in_event('<string key="uilog:user" value="u">{attr}</string>')
         + "</event></trace></log>",
         "trace 0, event 0",
-        lambda log: log.users[0].attributes["k"],
+        lambda log: log.users["u"]["k"],
     ),
     "in-group-container": (
         "<log><trace><event>"
@@ -507,8 +505,8 @@ class TestRoundTrip:
     def test_user_and_task_registries_round_trip(self):
         log = UILog(
             events=(InteractionEvent("a", user="u1", task="t1"),),
-            users=(UserRef("u1", attributes={"role": "expert"}),),
-            tasks=(TaskRef("t1", attributes={"step": 3}),),
+            users={"u1": {"role": "expert"}},
+            tasks={"t1": {"step": 3}},
         )
         back = read_xes(write_xes(log))
         assert genlogs.referenced_users(back) == genlogs.referenced_users(log)
