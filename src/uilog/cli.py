@@ -68,12 +68,10 @@ def _prepare(args) -> None:
     """Check the csv delimiter, and replace each config file path in
     ``args`` by what the file holds, so that every file is read and
     parsed once."""
-    delimiter = getattr(args, "delimiter", ",")
-    if len(delimiter) != 1 or delimiter in '"\r\n':
-        raise UILogError(
-            f"--delimiter must be one character other than a quote or line break, "
-            f"got {delimiter!r}"
-        )
+    try:
+        tabular._check_delimiter(getattr(args, "delimiter", ","))
+    except BadConfigError as exc:
+        raise BadConfigError(f"--{exc}") from None
     for option, load in (
         ("mapping", tabular.load_mapping),
         ("notion", transform.load_case_notion),

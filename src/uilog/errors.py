@@ -70,7 +70,8 @@ class MissingTimestampsError(UILogError):
 
 
 class BadConfigError(UILogError, ValueError):
-    """A mapping, case notion, or rules file cannot be interpreted."""
+    """A mapping, case notion, or rules file, or a csv delimiter, cannot
+    be interpreted."""
 
 
 class UnknownGroupError(UILogError):

@@ -9,11 +9,13 @@ attributes.
 
 The UI hierarchy is a composition forest with four levels: systems hold
 applications, applications hold UI groups and UI elements, and UI groups
-nest other groups and elements. Node ids only need to be unique among
-siblings, so the same element id may exist under different groups (think
-of cell "A1" on two spreadsheet tabs). Events therefore record their
-location as the full id chain (:class:`Target`), and
-:meth:`UIHierarchy.resolve` maps that chain to the most specific node.
+nest other groups and elements. ``_PARENT_TYPES`` states these rules
+once, for the location index, the builder and validation alike. Node ids
+only need to be unique among siblings, so the same element id may exist
+under different groups (think of cell "A1" on two spreadsheet tabs).
+Events therefore record their location as the full id chain
+(:class:`Target`), and :meth:`UIHierarchy.resolve` maps that chain to
+the most specific node.
 
 All types are immutable after construction; operations return new values.
 """
@@ -149,8 +151,9 @@ def _check_id(node_id) -> None:
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
 
-    Skips ``__post_init__``: for the loaders only, which check and
-    normalize every value where they first type it and pass every field.
+    Skips ``__post_init__``: for the loaders and the builder only, which
+    check and normalize every value where they first type it and pass
+    every field.
     """
     instance = object.__new__(cls)
     instance.__dict__.update(fields)
@@ -228,12 +231,16 @@ class UIElementNode:
 #: Any node a resolved target may point at.
 TargetNode = Union[UIElementNode, UIGroupNode, ApplicationNode, SystemNode]
 
-_LEVEL_BY_TYPE = {
-    SystemNode: Level.SYSTEM,
-    ApplicationNode: Level.APPLICATION,
-    UIGroupNode: Level.GROUP,
-    UIElementNode: Level.ELEMENT,
+#: The composition rules, stated once: each node type, in level order,
+#: and the node types it may hang under.
+_PARENT_TYPES = {
+    SystemNode: (),
+    ApplicationNode: (SystemNode,),
+    UIGroupNode: (UIGroupNode, ApplicationNode),
+    UIElementNode: (UIGroupNode, ApplicationNode),
 }
+
+_LEVEL_BY_TYPE = dict(zip(_PARENT_TYPES, Level))
 
 
 def level_of(node: TargetNode) -> Level:
@@ -372,61 +379,55 @@ class UIHierarchy:
         )
 
     @cached_property
-    def _member_ids(self) -> frozenset:
-        return frozenset(id(n) for n in self.all_nodes())
+    def _located(self) -> dict:
+        """id of each member → (system id, application id, group id path,
+        element id), or None where its chain leaves the hierarchy, cycles
+        or links types that :data:`_PARENT_TYPES` does not admit.
+
+        A node's location is its parent's with its own id added.
+        """
+        located = dict.fromkeys(map(id, self.all_nodes()))
+        pending = [node for node in self.all_nodes() if type(node) in _PARENT_TYPES]
+        while pending:
+            waiting = []
+            for node in pending:
+                kind = type(node)
+                parent = parent_of(node)
+                if parent is None:
+                    above = _NOWHERE
+                elif located.get(id(parent)) and type(parent) in _PARENT_TYPES[kind]:
+                    above = located[id(parent)]
+                else:
+                    waiting.append(node)
+                    continue
+                located[id(node)] = _extend(above, kind, node.id)
+            if len(waiting) == len(pending):
+                break
+            pending = waiting
+        return located
 
     @cached_property
     def _locations(self) -> dict:
-        """Location (see :meth:`_location`) → first node registered there.
-
-        Nodes whose parent chain is broken get no entry.
-        """
+        """Location (see :attr:`_located`) → first node registered there."""
+        located = self._located
         index = {}
         for node in self.all_nodes():
-            location = self._location(node)
+            location = located.get(id(node))
             if location is not None:
                 index.setdefault(location, node)
         return index
 
-    def _location(self, node: TargetNode) -> Optional[tuple]:
-        """(system id, application id, group id path, element id) of a node.
-
-        Levels the node does not hang under are None or the empty path.
-        None when the parent chain is broken: it cycles, leaves the
-        hierarchy, or links levels composition does not allow.
-        """
-        members = self._member_ids
-        element = application = system = None
-        groups = []
-        current = node
-        if isinstance(current, UIElementNode):
-            element, current = current.id, current.parent
-        while isinstance(current, UIGroupNode) and id(current) in members:
-            if len(groups) == len(self.ui_groups):
-                return None  # a cycle
-            groups.append(current.id)
-            current = current.parent
-        if isinstance(current, ApplicationNode) and id(current) in members:
-            application, current = current.id, current.system
-        if isinstance(current, SystemNode) and id(current) in members:
-            if application is None and current is not node:
-                return None  # only applications compose into systems
-            system, current = current.id, None
-        if current is not None:
-            return None
-        return system, application, tuple(reversed(groups)), element
-
     def __contains__(self, node) -> bool:
-        return id(node) in self._member_ids
+        return id(node) in self._located
 
     def lookup(self, target: Target) -> tuple:
         """The nodes a target addresses: (element, group, application, system).
 
         ``group`` is the node at the full recorded group path. An entry is
-        None where its level is not recorded or not found. This is the one
-        place that applies the rule, stated on :class:`Target`, that a
-        system without an application does not scope the group/element
-        chain.
+        None where its level is not recorded or not found. Only
+        applications hang under a system (:data:`_PARENT_TYPES`), so a
+        system recorded without an application does not scope the
+        group/element chain, as :class:`Target` states.
         """
         get = self._locations.get
         element, path, application, system = (
@@ -468,7 +469,8 @@ class UIHierarchy:
         return node
 
     def ancestors(self, node: TargetNode) -> list:
-        """Parents of a member node, nearest first."""
+        """Parents of a member node, nearest first; CycleError if the
+        chain holds more parents than the hierarchy has nodes."""
         if node not in self:
             raise DanglingReferenceError(
                 f"node {node.id!r} is not part of this hierarchy", node_id=node.id
@@ -487,15 +489,30 @@ class UIHierarchy:
         """The Target chain that addresses a member node.
 
         Raises DanglingReferenceError for a foreign node or a broken
-        parent chain (see :meth:`_location`).
+        parent chain (see :attr:`_located`).
         """
-        location = self._location(node) if node in self else None
+        location = self._located.get(id(node))
         if location is None:
             raise DanglingReferenceError(
                 f"node {node.id!r} has no location in this hierarchy", node_id=node.id
             )
         system, application, groups, element = location
         return Target(element=element, groups=groups, application=application, system=system)
+
+
+_NOWHERE = (None, None, (), None)
+
+
+def _extend(location: tuple, kind: type, node_id: str) -> tuple:
+    """The location of a ``kind`` node ``node_id`` under the node at ``location``."""
+    system, application, groups, element = location
+    if kind is UIElementNode:
+        return system, application, groups, node_id
+    if kind is UIGroupNode:
+        return system, application, groups + (node_id,), None
+    if kind is ApplicationNode:
+        return system, node_id, (), None
+    return node_id, None, (), None
 
 
 def _not_found(target: Target, level: Level) -> DanglingReferenceError:
@@ -516,9 +533,10 @@ def _not_found(target: Target, level: Level) -> DanglingReferenceError:
 class _Pending:
     """Mutable node record used while a hierarchy is being assembled."""
 
-    __slots__ = ("id", "parent", "attributes")
+    __slots__ = ("kind", "id", "parent", "attributes")
 
-    def __init__(self, node_id, parent):
+    def __init__(self, kind, node_id, parent):
+        self.kind = kind
         self.id = node_id
         self.parent = parent
         self.attributes = {}
@@ -536,10 +554,7 @@ class HierarchyBuilder:
     """
 
     def __init__(self):
-        self._systems = {}
-        self._applications = {}
-        self._groups = {}
-        self._elements = {}
+        self._records = {}  # location, as UIHierarchy.lookup keys nodes -> _Pending
         self._chains = {}  # (system, application, groups, element) -> (Target, records)
 
     def chain(
@@ -561,16 +576,14 @@ class HierarchyBuilder:
         (tuples) to attribute sets. Values are checked when :meth:`build`
         materializes the nodes, so an unsupported or too deeply nested
         attribute value raises TypeError or ValueError from there; an
-        empty id raises ValueError here. A system recorded without an
-        application stays a free-standing root next to the group/element
-        chain. Each distinct location is walked once; later calls for it
-        reuse its Target and node records.
+        empty id raises ValueError here. Each distinct location is walked
+        once; later calls for it reuse its Target and node records.
         """
         groups = tuple(groups)
         key = (system, application, groups, element)
         try:
             known = self._chains.get(key)
-        except TypeError:  # an unhashable id, which Target rejects in _walk
+        except TypeError:  # an unhashable id, which _walk rejects
             known = None
         if known is None:
             known = self._chains[key] = self._walk(*key)
@@ -585,66 +598,39 @@ class HierarchyBuilder:
 
     def _walk(self, system, application, groups, element) -> tuple:
         """(Target, system, application, group and element records) of a
-        location, creating the records it lacks."""
-        target = Target(element=element, groups=groups, application=application, system=system)
-        system_rec = None
-        if system is not None:
-            system_rec = self._systems.get(system) or _add(
-                self._systems, system, system, None
-            )
-        parent = app_rec = None
-        if application is not None:
-            app_key = (system, application)
-            parent = app_rec = self._applications.get(app_key) or _add(
-                self._applications, app_key, application, system_rec
-            )
-        group_recs = []
-        for gid in groups:
-            key = (id(parent) if parent else None, gid)
-            parent = self._groups.get(key) or _add(self._groups, key, gid, parent)
-            group_recs.append(parent)
-        element_rec = None
-        if element is not None:
-            key = (id(parent) if parent else None, element)
-            element_rec = self._elements.get(key) or _add(
-                self._elements, key, element, parent
-            )
+        location, creating the records it lacks. Each level hangs under the
+        one above where :data:`_PARENT_TYPES` admits it, else is a root."""
+        levels = [(SystemNode, system), (ApplicationNode, application)]
+        levels += [(UIGroupNode, gid) for gid in groups]
+        levels.append((UIElementNode, element))
+        records = []
+        parent = None
+        for kind, node_id in levels:
+            if node_id is None:
+                records.append(None)
+                continue
+            _check_id(node_id)
+            if parent is None or parent.kind not in _PARENT_TYPES[kind]:
+                parent, location = None, _NOWHERE
+            location = _extend(location, kind, node_id)
+            rec = self._records.get(location)
+            if rec is None:
+                rec = self._records[location] = _Pending(kind, node_id, parent)
+            records.append(rec)
+            parent = rec
+        target = _trusted(Target, element=element, groups=groups, application=application,
+                          system=system)
+        system_rec, app_rec, *group_recs, element_rec = records
         return target, system_rec, app_rec, group_recs, element_rec
 
     def build(self) -> UIHierarchy:
         built = {}
-        systems = []
-        for rec in self._systems.values():
-            node = SystemNode(rec.id, attributes=rec.attributes)
-            built[id(rec)] = node
-            systems.append(node)
-        applications = []
-        for rec in self._applications.values():
-            parent = built[id(rec.parent)] if rec.parent is not None else None
-            node = ApplicationNode(rec.id, system=parent, attributes=rec.attributes)
-            built[id(rec)] = node
-            applications.append(node)
-        groups = []
-        for rec in self._groups.values():
-            parent = built[id(rec.parent)] if rec.parent is not None else None
-            node = UIGroupNode(rec.id, parent=parent, attributes=rec.attributes)
-            built[id(rec)] = node
-            groups.append(node)
-        elements = []
-        for rec in self._elements.values():
-            parent = built[id(rec.parent)] if rec.parent is not None else None
-            elements.append(UIElementNode(rec.id, parent=parent, attributes=rec.attributes))
-        return UIHierarchy(
-            systems=tuple(systems),
-            applications=tuple(applications),
-            ui_groups=tuple(groups),
-            ui_elements=tuple(elements),
-        )
-
-
-def _add(table: dict, key, node_id: str, parent) -> _Pending:
-    rec = table[key] = _Pending(node_id, parent)
-    return rec
+        levels = {kind: [] for kind in _PARENT_TYPES}  # in UIHierarchy's field order
+        for rec in self._records.values():
+            parents = () if rec.parent is None else (built[id(rec.parent)],)
+            node = built[id(rec)] = rec.kind(rec.id, *parents, attributes=rec.attributes)
+            levels[rec.kind].append(node)
+        return UIHierarchy(*levels.values())
 
 
 def _merge(rec: Optional[_Pending], attributes: Optional[Mapping]) -> None:

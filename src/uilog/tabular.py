@@ -382,6 +382,17 @@ def _rows(reader) -> Iterator:
         number += 1
 
 
+def _check_delimiter(delimiter) -> None:
+    """Raise BadConfigError unless ``delimiter`` is one character that
+    every supported Python's csv module splits on alike: not a quote, a
+    line break or NUL."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n\0':
+        raise BadConfigError(
+            "delimiter must be one character other than a quote, line break or NUL, "
+            f"got {delimiter!r}"
+        )
+
+
 def ingest(
     source: Union[str, Iterable[str]],
     mapping: Optional[ColumnMapping] = None,
@@ -396,8 +407,10 @@ def ingest(
     with a warning, and activity names are synthesized from action type
     and target id when no activity column is mapped. A row the csv module
     cannot split, or whose group path holds an empty id, raises a
-    MalformedDocumentError naming the row.
+    MalformedDocumentError naming the row; a bad ``delimiter`` raises
+    BadConfigError.
     """
+    _check_delimiter(delimiter)
     if isinstance(source, str):
         lines = io.StringIO(source)
     else:
@@ -619,8 +632,9 @@ def write_table(
     every populated field, extra event attributes get their own columns,
     and traced logs gain a ``Trace`` column. The tabular format is
     text-typed: numbers, booleans, and timestamps become their printed
-    form.
+    form. A bad ``delimiter`` raises BadConfigError.
     """
+    _check_delimiter(delimiter)
     mapping = mapping or ColumnMapping()
     column_to_field = {v: k for k, v in mapping.mapped().items()}
 

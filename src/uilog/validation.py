@@ -14,16 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    ApplicationNode,
-    Level,
-    SystemNode,
-    UIGroupNode,
-    UIHierarchy,
-    UILog,
-    level_of,
-    parent_of,
-)
+from .model import _PARENT_TYPES, UIHierarchy, UILog, level_of, parent_of
 from .errors import CycleError, DanglingReferenceError, NoTargetError
 
 
@@ -63,13 +54,6 @@ class ValidationReport:
         return not self.violations
 
 
-_ALLOWED_PARENTS = {
-    Level.APPLICATION: (SystemNode,),
-    Level.GROUP: (UIGroupNode, ApplicationNode),
-    Level.ELEMENT: (UIGroupNode, ApplicationNode),
-}
-
-
 def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
     out = []
 
@@ -85,15 +69,13 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
                     message=f"parent of {node.id!r} is not registered in the hierarchy",
                 )
             )
-        allowed = _ALLOWED_PARENTS[level_of(node)]
-        if not isinstance(parent, allowed):
-            kind = type(parent).__name__
+        if not isinstance(parent, _PARENT_TYPES.get(type(node), ())):
             out.append(
                 Violation(
                     ViolationCode.LEVEL_VIOLATION,
                     node_id=node.id,
                     message=f"{node.id!r} ({level_of(node).name.lower()}) cannot be "
-                    f"parented to {kind}",
+                    f"parented to {type(parent).__name__}",
                 )
             )
 

@@ -515,27 +515,36 @@ def read_xes(
             raise MalformedDocumentError(f"{where}: {exc}") from exc
 
     trace_elements = []
+    has_traces = False
     for child in root:
         tag = _local_name(child.tag)
         if tag in _STRUCTURAL_TAGS:
             continue
-        if tag == "trace":
-            trace_elements.append(child)
-            continue
-        if tag == "event":
-            # Tolerated deviation: events directly under <log>.
+        if tag in ("trace", "event"):
+            has_traces = has_traces or tag == "trace"
             trace_elements.append(child)
             continue
         key, value, _ = _parse_attribute(child, "log")
         key = aliases.get(key, key)
         if key == KEY_UNTRACED:
-            untraced = bool(value)
+            if not isinstance(value, bool):
+                raise MalformedDocumentError(
+                    f"log: {KEY_UNTRACED} must be a boolean, got {value!r}"
+                )
+            untraced = value
         else:
             log_attributes[key] = value
+    # A document written untraced holds one wrapping trace, which is
+    # folded away below; otherwise its traces partition the events.
+    traced = has_traces and not untraced
 
     for position, trace_element in enumerate(trace_elements):
         if _local_name(trace_element.tag) == "event":
-            read_event(trace_element, f"log event {len(events)}")
+            where = f"log event {len(events)}"
+            if traced:
+                # Tolerated only without traces: here no trace would cover it.
+                raise MalformedDocumentError(f"{where}: an event outside every trace")
+            read_event(trace_element, where)
             continue
         trace_id = None
         trace_attributes = {}
@@ -565,13 +574,6 @@ def read_xes(
         except ValueError as exc:
             raise MalformedDocumentError(f"trace {position}: {exc}") from exc
 
-    # Stray log-level events ended up as pseudo-traces above only when the
-    # document mixed levels; fold them away for untraced documents.
-    if untraced or not traces:
-        final_traces = None
-    else:
-        final_traces = tuple(traces)
-
     try:
         return UILog(
             events=tuple(events),
@@ -579,7 +581,7 @@ def read_xes(
             users=users,
             tasks=tasks,
             attributes=log_attributes,
-            traces=final_traces,
+            traces=tuple(traces) if traced else None,
         )
     except ValueError as exc:
         raise MalformedDocumentError(f"log: {exc}") from exc

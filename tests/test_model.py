@@ -1,5 +1,6 @@
 import contextlib
 import random
+from dataclasses import replace
 import signal
 from datetime import datetime, timedelta, timezone
 
@@ -367,6 +368,32 @@ def test_parent_walks_terminate_within_node_count(seed):
             steps += 1
             assert steps <= h.node_count
             current = parent_of(current)
+
+
+@given(st.integers(0, 2**31))
+def test_locations_resolve_and_levels_keep_first_mention_order(seed):
+    import genlogs
+
+    # random_log draws its chains first, so the same seed replays them.
+    targets = [t for t, _ in genlogs._chains(random.Random(seed), HierarchyBuilder())]
+    h = genlogs.random_log(random.Random(seed), max_events=5).hierarchy
+    mentioned = {level: [] for level in Level}
+    for t in targets:
+        scope = t.system if t.application is not None else None
+        chain = [(Level.SYSTEM, Target(system=t.system)) if t.system else None,
+                 (Level.APPLICATION, Target(application=t.application, system=t.system))
+                 if t.application else None]
+        chain += [(Level.GROUP, Target(groups=t.groups[:depth], application=t.application,
+                                       system=scope)) for depth in range(1, len(t.groups) + 1)]
+        chain.append((Level.ELEMENT, replace(t, system=scope)) if t.element else None)
+        for level, location in filter(None, chain):
+            if location not in mentioned[level]:
+                mentioned[level].append(location)
+    levels = (h.systems, h.applications, h.ui_groups, h.ui_elements)
+    for level, nodes in zip(Level, levels):
+        assert [h.location_of(n) for n in nodes] == mentioned[level]
+        for node in nodes:
+            assert h.resolve(h.location_of(node)) is node
 
 
 def test_sorting_by_timestamp_is_noop_on_strict_logs():

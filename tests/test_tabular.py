@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uilog import (
+    BadConfigError,
     BadLiteralError,
     MalformedDocumentError,
     MissingColumnError,
@@ -163,6 +164,15 @@ class TestIngestBehavior:
     def test_semicolon_delimiter(self):
         log, _ = ingest("Activity;UI element;UI group\nclick go;go;main\n", delimiter=";")
         assert log.events[0].target.element == "go"
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", '"', "\r", "\n", "\0", None],
+                             ids=["empty", "two", "quote", "cr", "lf", "nul", "none"])
+    def test_bad_delimiter_is_a_config_error_on_every_python(self, delimiter):
+        message = r"^delimiter must be one character other than a quote, line break or NUL"
+        with pytest.raises(BadConfigError, match=message):
+            ingest("Activity\nx\n", delimiter=delimiter)
+        with pytest.raises(BadConfigError, match=message):
+            write_table(keyword_log.build_by_hand(), delimiter=delimiter)
 
     @pytest.mark.parametrize("header", ["Activity,,x", "Activity, ,x"], ids=["empty", "blank"])
     def test_value_under_an_unnamed_column_is_an_error(self, header):

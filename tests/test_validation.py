@@ -5,10 +5,12 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from uilog import (
+    ApplicationNode,
     InteractionEvent,
     SystemNode,
     Target,
     Trace,
+    UIElementNode,
     UIGroupNode,
     UIHierarchy,
     UILog,
@@ -27,6 +29,88 @@ import keyword_log
 
 def codes(report):
     return [v.code for v in report.violations]
+
+
+def faulty_log():
+    """A hand-built hierarchy with every kind of composition fault at
+    every level that can have it, and events that address it."""
+    s1, s2 = SystemNode("s"), SystemNode("s")
+    a1 = ApplicationNode("a", system=s1)
+    a2 = ApplicationNode("a", system=s1)
+    g1 = UIGroupNode("g", parent=a1)
+    g2 = UIGroupNode("g", parent=a1)
+    e1 = UIElementNode("e", parent=g1)
+    e2 = UIElementNode("e", parent=g1)
+    a_cycle = ApplicationNode("a-cycle")
+    g_cycle = UIGroupNode("g-cycle", parent=a_cycle)
+    object.__setattr__(a_cycle, "system", g_cycle)
+    g_loop1 = UIGroupNode("g-loop1")
+    g_loop2 = UIGroupNode("g-loop2", parent=g_loop1)
+    object.__setattr__(g_loop1, "parent", g_loop2)
+    f1 = UIGroupNode("f1")  # a cycle outside the hierarchy
+    f2 = UIGroupNode("f2", parent=f1)
+    object.__setattr__(f1, "parent", f2)
+    e_loop = UIElementNode("e-loop")
+    object.__setattr__(e_loop, "parent", e_loop)
+    hierarchy = UIHierarchy(
+        systems=(s1, s2),
+        applications=(
+            a1, a2,
+            ApplicationNode("a-dangling", system=SystemNode("foreign")),
+            ApplicationNode("a-level", system=g1),
+            a_cycle,
+        ),
+        ui_groups=(
+            g1, g2, g_cycle, g_loop1, g_loop2,
+            UIGroupNode("g-dangling", parent=UIGroupNode("foreign")),
+            UIGroupNode("g-level", parent=s1),
+        ),
+        ui_elements=(
+            e1, e2, e_loop,
+            UIElementNode("e-dangling", parent=ApplicationNode("foreign")),
+            UIElementNode("e-level", parent=s1),
+            UIElementNode("e-under-element", parent=e1),
+            UIElementNode("e-far", parent=f1),
+        ),
+    )
+    events = (
+        InteractionEvent("found", target=Target(element="e", groups=("g",), application="a", system="s")),
+        InteractionEvent("lost", target=Target(element="nope", groups=("g",), application="a", system="s")),
+        InteractionEvent("cyclic", target=Target(groups=("g-loop2", "g-loop1"))),
+        InteractionEvent("free system", target=Target(element="e-level", system="s")),
+    )
+    return UILog(events=events, hierarchy=hierarchy)
+
+
+FAULTY_REPORT = """\
+23 violations (4 events, 21 nodes checked)
+  [DanglingReference] node 'a-dangling': parent of 'a-dangling' is not registered in the hierarchy
+  [LevelViolation] node 'a-level': 'a-level' (application) cannot be parented to UIGroupNode
+  [LevelViolation] node 'a-cycle': 'a-cycle' (application) cannot be parented to UIGroupNode
+  [DanglingReference] node 'g-dangling': parent of 'g-dangling' is not registered in the hierarchy
+  [LevelViolation] node 'g-level': 'g-level' (group) cannot be parented to SystemNode
+  [LevelViolation] node 'e-loop': 'e-loop' (element) cannot be parented to UIElementNode
+  [DanglingReference] node 'e-dangling': parent of 'e-dangling' is not registered in the hierarchy
+  [LevelViolation] node 'e-level': 'e-level' (element) cannot be parented to SystemNode
+  [LevelViolation] node 'e-under-element': 'e-under-element' (element) cannot be parented to UIElementNode
+  [DanglingReference] node 'e-far': parent of 'e-far' is not registered in the hierarchy
+  [CycleDetected] node 'a-cycle': parent chain from 'a-cycle' does not terminate
+  [CycleDetected] node 'g-cycle': parent chain from 'g-cycle' does not terminate
+  [CycleDetected] node 'g-loop1': parent chain from 'g-loop1' does not terminate
+  [CycleDetected] node 'g-loop2': parent chain from 'g-loop2' does not terminate
+  [CycleDetected] node 'e-loop': parent chain from 'e-loop' does not terminate
+  [CycleDetected] node 'e-far': parent chain from 'e-far' does not terminate
+  [DuplicateId] node 's': 2 sibling system nodes share the id 's'
+  [DuplicateId] node 'a': 2 sibling application nodes share the id 'a'
+  [DuplicateId] node 'g': 2 sibling group nodes share the id 'g'
+  [DuplicateId] node 'e': 2 sibling element nodes share the id 'e'
+  [DanglingReference] event 1, node 'nope': element 'nope' not found under group path 'g'
+  [DanglingReference] event 2, node 'g-loop1': group path 'g-loop2/g-loop1' not found
+  [DanglingReference] event 3, node 'e-level': element 'e-level' not found under group path ''"""
+
+
+def test_composition_faults_report_exactly():
+    assert render_report(validate(faulty_log())) == FAULTY_REPORT
 
 
 class TestValidate:

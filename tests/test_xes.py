@@ -211,12 +211,35 @@ def test_bad_values_are_located_document_errors(attribute):
         ('<log><trace><string key="" value="x"/></trace></log>', "trace 0"),
         ('<log><string key="" value="x"/><trace/></log>', "log"),
         ('<log><string key="a" value="\ud800"/></log>', "not well-formed"),
+        (
+            '<log><trace><event><string key="concept:name" value="a"/></event></trace>'
+            '<event><string key="concept:name" value="b"/></event></log>',
+            "log event 1: an event outside every trace",
+        ),
+        (
+            '<log><string key="uilog:untraced" value="false"/>'
+            '<trace><event><string key="concept:name" value="a"/></event></trace>'
+            '<trace><event><string key="concept:name" value="b"/></event></trace></log>',
+            "log: uilog:untraced must be a boolean, got 'false'",
+        ),
     ],
-    ids=["empty-trace-key", "empty-log-key", "lone-surrogate"],
+    ids=["empty-trace-key", "empty-log-key", "lone-surrogate", "event-beside-traces",
+         "untraced-not-boolean"],
 )
 def test_bad_documents_outside_events_are_document_errors(document, where):
     with pytest.raises(MalformedDocumentError, match=where):
         read_xes(document)
+
+
+@pytest.mark.parametrize("untraced", ["", '<boolean key="uilog:untraced" value="true"/>'],
+                         ids=["no-traces", "untraced-wrapper"])
+def test_events_directly_under_log_load_where_no_trace_partitions(untraced):
+    event = '<event><string key="concept:name" value="{}"/></event>'
+    wrapped = f"<trace>{event.format('b')}</trace>" if untraced else event.format("b")
+    log = read_xes(f"<log>{untraced}{event.format('a')}{wrapped}</log>")
+    assert [e.activity_name for e in log.events] == ["a", "b"]
+    assert log.traces is None
+    assert validate(log).ok
 
 
 @settings(max_examples=200, deadline=None)
