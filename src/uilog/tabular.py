@@ -610,12 +610,14 @@ def _field_cell(event: InteractionEvent, name: str, ts_format):
 def _render_cell(value, ts_format) -> str:
     if value is None:
         return ""
-    if isinstance(value, Mapping):
-        return render_map_literal(value)
+    if isinstance(value, str):  # most cells
+        return value
     if isinstance(value, (list, tuple)):
         return render_list_literal(value)
     if isinstance(value, datetime):
         return _render_timestamp(value, ts_format)
+    if isinstance(value, (dict, Mapping)):  # the ABC check is slow, so it comes last
+        return render_map_literal(value)
     return _plain_text(value)
 
 

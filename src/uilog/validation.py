@@ -58,6 +58,15 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
     out = []
 
     for node in hierarchy.all_nodes():
+        if type(node) not in _PARENT_TYPES:  # the table admits exact node types only
+            out.append(
+                Violation(
+                    ViolationCode.LEVEL_VIOLATION,
+                    node_id=node.id,
+                    message=f"{node.id!r} is a {type(node).__name__}, not a hierarchy node type",
+                )
+            )
+            continue
         parent = parent_of(node)
         if parent is None:
             continue
@@ -69,7 +78,7 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
                     message=f"parent of {node.id!r} is not registered in the hierarchy",
                 )
             )
-        if not isinstance(parent, _PARENT_TYPES.get(type(node), ())):
+        if not isinstance(parent, _PARENT_TYPES[type(node)]):
             out.append(
                 Violation(
                     ViolationCode.LEVEL_VIOLATION,
@@ -89,8 +98,9 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
 
     siblings = Counter()
     for node in hierarchy.all_nodes():
-        parent = parent_of(node)
-        siblings[(level_of(node), id(parent) if parent is not None else None, node.id)] += 1
+        if type(node) in _PARENT_TYPES:
+            parent = parent_of(node)
+            siblings[(level_of(node), id(parent) if parent is not None else None, node.id)] += 1
     for (level, _parent, node_id), count in siblings.items():
         if count > 1:
             out.append(

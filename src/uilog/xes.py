@@ -20,8 +20,13 @@ appended to one list of pieces, indented from a precomputed table and
 escaped as ElementTree escapes attribute values, and the list is joined
 once; the context of each distinct target, and the group path element of
 each distinct group path, is rendered once per document, and each event
-writes its own element state into its target's context. ElementTree is
-used only for reading, and the reader checks and normalizes each value
+writes its own element state into its target's context.
+
+The reader parses incrementally: it feeds the text to an ElementTree
+parser in 64 KiB slices and, after each slice, reads the children of
+``<log>`` and of the open ``<trace>`` that the parser has finished and
+deletes them from the tree, so the tree holds about one slice of the
+document rather than all of it. It checks and normalizes each value
 where it types it, so the model is built without a second pass.
 """
 
@@ -471,6 +476,135 @@ _EVENT_FIELD_KEYS = frozenset(
 
 _STRUCTURAL_TAGS = frozenset({"extension", "global", "classifier"})
 
+#: Characters of the document fed to the parser at a time.
+_CHUNK = 64 * 1024
+
+
+class _LogReader:
+    """What one :func:`read_xes` call has read of its document so far.
+
+    :meth:`take` reads, in document order, the children of ``<log>`` that
+    the parser has finished, and of the last one, when it is a trace
+    still open, its finished children; it deletes what it read from the
+    tree. Only :meth:`finish` decides what needs the whole document.
+    """
+
+    def __init__(self, aliases: dict, lenient_names: bool):
+        self.aliases = aliases
+        self.lenient_names = lenient_names
+        self.builder = HierarchyBuilder()
+        self.users: dict = {}
+        self.tasks: dict = {}
+        self.attributes = {}
+        self.events = []
+        self.traces = []
+        self.untraced = False
+        self.stray = None  # where the first event directly under <log> is
+        self.position = 0  # of the next trace or event directly under <log>
+        # The trace element being read, its position and what it has given so far.
+        self.open = None
+        self.trace_position, self.trace_id, self.trace_attributes, self.indices = 0, None, {}, []
+
+    def take(self, holder: ET.Element, complete: bool) -> None:
+        """Read what the parser has finished below ``holder``, the parent of
+        ``<log>``; with ``complete`` the parser has finished the document."""
+        if not len(holder):
+            return
+        log = holder[0]
+        if _local_name(log.tag) != "log":
+            raise MalformedDocumentError(
+                f"expected a <log> document, found <{_local_name(log.tag)}>"
+            )
+        done = len(log) if complete else len(log) - 1  # the last child may still be open
+        for child in log[:done]:
+            self._child(child)
+        del log[:done]
+        if not complete and len(log) and _local_name(log[0].tag) == "trace":
+            self._trace(log[0], False)
+
+    def _child(self, element: ET.Element) -> None:
+        tag = _local_name(element.tag)
+        if tag == "trace":
+            self._trace(element, True)
+        elif tag == "event":
+            where = f"log event {len(self.events)}"
+            self.stray = self.stray or where
+            self.position += 1
+            self._event(element, where)
+        elif tag not in _STRUCTURAL_TAGS:
+            key, value, _ = _parse_attribute(element, "log")
+            key = self.aliases.get(key, key)
+            if key == KEY_UNTRACED:
+                if not isinstance(value, bool):
+                    raise MalformedDocumentError(
+                        f"log: {KEY_UNTRACED} must be a boolean, got {value!r}"
+                    )
+                self.untraced = value
+            else:
+                self.attributes[key] = value
+
+    def _trace(self, element: ET.Element, complete: bool) -> None:
+        if element is not self.open:
+            self.open, self.trace_position = element, self.position
+            self.trace_id, self.trace_attributes, self.indices = None, {}, []
+            self.position += 1
+        where = f"trace {self.trace_position}"
+        done = len(element) if complete else len(element) - 1
+        for child in element[:done]:
+            tag = _local_name(child.tag)
+            if tag == "event":
+                self._event(child, f"{where}, event {len(self.indices)}")
+                self.indices.append(len(self.events) - 1)
+            elif tag not in _STRUCTURAL_TAGS:
+                key, value, _ = _parse_attribute(child, where)
+                key = self.aliases.get(key, key)
+                if key == KEY_CONCEPT_NAME:
+                    self.trace_id = str(value)
+                else:
+                    self.trace_attributes[key] = value
+        del element[:done]
+        if not complete:
+            return
+        self.open = None
+        try:
+            self.traces.append(
+                Trace(
+                    id=self.trace_id if self.trace_id else f"trace_{self.trace_position}",
+                    events=tuple(self.indices),
+                    attributes=self.trace_attributes,
+                )
+            )
+        except ValueError as exc:
+            raise MalformedDocumentError(f"{where}: {exc}") from exc
+
+    def _event(self, element: ET.Element, where: str) -> None:
+        try:
+            self.events.append(
+                _read_event(element, where, self.builder, self.users, self.tasks,
+                            self.aliases, self.lenient_names)
+            )
+        except ValueError as exc:  # an empty id or key, nesting too deep
+            raise MalformedDocumentError(f"{where}: {exc}") from exc
+
+    def finish(self) -> UILog:
+        # A document written untraced holds one wrapping trace, which is
+        # folded away here; otherwise its traces partition the events.
+        traced = bool(self.traces) and not self.untraced
+        if traced and self.stray is not None:
+            # Tolerated only without traces: here no trace would cover it.
+            raise MalformedDocumentError(f"{self.stray}: an event outside every trace")
+        try:
+            return UILog(
+                events=tuple(self.events),
+                hierarchy=self.builder.build(),
+                users=self.users,
+                tasks=self.tasks,
+                attributes=self.attributes,
+                traces=tuple(self.traces) if traced else None,
+            )
+        except ValueError as exc:
+            raise MalformedDocumentError(f"log: {exc}") from exc
+
 
 def read_xes(
     source: str,
@@ -487,101 +621,27 @@ def read_xes(
     keys before interpretation. With ``lenient_names`` an event without
     concept:name loads with an empty activity name (so validation can
     report it) instead of raising MissingConceptNameError.
+
+    The document is read as it is parsed, so errors come in document
+    order: a syntax error late in a document does not pre-empt a fault
+    in an earlier event or attribute, unless that is the last one the
+    parser finished before the error. Only an event directly under
+    ``<log>`` beside traces is reported at the end, since
+    ``uilog:untraced`` may follow it.
     """
-    aliases = dict(aliases or {})
+    reader = _LogReader(dict(aliases or {}), lenient_names)
+    tree = ET.TreeBuilder()
+    holder = tree.start("", {})  # <log> is holder[0] while it is parsed
+    parser = ET.XMLParser(target=tree)
     try:
-        root = ET.fromstring(source)
+        for start in range(0, len(source), _CHUNK):
+            parser.feed(source[start : start + _CHUNK])
+            reader.take(holder, False)
+        parser.close()
     except (ET.ParseError, ValueError) as exc:
+        if isinstance(exc, UnicodeEncodeError):  # a lone surrogate, located in its slice
+            exc.object, exc.start, exc.end = source, start + exc.start, start + exc.end
+        reader.take(holder, False)  # what the parser finished before the error comes first
         raise MalformedDocumentError(f"not well-formed XML: {exc}") from exc
-    if _local_name(root.tag) != "log":
-        raise MalformedDocumentError(
-            f"expected a <log> document, found <{_local_name(root.tag)}>"
-        )
-
-    builder = HierarchyBuilder()
-    users: dict = {}
-    tasks: dict = {}
-    log_attributes = {}
-    untraced = False
-    events = []
-    traces = []
-
-    def read_event(element: ET.Element, where: str) -> None:
-        try:
-            events.append(
-                _read_event(element, where, builder, users, tasks, aliases, lenient_names)
-            )
-        except ValueError as exc:  # an empty id or key, nesting too deep
-            raise MalformedDocumentError(f"{where}: {exc}") from exc
-
-    trace_elements = []
-    has_traces = False
-    for child in root:
-        tag = _local_name(child.tag)
-        if tag in _STRUCTURAL_TAGS:
-            continue
-        if tag in ("trace", "event"):
-            has_traces = has_traces or tag == "trace"
-            trace_elements.append(child)
-            continue
-        key, value, _ = _parse_attribute(child, "log")
-        key = aliases.get(key, key)
-        if key == KEY_UNTRACED:
-            if not isinstance(value, bool):
-                raise MalformedDocumentError(
-                    f"log: {KEY_UNTRACED} must be a boolean, got {value!r}"
-                )
-            untraced = value
-        else:
-            log_attributes[key] = value
-    # A document written untraced holds one wrapping trace, which is
-    # folded away below; otherwise its traces partition the events.
-    traced = has_traces and not untraced
-
-    for position, trace_element in enumerate(trace_elements):
-        if _local_name(trace_element.tag) == "event":
-            where = f"log event {len(events)}"
-            if traced:
-                # Tolerated only without traces: here no trace would cover it.
-                raise MalformedDocumentError(f"{where}: an event outside every trace")
-            read_event(trace_element, where)
-            continue
-        trace_id = None
-        trace_attributes = {}
-        indices = []
-        for child in trace_element:
-            tag = _local_name(child.tag)
-            if tag == "event":
-                read_event(child, f"trace {position}, event {len(indices)}")
-                indices.append(len(events) - 1)
-            elif tag in _STRUCTURAL_TAGS:
-                continue
-            else:
-                key, value, _ = _parse_attribute(child, f"trace {position}")
-                key = aliases.get(key, key)
-                if key == KEY_CONCEPT_NAME:
-                    trace_id = str(value)
-                else:
-                    trace_attributes[key] = value
-        try:
-            traces.append(
-                Trace(
-                    id=trace_id if trace_id else f"trace_{position}",
-                    events=tuple(indices),
-                    attributes=trace_attributes,
-                )
-            )
-        except ValueError as exc:
-            raise MalformedDocumentError(f"trace {position}: {exc}") from exc
-
-    try:
-        return UILog(
-            events=tuple(events),
-            hierarchy=builder.build(),
-            users=users,
-            tasks=tasks,
-            attributes=log_attributes,
-            traces=tuple(traces) if traced else None,
-        )
-    except ValueError as exc:
-        raise MalformedDocumentError(f"log: {exc}") from exc
+    reader.take(holder, True)
+    return reader.finish()

@@ -149,6 +149,24 @@ class TestValidate:
         report = validate(UILog(hierarchy=hierarchy))
         assert ViolationCode.LEVEL_VIOLATION in codes(report)
 
+    @pytest.mark.parametrize("kind", ["ui_groups", "applications"])
+    def test_node_subclass_is_a_level_violation(self, kind):
+        class Sub(UIGroupNode if kind == "ui_groups" else ApplicationNode):
+            pass
+
+        if kind == "ui_groups":
+            application = ApplicationNode("app")
+            hierarchy = UIHierarchy(applications=(application,),
+                                    ui_groups=(Sub("odd", parent=application),))
+        else:
+            odd = Sub("odd")
+            hierarchy = UIHierarchy(applications=(odd,), ui_groups=(UIGroupNode("g", parent=odd),))
+        report = validate(UILog(hierarchy=hierarchy))
+        flagged = [v for v in report.violations if v.code == ViolationCode.LEVEL_VIOLATION]
+        assert [(v.node_id, v.message) for v in flagged] == [
+            ("odd", "'odd' is a Sub, not a hierarchy node type")
+        ]
+
     def test_unregistered_parent_is_dangling(self):
         ghost = UIGroupNode("ghost")
         group = UIGroupNode("g", parent=ghost)

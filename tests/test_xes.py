@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+import warnings
 from datetime import datetime, timezone
 from xml.etree import ElementTree as ET
 
@@ -22,7 +24,9 @@ from uilog import (
     read_xes,
     validate,
     write_xes,
+    xes,
 )
+from uilog.fixtures import keyword_creation_log, raw_login_log
 
 import genlogs
 import keyword_log
@@ -545,3 +549,120 @@ class TestRoundTrip:
         genlogs.assert_equivalent(log, back)
         assert validate(back).ok
         assert write_xes(back) == document  # canonical form is stable
+
+
+# ---------------------------------------------------------------------------
+# Incremental reading: the parser is fed xes._CHUNK characters at a time.
+
+EVENT = '<event><string key="concept:name" value="{}"/></event>'
+
+
+def read_recording_warnings(document):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        log = read_xes(document)
+    return log, [str(warning.message) for warning in caught]
+
+
+GOLDEN = {
+    "empty": UILog,
+    "keyword_creation": keyword_creation_log,
+    "raw_login": raw_login_log,
+    **{f"seed-{seed}": (lambda seed=seed: genlogs.random_log(random.Random(seed)))
+       for seed in range(0, 300, 15)},
+    **{f"round-trip-{seed}": (lambda seed=seed: genlogs.random_log(random.Random(1000 + seed),
+                                                                   max_events=60))
+       for seed in range(25)},
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_slice_size_does_not_change_the_log(monkeypatch, name):
+    document = write_xes(GOLDEN[name]())
+    whole, noted = read_recording_warnings(document)
+    monkeypatch.setattr(xes, "_CHUNK", 7)
+    assert read_recording_warnings(document) == (whole, noted)
+    assert write_xes(whole) == document
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize("untraced", [True, False], ids=["untraced", "traced"])
+def test_log_attributes_and_untraced_flag_may_follow_the_traces(monkeypatch, chunk, untraced):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    flag = '<boolean key="uilog:untraced" value="true"/>' if untraced else ""
+    log = read_xes(
+        f'<log><trace><string key="concept:name" value="t"/>{EVENT.format("a")}'
+        f'{EVENT.format("b")}</trace><string key="source" value="rec"/>{flag}</log>'
+    )
+    assert [event.activity_name for event in log.events] == ["a", "b"]
+    assert log.attributes == {"source": "rec"}
+    assert log.traces == (None if untraced else (Trace(id="t", events=(0, 1)),))
+
+
+def big_traced_document(events=1500):
+    log = UILog(
+        events=tuple(InteractionEvent(f"step {i}") for i in range(events)),
+        traces=(Trace(id="t", events=tuple(range(events))),),
+    )
+    return write_xes(log)
+
+
+def test_stray_event_in_a_later_slice_is_outside_every_trace():
+    document = big_traced_document()
+    stray = EVENT.format("late")
+    document = document.replace("</log>", f"{stray}</log>")
+    assert document.index(stray) > xes._CHUNK
+    with pytest.raises(MalformedDocumentError,
+                       match="^log event 1500: an event outside every trace$"):
+        read_xes(document)
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize("size", [1500, 3], ids=["several-slices", "one-slice"])
+def test_fault_before_a_syntax_error_is_reported_first(monkeypatch, chunk, size):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    document = big_traced_document(size).replace(
+        '"step 1" />', '"step 1" />\n      <int key="n" value="abc" />', 1
+    )
+    assert document.count('value="abc"') == 1
+    with pytest.raises(MalformedDocumentError, match="^trace 0, event 1: invalid literal"):
+        read_xes(document.replace("</log>", "<<</log>"))
+    # A syntax error before the fault is reported instead.
+    broken = document.replace('"step 0" />', '"step 0" /><<', 1)
+    with pytest.raises(MalformedDocumentError, match="^not well-formed XML: not well-formed"):
+        read_xes(broken)
+
+
+@pytest.mark.parametrize(
+    "document",
+    ["", "<log>", "<log><trace></log>", "<log/>junk", "<log>\n  <trace>\n    <event><</event>",
+     '<log><string key="a" value="x"/></log><log/>', "<log>\u00e9\u20ac<<</log>",
+     '<log><string key="a" value="\ud800"/></log>'],
+)
+def test_syntax_errors_read_as_the_whole_document_parser_reports_them(monkeypatch, document):
+    with pytest.raises((ET.ParseError, ValueError)) as expected:
+        ET.fromstring(document)
+    for chunk in (xes._CHUNK, 7, 1):
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+        with pytest.raises(MalformedDocumentError) as caught:
+            read_xes(document)
+        assert str(caught.value) == f"not well-formed XML: {expected.value}"
+
+
+def peak_bytes(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seed,traced", [(2, False), (11, True)], ids=["untraced", "traced"])
+def test_reading_holds_far_less_than_the_whole_tree(seed, traced):
+    log = genlogs.random_log(random.Random(seed), max_events=4000)
+    assert len(log.events) >= 3000 and (log.traces is not None) == traced
+    document = write_xes(log)
+    assert peak_bytes(read_xes, document) < peak_bytes(ET.fromstring, document) / 3
