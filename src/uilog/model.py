@@ -47,14 +47,18 @@ AttributeSet = dict
 def normalize_timestamp(value: datetime) -> datetime:
     """Coerce a timestamp to UTC and truncate it to millisecond precision.
 
-    Naive datetimes are taken to already denote UTC.
+    Naive datetimes are taken to already denote UTC. Raises ValueError
+    for a time whose UTC form falls outside the datetime range.
     """
     if not isinstance(value, datetime):
         raise TypeError(f"expected datetime, got {type(value).__name__}")
     if value.tzinfo is None:
         value = value.replace(tzinfo=timezone.utc)
     else:
-        value = value.astimezone(timezone.utc)
+        try:
+            value = value.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError(f"{value.isoformat()} is outside the datetime range in UTC") from None
     return value.replace(microsecond=value.microsecond - value.microsecond % 1000)
 
 

@@ -9,9 +9,14 @@ raw recorders tend to print::
     {username: pren, password: dts123}
     [keyword, keywords folder]
 
-Values are trimmed and stay text; a delimiter that is part of a value is
-escaped by doubling it. :func:`write_table` is the inverse writer and
-reproduces the mapped cell values modulo whitespace trimming.
+Cells are trimmed. Literal items are trimmed and stay text; a "," or ":"
+that is part of an item is written doubled. A value cell (input value,
+current state or extra attribute) between apostrophes, as in
+``' padded '``, is text taken as it stands, never read as a literal.
+:func:`write_table` is the inverse writer. It wraps in apostrophes
+exactly the text values that would not read back as themselves: empty,
+padded, literal-shaped or apostrophe-wrapped text. So text values
+round-trip exactly, and so do lists and maps of trimmed items.
 
 Timestamps are optional throughout: many recorders omit them and rely
 on row order, which the model supports.
@@ -48,34 +53,24 @@ from .model import (
     split_group_path,
 )
 
-#: Model fields a column can feed, in canonical output order.
-FIELDS = (
-    "activity_name",
-    "action_type",
-    "ui_element",
-    "ui_group_path",
-    "application",
-    "system",
-    "input_value",
-    "current_state",
-    "timestamp",
-    "user",
-    "task",
-)
-
-#: Canonical header spelling used by the inverse writer.
-CANONICAL_HEADERS = {
-    "activity_name": "Activity",
-    "action_type": "Action type",
-    "ui_element": "UI element",
-    "ui_group_path": "UI group",
-    "application": "Application",
-    "system": "System",
-    "input_value": "Input value",
-    "current_state": "Current state",
-    "timestamp": "Timestamp",
-    "user": "User",
-    "task": "Task",
+#: Per model field a column can feed, in canonical output order: the
+#: header the writer gives its column and how to read it off an event.
+_FIELDS = {
+    "activity_name": ("Activity", lambda event: event.activity_name),
+    "action_type": ("Action type", lambda event: event.action and event.action.action_type),
+    "ui_element": ("UI element", lambda event: event.target and event.target.element),
+    "ui_group_path": (
+        "UI group",
+        lambda event: join_group_path(event.target.groups)
+        if event.target and event.target.groups else None,
+    ),
+    "application": ("Application", lambda event: event.target and event.target.application),
+    "system": ("System", lambda event: event.target and event.target.system),
+    "input_value": ("Input value", lambda event: event.input_value),
+    "current_state": ("Current state", lambda event: event.current_state),
+    "timestamp": ("Timestamp", lambda event: event.timestamp),
+    "user": ("User", lambda event: event.user),
+    "task": ("Task", lambda event: event.task),
 }
 
 _SYNONYMS = {
@@ -160,12 +155,7 @@ class ColumnMapping:
 
     def mapped(self) -> dict:
         """field → column, for the fields that are mapped."""
-        out = {}
-        for name in FIELDS:
-            column = getattr(self, name)
-            if column is not None:
-                out[name] = column
-        return out
+        return {name: getattr(self, name) for name in _FIELDS if getattr(self, name) is not None}
 
     def check_usable(self) -> None:
         """Activity names must be obtainable: either directly or by
@@ -205,58 +195,36 @@ def infer_mapping(header: Iterable[str]) -> ColumnMapping:
 # Cell literals
 
 
-def _split_raw(text: str, separator: str) -> list:
-    """Split on unescaped separators, leaving escape doubles in place."""
-    parts = []
-    current = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == separator:
-            if i + 1 < len(text) and text[i + 1] == separator:
-                current.append(separator * 2)
-                i += 2
-                continue
-            parts.append("".join(current))
-            current = []
-            i += 1
-            continue
-        current.append(ch)
-        i += 1
-    parts.append("".join(current))
-    return parts
+#: One token of a literal's body: a doubled "," or ":", which stands for
+#: the character itself, a lone separator, or a run of other characters.
+_TOKEN = re.compile(r",,|::|[,:]|[^,:]+")
 
 
-def _find_unescaped(text: str, separator: str) -> int:
-    i = 0
-    while i < len(text):
-        if text[i] == separator:
-            if i + 1 < len(text) and text[i + 1] == separator:
-                i += 2
-                continue
-            return i
-        i += 1
-    return -1
-
-
-def _unescape(text: str, separators: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in separators and i + 1 < len(text) and text[i + 1] == ch:
-            out.append(ch)
-            i += 2
+def _entries(body: str) -> list:
+    """The tokens of each entry of a literal's body, split on lone commas."""
+    entries = [[]]
+    for token in _TOKEN.findall(body):
+        if token == ",":
+            entries.append([])
         else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+            entries[-1].append(token)
+    return entries
 
 
 def _escape(text: str, separators: str) -> str:
     for separator in separators:
         text = text.replace(separator, separator * 2)
     return text
+
+
+def _unescaped(tokens: list, separators: str) -> str:
+    """The trimmed text of an entry's tokens, each doubled separator in
+    ``separators`` read as one; undoubling the joined text left to right
+    pairs every run of a separator as the tokenizer did."""
+    text = "".join(tokens)
+    for separator in separators:
+        text = text.replace(separator * 2, separator)
+    return text.strip()
 
 
 def parse_map_literal(text: str) -> dict:
@@ -272,12 +240,12 @@ def parse_map_literal(text: str) -> dict:
     if not inner:
         return {}
     out = {}
-    for entry in _split_raw(inner, ","):
-        colon = _find_unescaped(entry, ":")
-        if colon < 0:
-            raise BadLiteralError(f"map entry without key: {entry.strip()!r}")
-        key = _unescape(entry[:colon].strip(), ",:")
-        value = _unescape(entry[colon + 1 :].strip(), ",:")
+    for tokens in _entries(inner):
+        if ":" not in tokens:
+            raise BadLiteralError(f"map entry without key: {''.join(tokens).strip()!r}")
+        colon = tokens.index(":")
+        key = _unescaped(tokens[:colon], ",:")
+        value = _unescaped(tokens[colon + 1 :], ",:")
         if not key:
             raise BadLiteralError(f"empty key in map literal: {text!r}")
         if key in out:
@@ -294,7 +262,7 @@ def parse_list_literal(text: str) -> list:
     inner = body[1:-1].strip()
     if not inner:
         return []
-    return [_unescape(item.strip(), ",") for item in _split_raw(inner, ",")]
+    return [_unescaped(tokens, ",") for tokens in _entries(inner)]
 
 
 def render_map_literal(value: Mapping) -> str:
@@ -312,18 +280,38 @@ def render_list_literal(value: Iterable) -> str:
     return "[" + ", ".join(_escape(_plain_text(item), ",") for item in value) + "]"
 
 
+# A value cell (input value, current state or extra attribute) between
+# apostrophes is text, taken as it stands; any other is read by its
+# column's parser, and "auto" reads a cell shaped like a literal as one.
+# The writer wraps exactly the text that would not read back as itself.
+
+#: The parser of each literal shape, by the first and last character.
+_SHAPES = {"{}": parse_map_literal, "[]": parse_list_literal}
+
+
+def _is_wrapped(text: str) -> bool:
+    return len(text) > 1 and text[0] == text[-1] == "'"
+
+
 def _parse_cell(text: str, parser: str):
-    if parser == "plain":
-        return text
+    """The value of a trimmed, non-empty value cell."""
+    if _is_wrapped(text):
+        return text[1:-1]
+    if parser == "auto":
+        parse = _SHAPES.get(text[0] + text[-1])
+        return parse(text) if parse else text
     if parser == "map":
         return parse_map_literal(text)
     if parser == "list":
         return parse_list_literal(text)
-    # auto: sniff the literal shape
-    if text.startswith("{") and text.endswith("}"):
-        return parse_map_literal(text)
-    if text.startswith("[") and text.endswith("]"):
-        return parse_list_literal(text)
+    return text
+
+
+def _text_cell(text: str) -> str:
+    """The cell of a text value: ``text``, or ``'text'`` when ``text`` is
+    empty, padded, literal-shaped or wrapped in apostrophes itself."""
+    if not text or text != text.strip() or text[0] + text[-1] in _SHAPES or _is_wrapped(text):
+        return f"'{text}'"
     return text
 
 
@@ -451,7 +439,7 @@ def ingest(
     width = len(header)
     padding = [""] * (width + 1)
     (name_at, action_at, element_at, groups_at, application_at, system_at, input_at,
-     state_at, timestamp_at, user_at, task_at) = (positions.get(name, width) for name in FIELDS)
+     state_at, timestamp_at, user_at, task_at) = (positions.get(name, width) for name in _FIELDS)
     input_parser = parsers.get(mapping.input_value, "auto")
     state_parser = parsers.get(mapping.current_state, "auto")
     timestamp_format = mapping.timestamp_format
@@ -580,38 +568,13 @@ def ingest(
 # Inverse writer
 
 
-def _field_cell(event: InteractionEvent, name: str, ts_format):
-    target = event.target
-    if name == "activity_name":
-        return event.activity_name
-    if name == "action_type":
-        return event.action.action_type if event.action else None
-    if name == "ui_element":
-        return target.element if target else None
-    if name == "ui_group_path":
-        return join_group_path(target.groups) if target and target.groups else None
-    if name == "application":
-        return target.application if target else None
-    if name == "system":
-        return target.system if target else None
-    if name == "input_value":
-        return event.input_value
-    if name == "current_state":
-        return event.current_state
-    if name == "timestamp":
-        return _render_timestamp(event.timestamp, ts_format) if event.timestamp else None
-    if name == "user":
-        return event.user
-    if name == "task":
-        return event.task
-    raise KeyError(name)
-
-
-def _render_cell(value, ts_format) -> str:
+def _render_cell(value, ts_format, text_value: bool) -> str:
+    """The cell of a field or attribute value; with ``text_value`` a
+    text is written under the value cell escape."""
     if value is None:
         return ""
     if isinstance(value, str):  # most cells
-        return value
+        return _text_cell(value) if text_value else value
     if isinstance(value, (list, tuple)):
         return render_list_literal(value)
     if isinstance(value, datetime):
@@ -638,63 +601,60 @@ def write_table(
     """
     _check_delimiter(delimiter)
     mapping = mapping or ColumnMapping()
-    column_to_field = {v: k for k, v in mapping.mapped().items()}
+
+    def rows():
+        """(event, trace id or None) per row, in output order."""
+        if log.traces is None:
+            return ((event, None) for event in log.events)
+        return ((log.events[i], trace.id) for trace in log.traces for i in trace.events)
 
     if mapping.source_columns:
         columns = list(mapping.source_columns)
+        column_to_field = {column: name for name, column in mapping.mapped().items()}
     else:
-        order = (
-            log.events
-            if log.traces is None
-            else [log.events[i] for t in log.traces for i in t.events]
-        )
         populated = {"activity_name"}
-        extra_keys = []
-        seen_extras = set()
-        for event in order:
-            for name in FIELDS:
-                if name not in populated and (
-                    _field_cell(event, name, mapping.timestamp_format) is not None
-                ):
+        extra_keys = {}
+        for event, _ in rows():
+            for name, (_, read) in _FIELDS.items():
+                if name not in populated and read(event) is not None:
                     populated.add(name)
-            for key in event.attributes:
-                if key not in seen_extras:
-                    seen_extras.add(key)
-                    extra_keys.append(key)
-        columns = [CANONICAL_HEADERS[name] for name in FIELDS if name in populated]
+            extra_keys.update(dict.fromkeys(event.attributes))
         column_to_field = {
-            CANONICAL_HEADERS[name]: name for name in FIELDS if name in populated
+            header: name for name, (header, _) in _FIELDS.items() if name in populated
         }
-        columns.extend(extra_keys)
+        columns = [*column_to_field, *extra_keys]
         if log.traces is not None:
             columns.append("Trace")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(columns)
-
-    def rows():
-        if log.traces is None:
-            for event in log.events:
-                yield event, None
+    # Per column: how to read its value off an event, and whether a text
+    # there is a value cell; None reads the row's trace id. An untraced
+    # log keeps a "Trace" attribute, as ingest makes of a traced table.
+    readers = []
+    for column in columns:
+        name = column_to_field.get(column)
+        if name is not None:
+            readers.append((_FIELDS[name][1], name in ("input_value", "current_state")))
+        elif column == "Trace" and log.traces is not None:
+            readers.append((None, False))
         else:
-            for trace in log.traces:
-                for index in trace.events:
-                    yield log.events[index], trace.id
+            readers.append((lambda event, key=column: event.attributes.get(key), True))
 
+    buffer = io.StringIO()
+    plain = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
+    quoted = csv.writer(buffer, delimiter=delimiter, lineterminator="\n", quoting=csv.QUOTE_ALL)
+
+    def write_row(cells):
+        # Before Python 3.13, csv leaves a field with a lone "\r" unquoted,
+        # and the row cannot be read back; such a row is quoted in full.
+        (quoted if "\r" in "".join(cells) else plain).writerow(cells)
+
+    write_row(columns)
+    ts_format = mapping.timestamp_format
     for event, trace_id in rows():
-        row = []
-        for column in columns:
-            if column == "Trace" and column not in column_to_field:
-                row.append(trace_id or "")
-                continue
-            name = column_to_field.get(column)
-            if name is not None:
-                value = _field_cell(event, name, mapping.timestamp_format)
-            else:
-                value = event.attributes.get(column)
-            row.append(_render_cell(value, mapping.timestamp_format))
-        writer.writerow(row)
+        write_row([
+            (trace_id or "") if read is None else _render_cell(read(event), ts_format, text_value)
+            for read, text_value in readers
+        ])
     return buffer.getvalue()
 
 
@@ -733,7 +693,7 @@ def _mapping_from_ini(parser) -> ColumnMapping:
     assignments = {}
     if parser.has_section("columns"):
         for name, column in parser.items("columns"):
-            if name not in FIELDS:
+            if name not in _FIELDS:
                 raise ValueError(f"unknown model field {name!r} in [columns]")
             assignments[name] = column.strip()
     options = {}

@@ -406,10 +406,9 @@ def _parse_duration(text: str) -> timedelta:
         factor = units[raw[-1]]
         raw = raw[:-1]
     try:
-        seconds = float(raw) * factor
-    except ValueError:
+        return timedelta(seconds=float(raw) * factor)
+    except (ValueError, OverflowError):  # not a number, NaN, or beyond timedelta's range
         raise ValueError(f"bad duration {text!r}; use e.g. 90, 90s, 5m, 2h") from None
-    return timedelta(seconds=seconds)
 
 
 def _notion_from_section(section: Mapping) -> CaseNotion:

@@ -377,7 +377,6 @@ def _read_event(
     builder: HierarchyBuilder,
     users: dict,
     tasks: dict,
-    aliases: Mapping,
     lenient_names: bool,
 ) -> InteractionEvent:
     fields = {}
@@ -385,7 +384,6 @@ def _read_event(
     extras = {}
     for child in element:
         key, value, nested = _parse_attribute(child, where)
-        key = aliases.get(key, key)
         if key in _EVENT_FIELD_KEYS:
             fields[key] = value
             nested_by_key[key] = nested
@@ -489,8 +487,7 @@ class _LogReader:
     tree. Only :meth:`finish` decides what needs the whole document.
     """
 
-    def __init__(self, aliases: dict, lenient_names: bool):
-        self.aliases = aliases
+    def __init__(self, lenient_names: bool):
         self.lenient_names = lenient_names
         self.builder = HierarchyBuilder()
         self.users: dict = {}
@@ -533,7 +530,6 @@ class _LogReader:
             self._event(element, where)
         elif tag not in _STRUCTURAL_TAGS:
             key, value, _ = _parse_attribute(element, "log")
-            key = self.aliases.get(key, key)
             if key == KEY_UNTRACED:
                 if not isinstance(value, bool):
                     raise MalformedDocumentError(
@@ -557,7 +553,6 @@ class _LogReader:
                 self.indices.append(len(self.events) - 1)
             elif tag not in _STRUCTURAL_TAGS:
                 key, value, _ = _parse_attribute(child, where)
-                key = self.aliases.get(key, key)
                 if key == KEY_CONCEPT_NAME:
                     self.trace_id = str(value)
                 else:
@@ -581,7 +576,7 @@ class _LogReader:
         try:
             self.events.append(
                 _read_event(element, where, self.builder, self.users, self.tasks,
-                            self.aliases, self.lenient_names)
+                            self.lenient_names)
             )
         except ValueError as exc:  # an empty id or key, nesting too deep
             raise MalformedDocumentError(f"{where}: {exc}") from exc
@@ -606,19 +601,13 @@ class _LogReader:
             raise MalformedDocumentError(f"log: {exc}") from exc
 
 
-def read_xes(
-    source: str,
-    *,
-    aliases: Optional[Mapping] = None,
-    lenient_names: bool = False,
-) -> UILog:
+def read_xes(source: str, *, lenient_names: bool = False) -> UILog:
     """Parse XES XML text into a UILog.
 
     Hierarchy nodes are rebuilt on demand from the event-level uilog
     attributes; chains that share a path share nodes, while identical
     element ids under different group paths become distinct siblings.
-    ``aliases`` maps alternative attribute spellings onto the canonical
-    keys before interpretation. With ``lenient_names`` an event without
+    With ``lenient_names`` an event without
     concept:name loads with an empty activity name (so validation can
     report it) instead of raising MissingConceptNameError.
 
@@ -629,7 +618,7 @@ def read_xes(
     ``<log>`` beside traces is reported at the end, since
     ``uilog:untraced`` may follow it.
     """
-    reader = _LogReader(dict(aliases or {}), lenient_names)
+    reader = _LogReader(lenient_names)
     tree = ET.TreeBuilder()
     holder = tree.start("", {})  # <log> is holder[0] while it is parsed
     parser = ET.XMLParser(target=tree)

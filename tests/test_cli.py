@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uilog
 from uilog import cli
@@ -224,6 +227,12 @@ BAD_CONFIGS = {
     "notion-bad-threshold": (
         "segment", "--notion", "[notion]\nkind = time_gap\nthreshold = abc\n"
     ),
+    "notion-threshold-beyond-float": (
+        "segment", "--notion", "[notion]\nkind = time_gap\nthreshold = 1e400\n"
+    ),
+    "notion-threshold-beyond-timedelta": (
+        "segment", "--notion", "[notion]\nkind = time_gap\nthreshold = 1e12d\n"
+    ),
     "mapping-unknown-field": ("convert", "--mapping", "[columns]\nnope = X\n"),
 }
 
@@ -351,3 +360,89 @@ def test_cyclic_gc_is_paused_while_a_command_runs(monkeypatch, capsys):
     assert run("extension") == 0
     assert seen == [False]
     assert gc.isenabled()
+
+
+def ini_texts(sections):
+    """Arbitrary text, and INI texts of distinct sections named from
+    ``sections``, each holding its entries (key -> value strategy)."""
+
+    def render(name, entries):
+        return f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+    section = st.sampled_from(sorted(sections)).flatmap(
+        lambda name: st.fixed_dictionaries(sections[name]).map(lambda e: render(name, e))
+    )
+    return st.one_of(
+        st.text(max_size=40),
+        st.lists(section, min_size=1, max_size=3, unique_by=lambda text: text.split("]")[0])
+        .map("".join),
+    )
+
+
+def either(*known):
+    return st.one_of(st.sampled_from(known), st.text(max_size=12))
+
+
+DURATIONS = st.one_of(
+    st.tuples(
+        st.one_of(st.floats().map(repr), st.integers().map(str)),
+        st.sampled_from(["", "s", "m", "h", "d"]),
+    ).map("".join),
+    st.text(max_size=12),
+)
+NOTION = {
+    "kind": st.sampled_from(["attribute", "time_gap", "gap", "marker", "", "bogus"]),
+    "key": either("Trace", "Action type"),
+    "threshold": DURATIONS,
+    "markers": either("b, d", "a"),
+}
+RULE = {
+    "group": either("login mask", "search"),
+    "trigger": either("b", "d"),
+    "name": either("A_Login"),
+    "collect": either("username, password", "q"),
+    "drop_noise": st.sampled_from(["true", "no", "maybe"]),
+}
+HEADERS = either("Activity", "Action type", "UI element", "Input value", "Timestamp")
+PARSERS = st.sampled_from(["plain", "map", "list", "auto", "bogus"])
+CONFIG_FILES = {
+    "notion": ini_texts({"notion": NOTION, "notion:a": NOTION, "other": {}}),
+    "rules": ini_texts({"rule": RULE, "rule:a": RULE, "other": {}}),
+    "mapping": ini_texts({
+        "columns": {
+            "activity_name": HEADERS, "action_type": HEADERS, "ui_element": HEADERS,
+            "input_value": HEADERS, "timestamp": HEADERS,
+        },
+        "options": {
+            "timestamp_format": either("%Y-%m-%dT%H:%M:%S%z", "%Y", "%"),
+            "extras": st.sampled_from(["keep", "ignore", "bogus"]),
+        },
+        "parsers": {"Input value": PARSERS, "UI group": PARSERS},
+    }),
+}
+TIMED_CSV = (
+    "Activity,Action type,UI element,UI group,Input value,Timestamp\n"
+    "a,input,username,login mask,pren,2024-01-01T00:00:00Z\n"
+    "b,click,login,login mask,,2024-01-01T00:00:05Z\n"
+    "c,input,q,search,\"{k: v}\",2024-01-01T00:09:00Z\n"
+    "d,click,go,search,,2024-01-01T00:09:01Z\n"
+)
+
+
+@pytest.mark.parametrize("option", list(CONFIG_FILES))
+def test_any_config_file_gives_an_exit_code_and_no_exception(tmp_path_factory, option):
+    directory = tmp_path_factory.mktemp(option)
+    source = directory / "timed.csv"
+    source.write_text(TIMED_CSV)
+    config = directory / f"config.{option}"
+    command = {"notion": "segment", "rules": "abstract", "mapping": "convert"}[option]
+    output = directory / ("out.csv" if option == "mapping" else "out.xes")
+
+    @settings(max_examples=150, deadline=None)
+    @given(CONFIG_FILES[option])
+    def check(text):
+        config.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(command, "-i", source, f"--{option}", config, "-o", output) in (0, 1, 2)
+
+    check()

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from uilog import (
     BadConfigError,
     BadLiteralError,
+    InteractionEvent,
     MalformedDocumentError,
     MissingColumnError,
     NoUsableColumnsError,
     Target,
+    Trace,
+    UILog,
     UILogError,
     coverage,
     infer_mapping,
@@ -363,6 +366,75 @@ class TestInverseWriter:
         assert emitted.splitlines()[0] == "Activity,Mood,Screen"
         again, _ = ingest(emitted)
         assert again.events == log.events
+
+
+    def test_a_row_holding_a_carriage_return_is_quoted_in_full(self):
+        log = UILog(events=(InteractionEvent("a\rb", input_value="x"), InteractionEvent("c")))
+        emitted = write_table(log)
+        assert emitted == 'Activity,Input value\n"a\rb","x"\nc,\n'
+        again, _ = ingest(emitted)
+        assert again.events == log.events
+
+    def test_a_traced_table_reads_and_writes_back_as_it_was(self):
+        log = UILog(
+            events=(InteractionEvent("a"), InteractionEvent("b")),
+            traces=(Trace(id="t1", events=(1,)), Trace(id="t2", events=(0,))),
+        )
+        emitted = write_table(log)
+        assert emitted == "Activity,Trace\nb,t1\na,t2\n"
+        again, _ = ingest(emitted)
+        assert [e.attributes for e in again.events] == [{"Trace": "t1"}, {"Trace": "t2"}]
+        assert write_table(again) == emitted
+
+    def test_text_values_that_would_not_read_back_are_wrapped(self):
+        values = ["", " padded ", "[a, b]", "{k: v}", "'quoted'", "''", "'", "plain", "[a"]
+        log = UILog(events=tuple(InteractionEvent("x", input_value=v) for v in values))
+        cells = [row[1] for row in csv.reader(io.StringIO(write_table(log)))][1:]
+        assert cells == [
+            "''", "' padded '", "'[a, b]'", "'{k: v}'", "''quoted''", "''''", "'", "plain", "[a"
+        ]
+
+
+# Text a value may hold: any but NUL and lone surrogates, drawn often from
+# the characters that csv, the cell trim, the literal parsers and the
+# value cell escape treat specially.
+_TEXT = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")),
+    st.text(alphabet=" \t\r\n'\"[]{},:ab", max_size=8),
+)
+# The item domain of TestLiterals' round trips.
+_ITEM = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1
+).map(str.strip).filter(bool)
+_MAP_VALUE = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc"))).map(str.strip)
+
+
+def values_through_csv(value):
+    """``value`` read back from a written table as an input value, as a
+    current state and as an extra attribute."""
+    log = UILog(events=(
+        InteractionEvent("a", input_value=value),
+        InteractionEvent("b", target=Target(element="e"), current_state=value),
+        InteractionEvent("c", attributes={"Remark": value}),
+    ))
+    again, report = ingest(write_table(log))
+    assert report.rows_skipped == report.warnings == ()
+    first, second, third = again.events
+    return [first.input_value, second.current_state, third.attributes.get("Remark")]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT)
+def test_text_values_round_trip_through_csv(text):
+    assert values_through_csv(text) == [text] * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(_ITEM, max_size=6), st.dictionaries(_ITEM, _MAP_VALUE, max_size=5)
+))
+def test_list_and_map_values_round_trip_through_csv(value):
+    assert values_through_csv(value) == [value] * 3
 
 
 class TestMappingFiles:

@@ -128,14 +128,6 @@ class TestRead:
         with pytest.raises(MalformedDocumentError):
             read_xes("<notalog/>")
 
-    def test_alias_table(self):
-        document = """<log><trace><event>
-          <string key="concept:name" value="click go"/>
-          <string key="uilog:target-element" value="go"/>
-        </event></trace></log>"""
-        log = read_xes(document, aliases={"uilog:target-element": "uilog:ui-element"})
-        assert log.events[0].target.element == "go"
-
     def test_namespaced_document(self):
         document = """<log xmlns="http://www.xes-standard.org/">
           <trace><event><string key="concept:name" value="a"/></event></trace>
@@ -194,6 +186,8 @@ BAD_VALUES = {
     "empty-user-id": '<string key="uilog:user" value=""/>',
     "empty-task-id": '<string key="uilog:task" value=""/>',
     "empty-action-type": '<string key="uilog:action-type" value=""/>',
+    "timestamp-after-range-in-utc": '<date key="time:timestamp" value="9999-12-31T23:59:59-01:00"/>',
+    "date-before-range-in-utc": '<date key="d" value="0001-01-01T00:00:00+01:00"/>',
 }
 
 
@@ -257,6 +251,46 @@ def test_any_attribute_value_reads_or_raises_a_uilog_error(data):
     node.set("value", data.draw(st.text(max_size=12)))
     try:
         read_xes(ET.tostring(root, encoding="unicode"))
+    except UILogError:
+        pass
+
+
+# Dates in the first and last days of the datetime range, with offsets
+# that may move them outside it in UTC.
+_EDGE_DATES = st.builds(
+    lambda year, day, time, offset: f"{year:04d}-{day}T{time}{offset}",
+    st.sampled_from([1, 2, 9998, 9999]),
+    st.sampled_from(["01-01", "12-31"]),
+    st.sampled_from(["00:00:00", "00:59:59.999", "23:00:00", "23:59:59.9999"]),
+    st.one_of(
+        st.sampled_from(["", "Z"]),
+        st.builds(lambda sign, hours, minutes: f"{sign}{hours:02d}:{minutes:02d}",
+                  st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59)),
+    ),
+)
+_DATE_PLACES = [
+    '<log>{}<trace><event><string key="concept:name" value="a"/></event></trace></log>',
+    '<log><trace>{}<event><string key="concept:name" value="a"/></event></trace></log>',
+    '<log><trace><event><string key="concept:name" value="a"/>{}</event></trace></log>',
+    '<log><trace><event><string key="concept:name" value="a"/>'
+    '<string key="uilog:ui-element" value="e">{}</string></event></trace></log>',
+    '<log><trace><event><string key="concept:name" value="a"/>'
+    '<list key="l"><values>{}</values></list></event></trace></log>',
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_DATE_PLACES),
+    st.lists(st.tuples(st.sampled_from(["time:timestamp", "d"]), _EDGE_DATES), min_size=1,
+             max_size=3, unique_by=lambda pair: pair[0]),
+)
+def test_dates_at_the_ends_of_the_range_read_or_raise_a_uilog_error(place, dates):
+    document = place.format("".join(f'<date key="{k}" value="{v}"/>' for k, v in dates))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            read_xes(document)
     except UILogError:
         pass
 
