@@ -10,17 +10,13 @@ operational error, 2 validation findings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
-import json
 import os
 import sys
 import warnings
 from pathlib import Path
 
-from . import tabular, transform, validation, xes
 from .errors import BadConfigError, UILogError
-from .model import UILog
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -57,9 +53,13 @@ def _guess_format(path: str, explicit) -> str:
     )
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, newline=None) -> str:
+    """The UTF-8 text of ``path``. CSV input is read with ``newline=""``,
+    so that a carriage return inside a quoted cell reaches the csv module
+    as it stands instead of as a newline."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise UILogError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -67,20 +67,27 @@ def _read_text(path: str) -> str:
 def _prepare(args) -> None:
     """Check the csv delimiter, and replace each config file path in
     ``args`` by what the file holds, so that every file is read and
-    parsed once."""
-    try:
-        tabular._check_delimiter(getattr(args, "delimiter", ","))
-    except BadConfigError as exc:
-        raise BadConfigError(f"--{exc}") from None
-    for option, load in (
-        ("mapping", tabular.load_mapping),
-        ("notion", transform.load_case_notion),
-        ("rules", transform.load_rules),
+    parsed once. A loader's module is imported only for a given file."""
+    delimiter = getattr(args, "delimiter", ",")
+    if delimiter != ",":  # the default is valid and needs no tabular import
+        from . import tabular
+
+        try:
+            tabular._check_delimiter(delimiter)
+        except BadConfigError as exc:
+            raise BadConfigError(f"--{exc}") from None
+    package = sys.modules[__package__]
+    for option, loader in (
+        ("mapping", "load_mapping"),
+        ("notion", "load_case_notion"),
+        ("rules", "load_rules"),
     ):
         path = getattr(args, option, None)
+        if path is None:
+            continue
+        load = getattr(package, loader)  # imports the loader's module on first use
         try:
-            if path is not None:
-                setattr(args, option, load(_read_text(path)))
+            setattr(args, option, load(_read_text(path)))
         except BadConfigError as exc:
             # The loaders see only text, which configparser names '<string>'.
             raise BadConfigError(f"{path}: {exc}".replace("'<string>'", repr(path))) from exc
@@ -97,21 +104,25 @@ def _noting_warnings(call, *args, **kwargs):
     return result
 
 
-def _load_log(args) -> UILog:
+def _load_log(args):
     fmt = _guess_format(args.input, getattr(args, "format", None))
-    text = _read_text(args.input)
     if fmt == "csv":
+        from . import tabular
+
+        text = _read_text(args.input, newline="")
         log, report = tabular.ingest(text, args.mapping, delimiter=args.delimiter)
         for skipped in report.rows_skipped:
             print(f"note: skipped {skipped}", file=sys.stderr)
         for message in report.warnings:
             print(f"note: {message}", file=sys.stderr)
         return log
+    from . import xes
+
     lenient = getattr(args, "lenient_names", False)
-    return _noting_warnings(xes.read_xes, text, lenient_names=lenient)
+    return _noting_warnings(xes.read_xes, _read_text(args.input), lenient_names=lenient)
 
 
-def _write_log(log: UILog, args, report=None) -> int:
+def _write_log(log, args, report=None) -> int:
     """Write ``log`` to ``args.output`` and return the exit code.
 
     With ``--strict`` a log with validation findings is not written; the
@@ -119,6 +130,8 @@ def _write_log(log: UILog, args, report=None) -> int:
     the caller already has.
     """
     if args.strict:
+        from . import validation
+
         if report is None:
             report = validation.validate(log)
         if not report.ok:
@@ -126,14 +139,22 @@ def _write_log(log: UILog, args, report=None) -> int:
             return _EXIT_FINDINGS
     fmt = _guess_format(args.output, args.out_format)
     if fmt == "xes":
+        from . import xes
+
         text = xes.write_xes(log, check=False)
     else:
+        from . import tabular
+
         text = tabular.write_table(log, args.mapping, delimiter=args.delimiter)
     Path(args.output).write_text(text, encoding="utf-8")
     return _EXIT_OK
 
 
 def _write_violation_report(report, path) -> None:
+    import json
+
+    from . import validation
+
     records = validation.report_records(report)
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
@@ -141,6 +162,8 @@ def _write_violation_report(report, path) -> None:
 
 
 def _cmd_convert(args) -> int:
+    from . import validation
+
     log = _load_log(args)
     report = validation.validate(log)
     if args.report:
@@ -154,6 +177,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validation
+
     args.lenient_names = True
     log = _load_log(args)
     report = validation.validate(log)
@@ -165,6 +190,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import validation
+
     log = _load_log(args)
     matrix = validation.coverage(log)
     summary = validation.profile(log)
@@ -173,6 +200,9 @@ def _cmd_stats(args) -> int:
     print("profile")
     print(validation.render_profile(summary))
     if args.report:
+        import dataclasses
+        import json
+
         payload = {
             "coverage": {
                 name: {
@@ -192,6 +222,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    from . import transform
+
     log = _load_log(args)
     segmented = transform.segment(log, args.notion)
     code = _write_log(segmented, args)
@@ -200,6 +232,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_abstract(args) -> int:
+    from . import transform
+
     log = _load_log(args)
     abstracted = _noting_warnings(transform.abstract, log, args.rules)
     code = _write_log(abstracted, args)
@@ -211,6 +245,8 @@ def _cmd_abstract(args) -> int:
 
 
 def _cmd_extension(args) -> int:
+    from . import xes
+
     text = xes.emit_extension_definition()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

@@ -24,7 +24,6 @@ on row order, which the model supports.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import io
 import re
@@ -669,6 +668,8 @@ def load_ini(text: str, kind: str, interpret: Callable):
     value error, in parsing or in ``interpret``, is raised as a
     BadConfigError naming the ``kind`` of file.
     """
+    import configparser  # only config files need it, so only their loads import it
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:

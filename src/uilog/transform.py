@@ -5,7 +5,7 @@ at the point of use. :func:`segment` partitions events into traces by an
 attribute value, a time gap, or marker activities. :func:`abstract`
 collapses runs of low-level events inside a UI group into one task-level
 event (conventionally "A_"-prefixed), the way a login mask's keystrokes
-become a single "A_Login". :func:`flatten` undoes segmentation.
+become a single "A_Login".
 
 Both notions and rules can be loaded from the same INI format the column
 mappings use (:func:`uilog.tabular.load_ini`), so CLI pipelines can keep
@@ -190,32 +190,6 @@ def segment(log: UILog, notion: CaseNotion) -> UILog:
     parts = _partition(log, range(len(log.events)), notion)
     traces = tuple(Trace(id=trace_id, events=tuple(run)) for trace_id, run in parts)
     return replace(log, traces=traces)
-
-
-def flatten(log: UILog) -> UILog:
-    """Remove the trace partition.
-
-    Traces are concatenated in order of their first event's timestamp
-    (traces without any timestamp come first), ties broken by trace id;
-    events inside a trace keep their order. An untraced log is returned
-    unchanged.
-    """
-    if log.traces is None:
-        return log
-
-    def start_key(trace: Trace):
-        first = next(
-            (log.events[i].timestamp for i in trace.events
-             if 0 <= i < len(log.events) and log.events[i].timestamp is not None),
-            None,
-        )
-        if first is None:
-            return (0, "", trace.id)
-        return (1, first.isoformat(), trace.id)
-
-    ordered = sorted(log.traces, key=start_key)
-    events = tuple(log.events[i] for t in ordered for i in t.events)
-    return replace(log, events=events, traces=None)
 
 
 # ---------------------------------------------------------------------------

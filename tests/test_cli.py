@@ -446,3 +446,61 @@ def test_any_config_file_gives_an_exit_code_and_no_exception(tmp_path_factory, o
             assert run(command, "-i", source, f"--{option}", config, "-o", output) in (0, 1, 2)
 
     check()
+
+
+def test_carriage_return_in_a_csv_cell_survives_convert(tmp_path):
+    log = uilog.UILog(events=(uilog.InteractionEvent("a\rb"),))
+    source = tmp_path / "cr.csv"
+    source.write_bytes(uilog.write_table(log).encode("utf-8"))
+    out = tmp_path / "cr.xes"
+    assert run("convert", "-i", source, "-o", out) == 0
+    assert 'value="a&#13;b"' in out.read_text()
+    back = tmp_path / "back.csv"
+    assert run("convert", "-i", source, "-o", back) == 0
+    assert back.read_bytes() == source.read_bytes()
+
+
+def loaded_modules(tmp_path, *argv):
+    """The names in ``sys.modules`` of a fresh ``python -m uilog`` child
+    after it ran ``argv``. Without ``site`` the child starts with only
+    the interpreter's own modules."""
+    listing = tmp_path / "modules.txt"
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['uilog', *{[str(a) for a in argv]!r}]\n"
+        "try:\n"
+        "    runpy.run_module('uilog', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"open({str(listing)!r}, 'w').write('\\n'.join(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(uilog.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    return set(listing.read_text().split("\n"))
+
+
+CSV_AND_CONFIG_MODULES = {"uilog.tabular", "uilog.transform", "csv", "configparser"}
+
+
+def test_extension_loads_no_csv_or_transform_module(tmp_path):
+    modules = loaded_modules(tmp_path, "extension", "-o", tmp_path / "ext.xml")
+    assert "uilog.xes" in modules
+    assert not modules & CSV_AND_CONFIG_MODULES
+
+
+def test_validate_on_xes_loads_no_csv_or_transform_module(tmp_path):
+    source = tmp_path / "kc.xes"
+    assert run("convert", "-i", KC, "-o", source) == 0
+    modules = loaded_modules(tmp_path, "validate", "-i", source)
+    assert {"uilog.xes", "uilog.validation"} <= modules
+    assert not modules & CSV_AND_CONFIG_MODULES
+
+
+def test_convert_without_mapping_loads_no_transform_or_configparser(tmp_path):
+    modules = loaded_modules(tmp_path, "convert", "-i", KC, "-o", tmp_path / "kc.xes")
+    assert {"uilog.tabular", "uilog.xes", "csv"} <= modules
+    assert not modules & {"uilog.transform", "configparser"}

@@ -18,7 +18,6 @@ from uilog import (
     UILog,
     UnknownGroupError,
     abstract,
-    flatten,
     load_case_notion,
     load_rules,
     segment,
@@ -154,48 +153,6 @@ class TestSegment:
         for trace in segmented.traces:
             assert list(trace.events) == sorted(trace.events)
         assert validate(segmented).ok
-
-
-class TestFlatten:
-    def test_untraced_unchanged(self):
-        log = UILog(events=(InteractionEvent("a"),))
-        assert flatten(log) is log
-
-    def test_partition_inverse(self):
-        log = genlogs.timestamped_log(random.Random(9))
-        segmented = segment(log, ByAttribute(key="user"))
-        flat = flatten(segmented)
-        assert flat.traces is None
-        assert sorted(e.activity_name for e in flat.events) == sorted(
-            e.activity_name for e in log.events
-        )
-
-    def test_traces_concatenate_by_start_not_reinterleaved(self):
-        events = (
-            InteractionEvent("a1", timestamp=T0 + timedelta(seconds=1)),
-            InteractionEvent("b1", timestamp=T0 + timedelta(seconds=2)),
-            InteractionEvent("a2", timestamp=T0 + timedelta(seconds=3)),
-            InteractionEvent("b2", timestamp=T0 + timedelta(seconds=4)),
-        )
-        from uilog import Trace
-
-        log = UILog(
-            events=events,
-            traces=(Trace("b", (1, 3)), Trace("a", (0, 2))),
-        )
-        flat = flatten(log)
-        assert [e.activity_name for e in flat.events] == ["a1", "a2", "b1", "b2"]
-
-    def test_untimestamped_traces_come_first(self):
-        from uilog import Trace
-
-        events = (
-            InteractionEvent("late", timestamp=T0),
-            InteractionEvent("bare"),
-        )
-        log = UILog(events=events, traces=(Trace("t1", (0,)), Trace("t2", (1,))))
-        flat = flatten(log)
-        assert [e.activity_name for e in flat.events] == ["bare", "late"]
 
 
 class TestAbstract:
