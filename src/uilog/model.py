@@ -77,6 +77,11 @@ _ISO_TIMESTAMP = re.compile(
     re.ASCII,
 )
 
+# Exactly what format_timestamp writes.
+_CANONICAL_TIMESTAMP = re.compile(
+    r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}\+00:00", re.ASCII
+)
+
 
 def parse_timestamp(text: str) -> tuple:
     """Parse ISO 8601 text into (normalized timestamp, truncated?).
@@ -85,8 +90,14 @@ def parse_timestamp(text: str) -> tuple:
     may have any length, and ``truncated`` says the text was more precise
     than a millisecond. Only the canonical extended form of a match
     reaches ``datetime.fromisoformat``, so every supported Python accepts
-    the same texts. Raises ValueError for anything else.
+    the same texts; text :func:`format_timestamp` wrote is already in that
+    form and goes there directly. Raises ValueError for anything else.
     """
+    if _CANONICAL_TIMESTAMP.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text), False  # in UTC, to the millisecond
+        except ValueError:
+            pass  # no such date or time; the general path reports it
     match = _ISO_TIMESTAMP.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"not an ISO 8601 timestamp: {text.strip()!r}")
@@ -560,6 +571,7 @@ class HierarchyBuilder:
     def __init__(self):
         self._records = {}  # location, as UIHierarchy.lookup keys nodes -> _Pending
         self._chains = {}  # (system, application, groups, element) -> (Target, records)
+        self._prefixes = {}  # (system, application, groups) -> (records, last one, its location)
 
     def chain(
         self,
@@ -581,7 +593,9 @@ class HierarchyBuilder:
         materializes the nodes, so an unsupported or too deeply nested
         attribute value raises TypeError or ValueError from there; an
         empty id raises ValueError here. Each distinct location is walked
-        once; later calls for it reuse its Target and node records.
+        once, and later calls for it reuse its Target and node records; a
+        walk reuses the records of its (system, application, groups)
+        prefix where an earlier walk made them.
         """
         groups = tuple(groups)
         key = (system, application, groups, element)
@@ -602,30 +616,46 @@ class HierarchyBuilder:
 
     def _walk(self, system, application, groups, element) -> tuple:
         """(Target, system, application, group and element records) of a
-        location, creating the records it lacks. Each level hangs under the
-        one above where :data:`_PARENT_TYPES` admits it, else is a root."""
-        levels = [(SystemNode, system), (ApplicationNode, application)]
-        levels += [(UIGroupNode, gid) for gid in groups]
-        levels.append((UIElementNode, element))
-        records = []
-        parent = None
-        for kind, node_id in levels:
-            if node_id is None:
-                records.append(None)
-                continue
-            _check_id(node_id)
-            if parent is None or parent.kind not in _PARENT_TYPES[kind]:
-                parent, location = None, _NOWHERE
-            location = _extend(location, kind, node_id)
-            rec = self._records.get(location)
-            if rec is None:
-                rec = self._records[location] = _Pending(kind, node_id, parent)
-            records.append(rec)
-            parent = rec
+        location, creating the records it lacks. The records down to its
+        group path are kept per (system, application, groups) prefix, so a
+        new element under a known prefix adds its own record only."""
+        prefix = (system, application, groups)
+        try:
+            above = self._prefixes.get(prefix)
+        except TypeError:  # an unhashable id, which _record rejects
+            above = None
+        if above is None:
+            records, parent, location = [], None, _NOWHERE
+            levels = [(SystemNode, system), (ApplicationNode, application)]
+            levels += [(UIGroupNode, gid) for gid in groups]
+            for kind, node_id in levels:
+                if node_id is None:
+                    records.append(None)
+                    continue
+                parent, location = self._record(parent, location, kind, node_id)
+                records.append(parent)
+            above = self._prefixes[prefix] = (records, parent, location)
+        records, parent, location = above
+        element_rec = None
+        if element is not None:
+            element_rec = self._record(parent, location, UIElementNode, element)[0]
         target = _trusted(Target, element=element, groups=groups, application=application,
                           system=system)
-        system_rec, app_rec, *group_recs, element_rec = records
+        system_rec, app_rec, *group_recs = records
         return target, system_rec, app_rec, group_recs, element_rec
+
+    def _record(self, parent, location: tuple, kind: type, node_id) -> tuple:
+        """(record, location) of a ``kind`` node ``node_id`` below ``parent``
+        at ``location``, created if new. It hangs there where
+        :data:`_PARENT_TYPES` admits it, else is a root."""
+        _check_id(node_id)
+        if parent is None or parent.kind not in _PARENT_TYPES[kind]:
+            parent, location = None, _NOWHERE
+        location = _extend(location, kind, node_id)
+        rec = self._records.get(location)
+        if rec is None:
+            rec = self._records[location] = _Pending(kind, node_id, parent)
+        return rec, location
 
     def build(self) -> UIHierarchy:
         built = {}

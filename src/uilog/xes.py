@@ -10,7 +10,9 @@ XES event attributes are flat, so the group nesting of a target is
 encoded in ``uilog:ui-group-path`` as a "/"-separated id path, outermost
 group first (a literal "/" in an id is escaped as "\\/"). Hierarchy
 context is repeated on every event; that redundancy is the price of the
-flat format and is accepted deliberately.
+flat format and is accepted deliberately, but neither side pays it per
+event: the reader types and the writer renders each distinct context
+once per document.
 
 Logs without traces are wrapped in a single artificial trace, marked by
 the log-level boolean ``uilog:untraced`` so the reader can undo it.
@@ -18,16 +20,22 @@ the log-level boolean ``uilog:untraced`` so the reader can undo it.
 The writer emits the document as text in one pass: each element is
 appended to one list of pieces, indented from a precomputed table and
 escaped as ElementTree escapes attribute values, and the list is joined
-once; the context of each distinct target, and the group path element of
-each distinct group path, is rendered once per document, and each event
-writes its own element state into its target's context.
+once. The element of each distinct target, the group path, application
+and system elements of each distinct (system, application, group path)
+scope, and each user and task element are rendered once per document;
+each event writes its own element state between its element and the
+rest of its scope.
 
 The reader parses incrementally: it feeds the text to an ElementTree
 parser in 64 KiB slices and, after each slice, reads the children of
 ``<log>`` and of the open ``<trace>`` that the parser has finished and
 deletes them from the tree, so the tree holds about one slice of the
 document rather than all of it. It checks and normalizes each value
-where it types it, so the model is built without a second pass.
+where it types it, so the model is built without a second pass. The
+nested attributes of a group path, application, system, user, task or
+action type are typed once per distinct subtree and shared by every
+event that repeats it; a subtree whose typing warned is typed again
+where it recurs, so each occurrence warns with its own location.
 """
 
 from __future__ import annotations
@@ -194,37 +202,50 @@ def _attribute(out: list, depth: int, key: str, value, nested=None, nesting: int
     out.append(f"{pad}</{tag}>")
 
 
+def _rendered(key: str, value, nested=None) -> str:
+    """One event-level attribute element as text."""
+    out = []
+    _attribute(out, 3, key, value, nested)
+    return "".join(out)
+
+
 def _context(target: Target, hierarchy, contexts: dict) -> tuple:
     """The elements recording ``target`` and its nodes' attributes, kept in
-    ``contexts``: the element's, and the rest; an event's state goes between."""
-    head, rest = [], []
-    element, _, application, system = hierarchy.lookup(target)
+    ``contexts``: the element's, and the rest; an event's state goes between.
+    The rest is rendered once per (system, application, groups) scope."""
+    head = ""
     if target.element is not None:
-        _attribute(head, 3, KEY_UI_ELEMENT, target.element, element and element.attributes)
-    if target.groups:  # shared by the targets in one group path
-        scope = (target.system, target.application, target.groups)
-        rest.append(contexts.get(scope) or _group_path(scope, hierarchy, contexts))
-    for key, recorded, node in ((KEY_APPLICATION, target.application, application),
-                                (KEY_SYSTEM, target.system, system)):
-        if recorded is not None:
-            _attribute(rest, 3, key, recorded, node and node.attributes)
-    parts = contexts[target] = ("".join(head), "".join(rest))
+        element = hierarchy.lookup(target)[0]
+        head = _rendered(KEY_UI_ELEMENT, target.element, element and element.attributes)
+    scope = (target.system, target.application, target.groups)
+    rest = contexts.get(scope)
+    if rest is None:
+        rest = contexts[scope] = _scope(scope, hierarchy)
+    parts = contexts[target] = (head, rest)
     return parts
 
 
-def _group_path(scope: tuple, hierarchy, contexts: dict) -> str:
-    """The group path element of (system, application, groups), kept in ``contexts``."""
+def _scope(scope: tuple, hierarchy) -> str:
+    """The group path, application and system elements of (system,
+    application, groups)."""
     system, application, groups = scope
-    nested = {}  # a container per attributed group; they do not count as nesting
-    for depth in range(1, len(groups) + 1):
-        prefix = Target(groups=groups[:depth], application=application, system=system)
-        group = hierarchy.lookup(prefix)[1]
-        if group is not None and group.attributes:
-            nested[join_group_path(prefix.groups)] = group.attributes
     out = []
-    _attribute(out, 3, KEY_UI_GROUP_PATH, join_group_path(groups), nested, -1)
-    text = contexts[scope] = "".join(out)
-    return text
+    if groups:
+        nested = {}  # a container per attributed group; they do not count as nesting
+        for depth in range(1, len(groups) + 1):
+            prefix = Target(groups=groups[:depth], application=application, system=system)
+            group = hierarchy.lookup(prefix)[1]
+            if group is not None and group.attributes:
+                nested[join_group_path(prefix.groups)] = group.attributes
+        _attribute(out, 3, KEY_UI_GROUP_PATH, join_group_path(groups), nested, -1)
+    _, _, application_node, system_node = hierarchy.lookup(
+        Target(application=application, system=system)
+    )
+    for key, recorded, node in ((KEY_APPLICATION, application, application_node),
+                                (KEY_SYSTEM, system, system_node)):
+        if recorded is not None:
+            _attribute(out, 3, key, recorded, node and node.attributes)
+    return "".join(out)
 
 
 def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> None:
@@ -244,10 +265,13 @@ def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> No
     if event.current_state is not None:
         _attribute(out, 3, KEY_UI_ELEMENT_STATE, event.current_state)
     out.append(rest)
-    if event.user is not None:
-        _attribute(out, 3, KEY_USER, event.user, log.users.get(event.user))
-    if event.task is not None:
-        _attribute(out, 3, KEY_TASK, event.task, log.tasks.get(event.task))
+    for key, ref, registry in ((KEY_USER, event.user, log.users),
+                               (KEY_TASK, event.task, log.tasks)):
+        if ref is not None:
+            text = contexts.get((key, ref))
+            if text is None:
+                text = contexts[key, ref] = _rendered(key, ref, registry.get(ref))
+            out.append(text)
     for key, value in event.attributes.items():
         _attribute(out, 3, key, value)
     out.append("\n    </event>")
@@ -271,7 +295,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
         traces = [("all-events", {}, range(len(log.events)))]
-    contexts = {}  # rendered context parts by distinct target, group path element by scope
+    contexts = {}  # rendered context parts by target, scope, user and task
     for trace_id, attributes, indices in traces:
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
@@ -291,173 +315,6 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1] if "}" in tag else tag
 
 
-def _parse_timestamp(text: str, where: str) -> datetime:
-    try:
-        value, truncated = parse_timestamp(text)
-    except ValueError as exc:
-        raise MalformedDocumentError(f"{where}: bad timestamp {text.strip()!r}") from exc
-    if truncated:
-        warnings.warn(
-            f"{where}: timestamp {text.strip()!r} truncated to millisecond precision",
-            stacklevel=2,
-        )
-    return value
-
-
-def _parse_attribute(element: ET.Element, where: str, depth: int = 0):
-    """Return (key, value, nested) for one attribute element.
-
-    The value is checked and normalized here, once, as the model's
-    ``normalize_value`` would: ``depth`` counts the lists and containers
-    around the element, and every key must be non-empty. ``nested`` is
-    the element itself when it is an elementary value with child
-    attributes (XES allows attributes on attributes; read them with
-    :func:`_parse_map` where they are kept), else None; the children of
-    lists and containers are the value itself.
-    """
-    tag = _local_name(element.tag)
-    key = element.get("key")
-    if not key:
-        if key is None:
-            raise MalformedDocumentError(f"{where}: attribute element without key")
-        raise MalformedDocumentError(f"{where}: attribute keys must be non-empty text, got ''")
-    if tag == "list" or tag == "container":
-        if depth >= MAX_NESTING_DEPTH:
-            raise MalformedDocumentError(
-                f"{where}: attribute nesting deeper than {MAX_NESTING_DEPTH}"
-            )
-        if tag == "container":
-            return key, _parse_map(element, where, depth + 1), None
-        values = [child for child in element if _local_name(child.tag) == "values"]
-        children = values[0] if values else element
-        items = [
-            _parse_attribute(child, where, depth + 1)[1]
-            for child in children
-            if _local_name(child.tag) != "values"
-        ]
-        return key, items, None
-    raw = element.get("value")
-    if raw is None:
-        raise MalformedDocumentError(f"{where}: {tag} attribute {key!r} without value")
-    if tag == "string" or tag == "id":
-        value = raw
-    elif tag == "int" or tag == "float":
-        try:
-            value = int(raw) if tag == "int" else float(raw)
-        except ValueError as exc:
-            raise MalformedDocumentError(f"{where}: {exc}") from None
-        if tag == "int" and not _INT64_MIN <= value <= _INT64_MAX:
-            raise MalformedDocumentError(
-                f"{where}: integer attribute out of 64-bit range: {value}"
-            )
-    elif tag == "boolean":
-        value = raw.strip().lower() == "true"
-    elif tag == "date":
-        value = _parse_timestamp(raw, where)
-    else:
-        raise MalformedDocumentError(f"{where}: unknown attribute type {tag!r}")
-    return key, value, element if len(element) else None
-
-
-def _parse_map(element: ET.Element, where: str, depth: int = 0) -> dict:
-    """The child attributes of ``element`` as a key -> value map, each at
-    ``depth``; of a repeated key the last one is kept, with a warning."""
-    mapping = {}
-    for child in element:
-        key, value, _ = _parse_attribute(child, where, depth)
-        if key in mapping:
-            warnings.warn(f"{where}: duplicate map key {key!r}; keeping the last")
-        mapping[key] = value
-    return mapping
-
-
-def _read_event(
-    element: ET.Element,
-    where: str,
-    builder: HierarchyBuilder,
-    users: dict,
-    tasks: dict,
-    lenient_names: bool,
-) -> InteractionEvent:
-    fields = {}
-    nested_by_key = {}
-    extras = {}
-    for child in element:
-        key, value, nested = _parse_attribute(child, where)
-        if key in _EVENT_FIELD_KEYS:
-            fields[key] = value
-            nested_by_key[key] = nested
-        else:
-            extras[key] = value
-    # The attributes nested on field values; group containers do not count as nesting.
-    nested_by_key = {
-        key: _parse_map(nested, where, -1 if key == KEY_UI_GROUP_PATH else 0)
-        for key, nested in nested_by_key.items()
-        if nested is not None
-    }
-
-    name = fields.get(KEY_CONCEPT_NAME)
-    if name is None:
-        if not lenient_names:
-            raise MissingConceptNameError(f"{where}: event has no {KEY_CONCEPT_NAME}")
-        name = ""
-    if not isinstance(name, str):
-        name = str(name)
-
-    timestamp = fields.get(KEY_TIMESTAMP)
-    if timestamp is not None and not isinstance(timestamp, datetime):
-        timestamp = _parse_timestamp(str(timestamp), where)
-
-    action = None
-    if KEY_ACTION_TYPE in fields:
-        action_type = str(fields[KEY_ACTION_TYPE])
-        if not action_type:
-            raise ValueError("action_type must be non-empty text")
-        action = _trusted(
-            Action, action_type=action_type, attributes=nested_by_key.get(KEY_ACTION_TYPE, {})
-        )
-
-    element_id = fields.get(KEY_UI_ELEMENT)
-    groups = split_group_path(str(fields[KEY_UI_GROUP_PATH])) if KEY_UI_GROUP_PATH in fields else ()
-    application = fields.get(KEY_APPLICATION)
-    system = fields.get(KEY_SYSTEM)
-    state = fields.get(KEY_UI_ELEMENT_STATE)
-    if state is not None and element_id is None:
-        warnings.warn(f"{where}: {KEY_UI_ELEMENT_STATE} without {KEY_UI_ELEMENT}; ignored")
-        state = None
-
-    target = None
-    if element_id is not None or groups or application is not None or system is not None:
-        group_attributes = {
-            split_group_path(k): v
-            for k, v in nested_by_key.get(KEY_UI_GROUP_PATH, {}).items()
-            if isinstance(v, dict)
-        }
-        target = builder.chain(
-            system=str(system) if system is not None else None,
-            application=str(application) if application is not None else None,
-            groups=groups,
-            element=str(element_id) if element_id is not None else None,
-            system_attributes=nested_by_key.get(KEY_SYSTEM),
-            application_attributes=nested_by_key.get(KEY_APPLICATION),
-            group_attributes=group_attributes,
-            element_attributes=nested_by_key.get(KEY_UI_ELEMENT),
-        )
-
-    return _trusted(
-        InteractionEvent,
-        activity_name=name,
-        action=action,
-        target=target,
-        input_value=fields.get(KEY_INPUT_VALUE),
-        current_state=state,
-        timestamp=timestamp,
-        user=_merge_ref(users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {})),
-        task=_merge_ref(tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {})),
-        attributes=extras,
-    )
-
-
 def _merge_ref(registry: dict, ref, attributes: dict) -> Optional[str]:
     """Record a user or task id and merge one event's attributes for it."""
     if ref is None:
@@ -472,6 +329,14 @@ _EVENT_FIELD_KEYS = frozenset(
     {KEY_CONCEPT_NAME, KEY_TIMESTAMP} | set(EXTENSION_KEYS)
 )
 
+#: Event fields whose nested attributes recur from event to event; each
+#: distinct subtree under one of them is typed once per document.
+_CONTEXT_KEYS = frozenset(
+    {KEY_ACTION_TYPE, KEY_UI_GROUP_PATH, KEY_APPLICATION, KEY_SYSTEM, KEY_USER, KEY_TASK}
+)
+
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
 _STRUCTURAL_TAGS = frozenset({"extension", "global", "classifier"})
 
 #: Characters of the document fed to the parser at a time.
@@ -485,6 +350,11 @@ class _LogReader:
     the parser has finished, and of the last one, when it is a trace
     still open, its finished children; it deletes what it read from the
     tree. Only :meth:`finish` decides what needs the whole document.
+
+    ``contexts`` holds each distinct context subtree typed (see
+    :meth:`_context`); ``warned`` counts the warnings typing has issued,
+    so a subtree whose typing warned is left out of it and warns again,
+    with its own location, wherever it recurs.
     """
 
     def __init__(self, lenient_names: bool):
@@ -501,6 +371,8 @@ class _LogReader:
         # The trace element being read, its position and what it has given so far.
         self.open = None
         self.trace_position, self.trace_id, self.trace_attributes, self.indices = 0, None, {}, []
+        self.contexts = {}  # raw context subtree -> what it types to
+        self.warned = 0
 
     def take(self, holder: ET.Element, complete: bool) -> None:
         """Read what the parser has finished below ``holder``, the parent of
@@ -529,7 +401,7 @@ class _LogReader:
             self.position += 1
             self._event(element, where)
         elif tag not in _STRUCTURAL_TAGS:
-            key, value, _ = _parse_attribute(element, "log")
+            key, value, _ = self._attribute(element, "log")
             if key == KEY_UNTRACED:
                 if not isinstance(value, bool):
                     raise MalformedDocumentError(
@@ -552,7 +424,7 @@ class _LogReader:
                 self._event(child, f"{where}, event {len(self.indices)}")
                 self.indices.append(len(self.events) - 1)
             elif tag not in _STRUCTURAL_TAGS:
-                key, value, _ = _parse_attribute(child, where)
+                key, value, _ = self._attribute(child, where)
                 if key == KEY_CONCEPT_NAME:
                     self.trace_id = str(value)
                 else:
@@ -574,12 +446,197 @@ class _LogReader:
 
     def _event(self, element: ET.Element, where: str) -> None:
         try:
-            self.events.append(
-                _read_event(element, where, self.builder, self.users, self.tasks,
-                            self.lenient_names)
-            )
+            self.events.append(self._read_event(element, where))
         except ValueError as exc:  # an empty id or key, nesting too deep
             raise MalformedDocumentError(f"{where}: {exc}") from exc
+
+    def _timestamp(self, text: str, where: str) -> datetime:
+        try:
+            value, truncated = parse_timestamp(text)
+        except ValueError as exc:
+            raise MalformedDocumentError(f"{where}: bad timestamp {text.strip()!r}") from exc
+        if truncated:
+            self.warned += 1
+            warnings.warn(
+                f"{where}: timestamp {text.strip()!r} truncated to millisecond precision",
+                stacklevel=2,
+            )
+        return value
+
+    def _attribute(self, element: ET.Element, where: str, depth: int = 0):
+        """Return (key, value, nested) for one attribute element.
+
+        The value is checked and normalized here, once, as the model's
+        ``normalize_value`` would: ``depth`` counts the lists and containers
+        around the element, and every key must be non-empty. ``nested`` is
+        the element itself when it is an elementary value with child
+        attributes (XES allows attributes on attributes; read them with
+        :meth:`_map` where they are kept), else None; the children of
+        lists and containers are the value itself.
+        """
+        tag = _local_name(element.tag)
+        key = element.get("key")
+        if not key:
+            if key is None:
+                raise MalformedDocumentError(f"{where}: attribute element without key")
+            raise MalformedDocumentError(f"{where}: attribute keys must be non-empty text, got ''")
+        if tag == "list" or tag == "container":
+            if depth >= MAX_NESTING_DEPTH:
+                raise MalformedDocumentError(
+                    f"{where}: attribute nesting deeper than {MAX_NESTING_DEPTH}"
+                )
+            if tag == "container":
+                return key, self._map(element, where, depth + 1), None
+            values = [child for child in element if _local_name(child.tag) == "values"]
+            children = values[0] if values else element
+            items = [
+                self._attribute(child, where, depth + 1)[1]
+                for child in children
+                if _local_name(child.tag) != "values"
+            ]
+            return key, items, None
+        raw = element.get("value")
+        if raw is None:
+            raise MalformedDocumentError(f"{where}: {tag} attribute {key!r} without value")
+        if tag == "string" or tag == "id":
+            value = raw
+        elif tag == "int" or tag == "float":
+            try:
+                value = int(raw) if tag == "int" else float(raw)
+            except ValueError as exc:
+                raise MalformedDocumentError(f"{where}: {exc}") from None
+            if tag == "int" and not _INT64_MIN <= value <= _INT64_MAX:
+                raise MalformedDocumentError(
+                    f"{where}: integer attribute out of 64-bit range: {value}"
+                )
+        elif tag == "boolean":  # xs:boolean; true and false in any case
+            value = _BOOLEANS.get(raw.strip().lower())
+            if value is None:
+                raise MalformedDocumentError(
+                    f"{where}: boolean attribute {key!r} must be true, false, 1 or 0, got {raw!r}"
+                )
+        elif tag == "date":
+            value = self._timestamp(raw, where)
+        else:
+            raise MalformedDocumentError(f"{where}: unknown attribute type {tag!r}")
+        return key, value, element if len(element) else None
+
+    def _map(self, element: ET.Element, where: str, depth: int = 0) -> dict:
+        """The child attributes of ``element`` as a key -> value map, each at
+        ``depth``; of a repeated key the last one is kept, with a warning."""
+        mapping = {}
+        for child in element:
+            key, value, _ = self._attribute(child, where, depth)
+            if key in mapping:
+                self.warned += 1
+                warnings.warn(f"{where}: duplicate map key {key!r}; keeping the last")
+            mapping[key] = value
+        return mapping
+
+    def _context(self, key: str, value, nested: ET.Element, where: str):
+        """The attributes nested on the event field ``key`` = ``value``, typed.
+
+        A group path gives its group attribute sets by group id path, an
+        action type its :class:`Action`, the other fields their map. A
+        document repeats these on every event, so each distinct subtree
+        is typed once: it is known by its raw elements, (tag, key, value,
+        child count) in document order, which is all that typing reads.
+        """
+        raw = tuple([(e.tag, e.get("key"), e.get("value"), len(e)) for e in nested.iter()])
+        typed = self.contexts.get(raw)
+        if typed is not None:
+            return typed
+        warned = self.warned
+        # Group containers do not count as nesting.
+        typed = self._map(nested, where, -1 if key == KEY_UI_GROUP_PATH else 0)
+        if key == KEY_UI_GROUP_PATH:
+            typed = {
+                split_group_path(path): attributes
+                for path, attributes in typed.items()
+                if isinstance(attributes, dict)
+            }
+        elif key == KEY_ACTION_TYPE:
+            if not str(value):
+                return typed  # the event fails where it checks its action
+            typed = _trusted(Action, action_type=str(value), attributes=typed)
+        if self.warned == warned:
+            self.contexts[raw] = typed
+        return typed
+
+    def _read_event(self, element: ET.Element, where: str) -> InteractionEvent:
+        fields = {}
+        nested_by_key = {}
+        extras = {}
+        for child in element:
+            key, value, nested = self._attribute(child, where)
+            if key in _EVENT_FIELD_KEYS:
+                fields[key] = value
+                nested_by_key[key] = nested
+            else:
+                extras[key] = value
+        # The attributes nested on field values, each context typed once per document.
+        nested_by_key = {
+            key: self._context(key, fields[key], nested, where) if key in _CONTEXT_KEYS
+            else self._map(nested, where)
+            for key, nested in nested_by_key.items()
+            if nested is not None
+        }
+
+        name = fields.get(KEY_CONCEPT_NAME)
+        if name is None:
+            if not self.lenient_names:
+                raise MissingConceptNameError(f"{where}: event has no {KEY_CONCEPT_NAME}")
+            name = ""
+        if not isinstance(name, str):
+            name = str(name)
+
+        timestamp = fields.get(KEY_TIMESTAMP)
+        if timestamp is not None and not isinstance(timestamp, datetime):
+            timestamp = self._timestamp(str(timestamp), where)
+
+        action = None
+        if KEY_ACTION_TYPE in fields:
+            action = nested_by_key.get(KEY_ACTION_TYPE)
+            if not isinstance(action, Action):
+                action_type = str(fields[KEY_ACTION_TYPE])
+                if not action_type:
+                    raise ValueError("action_type must be non-empty text")
+                action = _trusted(Action, action_type=action_type, attributes=action or {})
+
+        element_id = fields.get(KEY_UI_ELEMENT)
+        groups = split_group_path(str(fields[KEY_UI_GROUP_PATH])) if KEY_UI_GROUP_PATH in fields else ()
+        application = fields.get(KEY_APPLICATION)
+        system = fields.get(KEY_SYSTEM)
+        state = fields.get(KEY_UI_ELEMENT_STATE)
+        if state is not None and element_id is None:
+            warnings.warn(f"{where}: {KEY_UI_ELEMENT_STATE} without {KEY_UI_ELEMENT}; ignored")
+            state = None
+
+        target = None
+        if element_id is not None or groups or application is not None or system is not None:
+            target = self.builder.chain(
+                system=str(system) if system is not None else None,
+                application=str(application) if application is not None else None,
+                groups=groups,
+                element=str(element_id) if element_id is not None else None,
+                system_attributes=nested_by_key.get(KEY_SYSTEM),
+                application_attributes=nested_by_key.get(KEY_APPLICATION),
+                group_attributes=nested_by_key.get(KEY_UI_GROUP_PATH),
+                element_attributes=nested_by_key.get(KEY_UI_ELEMENT),
+            )
+
+        return _trusted(
+            InteractionEvent,
+            activity_name=name,
+            action=action,
+            target=target,
+            input_value=fields.get(KEY_INPUT_VALUE),
+            current_state=state,
+            timestamp=timestamp,
+            user=_merge_ref(self.users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {})),
+            task=_merge_ref(self.tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {})),
+            attributes=extras,
+        )
 
     def finish(self) -> UILog:
         # A document written untraced holds one wrapping trace, which is

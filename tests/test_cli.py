@@ -321,6 +321,20 @@ def test_bad_delimiter_is_an_operational_error(tmp_path, delimiter):
     assert "Traceback" not in done.stderr
 
 
+def test_xes_boolean_outside_xs_boolean_is_an_operational_error(tmp_path):
+    source = tmp_path / "doc.xes"
+    source.write_text(
+        '<log><trace><event><string key="concept:name" value="a"/>'
+        '<boolean key="b" value="yes"/></event></trace></log>'
+    )
+    done = run_child("validate", "-i", source)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert "trace 0, event 0: boolean attribute 'b' must be true, false, 1 or 0, got 'yes'" \
+        in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "attribute",
     [

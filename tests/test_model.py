@@ -5,7 +5,7 @@ import signal
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from uilog import (
     AbstractionRule,
@@ -29,6 +29,7 @@ from uilog import (
     split_group_path,
     validate,
 )
+from uilog.model import format_timestamp, parse_timestamp
 
 
 def event_at(target):
@@ -239,10 +240,27 @@ class TestBuilder:
         with pytest.raises(error):
             b.build()
 
-    @pytest.mark.parametrize("location", [{"element": ""}, {"element": ["e"]}, {"groups": [["g"]]}])
+    @pytest.mark.parametrize("location", [{"element": ""}, {"element": ["e"]}, {"groups": [["g"]]},
+                                          {"application": ["a"], "element": "e"},
+                                          {"system": "s", "groups": ("g", ""), "element": "e"}])
     def test_bad_id_raises_from_chain(self, location):
         with pytest.raises(ValueError, match="id must be non-empty text"):
             HierarchyBuilder().chain(**location)
+
+    def test_elements_under_one_prefix_share_its_nodes(self):
+        b = HierarchyBuilder()
+        scope = {"system": "s", "application": "a"}
+        targets = [b.chain(**scope, groups=("g", "h"), element=f"e{i}") for i in range(3)]
+        with pytest.raises(ValueError, match="id must be non-empty text"):
+            b.chain(**scope, groups=("g", "h"), element="")
+        targets.append(b.chain(**scope, groups=("g",), element="e0"))
+        h = b.build()
+        assert [len(h.systems), len(h.applications), len(h.ui_groups), len(h.ui_elements)] == [
+            1, 1, 2, 4]
+        inner = h.resolve(Target(groups=("g", "h"), **scope))
+        assert all(h.resolve(target).parent is inner for target in targets[:3])
+        assert h.resolve(targets[3]).parent is inner.parent
+        assert [h.location_of(h.resolve(target)) for target in targets] == targets
 
     def test_repeated_chain_merges_into_the_same_nodes(self):
         b = HierarchyBuilder()
@@ -265,6 +283,18 @@ class TestValues:
     def test_naive_means_utc(self):
         ts = normalize_timestamp(datetime(2024, 1, 1, 10, 0, 0))
         assert ts.tzinfo == timezone.utc
+
+    @given(st.datetimes(timezones=st.integers(-1439, 1439).map(
+        lambda minutes: timezone(timedelta(minutes=minutes)))))
+    def test_written_timestamps_parse_as_the_general_path_parses_them(self, moment):
+        try:
+            text = format_timestamp(moment)
+        except OverflowError:  # outside the datetime range in UTC
+            assume(False)
+        # Surrounding space is not the written form, so it takes the general path.
+        general = parse_timestamp(f" {text} ")
+        assert parse_timestamp(text) == general == (normalize_timestamp(moment), False)
+        assert parse_timestamp(text)[0].tzinfo is general[0].tzinfo is timezone.utc
 
     def test_nesting_cap(self):
         value = "leaf"

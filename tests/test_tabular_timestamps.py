@@ -21,6 +21,12 @@ CASES = [
     ("20240101T100003Z", datetime(2024, 1, 1, 10, 0, 3, tzinfo=timezone.utc), False),
     ("2024-01-01T10:00:04,5", datetime(2024, 1, 1, 10, 0, 4, 500000, timezone.utc), False),
     ("2024-01-01 10:00:05+0100", datetime(2024, 1, 1, 9, 0, 5, tzinfo=timezone.utc), False),
+    # The form format_timestamp writes, at the ends of the range, and near it.
+    ("0001-01-01T00:00:00.000+00:00", datetime(1, 1, 1, tzinfo=timezone.utc), False),
+    ("9999-12-31T23:59:59.999+00:00",
+     datetime(9999, 12, 31, 23, 59, 59, 999000, timezone.utc), False),
+    ("2024-01-01 10:00:06.000+00:00", datetime(2024, 1, 1, 10, 0, 6, tzinfo=timezone.utc), False),
+    ("2024-01-01T10:00:07.000-00:00", datetime(2024, 1, 1, 10, 0, 7, tzinfo=timezone.utc), False),
 ]
 
 # Cells that are not ISO timestamps; their rows are skipped.
@@ -28,6 +34,8 @@ BAD_CELLS = [
     "n/a", "04/05/2023 12:00:01", "--:--", "2023-13-45T25:61:00",
     # Beyond the datetime range once moved to UTC.
     "9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00",
+    # The form format_timestamp writes, with month 13 and with fullwidth digits.
+    "2024-13-01T10:00:00.000+00:00", "\uff12\uff10\uff12\uff14-01-01T10:00:00.000+00:00",
 ]
 
 

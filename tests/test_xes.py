@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from datetime import datetime, timezone
@@ -220,17 +221,22 @@ def test_bad_values_are_located_document_errors(attribute):
             '<trace><event><string key="concept:name" value="b"/></event></trace></log>',
             "log: uilog:untraced must be a boolean, got 'false'",
         ),
+        (
+            '<log><boolean key="uilog:untraced" value="yes"/></log>',
+            "log: boolean attribute 'uilog:untraced' must be true, false, 1 or 0, got 'yes'",
+        ),
     ],
     ids=["empty-trace-key", "empty-log-key", "lone-surrogate", "event-beside-traces",
-         "untraced-not-boolean"],
+         "untraced-not-boolean", "untraced-not-xs-boolean"],
 )
 def test_bad_documents_outside_events_are_document_errors(document, where):
     with pytest.raises(MalformedDocumentError, match=where):
         read_xes(document)
 
 
-@pytest.mark.parametrize("untraced", ["", '<boolean key="uilog:untraced" value="true"/>'],
-                         ids=["no-traces", "untraced-wrapper"])
+@pytest.mark.parametrize("untraced", ["", '<boolean key="uilog:untraced" value="true"/>',
+                                      '<boolean key="uilog:untraced" value="1"/>'],
+                         ids=["no-traces", "untraced-wrapper", "untraced-wrapper-one"])
 def test_events_directly_under_log_load_where_no_trace_partitions(untraced):
     event = '<event><string key="concept:name" value="{}"/></event>'
     wrapped = f"<trace>{event.format('b')}</trace>" if untraced else event.format("b")
@@ -700,3 +706,133 @@ def test_reading_holds_far_less_than_the_whole_tree(seed, traced):
     assert len(log.events) >= 3000 and (log.traces is not None) == traced
     document = write_xes(log)
     assert peak_bytes(read_xes, document) < peak_bytes(ET.fromstring, document) / 3
+
+
+# ---------------------------------------------------------------------------
+# Booleans are xs:boolean.
+
+
+def events_document(*bodies):
+    events = "".join(
+        f'<event><string key="concept:name" value="e{i}"/>{body}</event>'
+        for i, body in enumerate(bodies)
+    )
+    return f'<log><trace><string key="concept:name" value="t"/>{events}</trace></log>'
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("true", True), ("1", True), (" TRUE ", True), ("false", False), ("0", False),
+     ("False", False)],
+)
+def test_booleans_read_as_xs_boolean(text, value):
+    log = read_xes(events_document(f'<boolean key="b" value="{text}"/>'))
+    assert log.events[0].attributes == {"b": value}
+
+
+@pytest.mark.parametrize("text", ["yes", "", "2", "no", "01", "t"])
+def test_other_boolean_text_is_a_located_document_error(text):
+    message = f"trace 0, event 0: boolean attribute 'b' must be true, false, 1 or 0, got {text!r}"
+    with pytest.raises(MalformedDocumentError, match=f"^{re.escape(message)}$"):
+        read_xes(events_document(f'<boolean key="b" value="{text}"/>'))
+
+
+# ---------------------------------------------------------------------------
+# Repeated contexts are typed and rendered once per document, yet every
+# occurrence warns and fails where it is.
+
+USER_WITH_DUPLICATE_KEY = (
+    '<string key="uilog:user" value="u"><string key="k" value="1"/><string key="k" value="2"/>'
+    "</string>"
+)
+GROUP_WITH_FINE_DATE = (
+    '<string key="uilog:ui-group-path" value="g"><container key="g">'
+    '<date key="d" value="2024-01-01T00:00:00.0001Z"/></container></string>'
+)
+ACTION_WITH_ATTRIBUTES = (
+    '<string key="uilog:action-type" value="click"><container key="at">'
+    '<int key="x" value="3"/></container></string>'
+)
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+def test_repeated_context_warns_at_every_occurrence(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    document = events_document(
+        USER_WITH_DUPLICATE_KEY, USER_WITH_DUPLICATE_KEY, GROUP_WITH_FINE_DATE,
+        GROUP_WITH_FINE_DATE,
+    )
+    log, noted = read_recording_warnings(document)
+    date = "'2024-01-01T00:00:00.0001Z'"
+    assert noted == [
+        "trace 0, event 0: duplicate map key 'k'; keeping the last",
+        "trace 0, event 1: duplicate map key 'k'; keeping the last",
+        f"trace 0, event 2: timestamp {date} truncated to millisecond precision",
+        f"trace 0, event 3: timestamp {date} truncated to millisecond precision",
+    ]
+    assert log.users == {"u": {"k": "2"}}
+    group = log.hierarchy.resolve(log.events[3].target)
+    assert group.attributes == {"d": datetime(2024, 1, 1, tzinfo=timezone.utc)}
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize(
+    "bodies,where",
+    [
+        # A bad value in a repeated context fails at its first occurrence.
+        ([ACTION_WITH_ATTRIBUTES.replace('"3"', '"x"')] * 2, "trace 0, event 0"),
+        # A context read cleanly, then repeated with a bad value.
+        ([ACTION_WITH_ATTRIBUTES] * 2 + [ACTION_WITH_ATTRIBUTES.replace('"3"', '"x"')],
+         "trace 0, event 2"),
+        # A context read cleanly, then repeated on an event that fails elsewhere.
+        ([ACTION_WITH_ATTRIBUTES] * 2 + [ACTION_WITH_ATTRIBUTES + '<int key="n" value="y"/>'],
+         "trace 0, event 2"),
+    ],
+    ids=["repeated", "clean-then-bad", "clean-then-bad-event"],
+)
+def test_repeated_context_fails_where_its_fault_is(monkeypatch, chunk, bodies, where):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    with pytest.raises(MalformedDocumentError, match=f"^{where}: invalid literal"):
+        read_xes(events_document(*bodies))
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+def test_reads_share_no_context(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    document = events_document(*[ACTION_WITH_ATTRIBUTES] * 3)
+    first, second = read_xes(document), read_xes(document)
+    actions = [event.action for event in first.events]
+    assert actions[0] is actions[1] is actions[2]  # one Action per distinct subtree
+    assert actions[0] is not second.events[0].action
+    actions[0].attributes["at"]["x"] = 4
+    actions[0].attributes["new"] = True
+    assert [event.action for event in second.events] == [Action("click", {"at": {"x": 3}})] * 3
+    assert read_xes(document) == second
+
+
+def test_repeated_contexts_write_each_event_its_own():
+    b = HierarchyBuilder()
+    scope = {"system": "s", "application": "a", "groups": ("g",)}
+    first = b.chain(**scope, element="e1", element_attributes={"row": 1},
+                    group_attributes={("g",): {"tab": 1}}, application_attributes={"v": "7"})
+    second = b.chain(**scope, element="e2", element_attributes={"row": 2, "col": "B"})
+    events = tuple(
+        InteractionEvent(f"step {i}", target=target, user=user, task=task)
+        for i, (target, user, task) in enumerate(
+            [(first, "u1", "t1"), (second, "u2", "t2"), (first, "u2", "t1"), (second, "u1", "t2")]
+        )
+    )
+    log = UILog(events=events, hierarchy=b.build(), users={"u1": {"role": "lead"}},
+                tasks={"t1": {"step": 1}, "t2": {"step": 2, "final": True}})
+    back = read_xes(write_xes(log, check=False))  # "u2" has no registry entry
+    assert back.events == log.events
+    for event, read in zip(log.events, back.events):
+        assert back.users[read.user] == log.users.get(event.user, {})
+        assert back.tasks[read.task] == log.tasks[event.task]
+        assert (back.hierarchy.resolve(read.target).attributes
+                == log.hierarchy.resolve(event.target).attributes)
+    users = [attribute_map(e)["uilog:user"] for e in events_of(write_xes(log, check=False))]
+    assert [len(user) for user in users] == [1, 0, 0, 1]
