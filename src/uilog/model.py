@@ -188,12 +188,9 @@ class Level(enum.IntEnum):
     ELEMENT = 4
 
 
-@dataclass(frozen=True)
-class SystemNode:
-    """Root of a composition tree: the machine or environment observed."""
-
-    id: str
-    attributes: AttributeSet = field(default_factory=dict)
+class _Node:
+    """What every hierarchy node checks: a non-empty text id, and its
+    attribute set normalized."""
 
     def __post_init__(self):
         _check_id(self.id)
@@ -201,33 +198,33 @@ class SystemNode:
 
 
 @dataclass(frozen=True)
-class ApplicationNode:
+class SystemNode(_Node):
+    """Root of a composition tree: the machine or environment observed."""
+
+    id: str
+    attributes: AttributeSet = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ApplicationNode(_Node):
     """A single program instance, optionally running on a system."""
 
     id: str
     system: Optional[SystemNode] = None
     attributes: AttributeSet = field(default_factory=dict)
 
-    def __post_init__(self):
-        _check_id(self.id)
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
-
 
 @dataclass(frozen=True)
-class UIGroupNode:
+class UIGroupNode(_Node):
     """A named part of an interface; groups nest inside groups or apps."""
 
     id: str
     parent: Union["UIGroupNode", ApplicationNode, None] = None
     attributes: AttributeSet = field(default_factory=dict)
 
-    def __post_init__(self):
-        _check_id(self.id)
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
-
 
 @dataclass(frozen=True)
-class UIElementNode:
+class UIElementNode(_Node):
     """An atomic widget (button, text box, dropdown); always a leaf.
 
     What a stateful widget showed is recorded per interaction, on the
@@ -237,10 +234,6 @@ class UIElementNode:
     id: str
     parent: Union[UIGroupNode, ApplicationNode, None] = None
     attributes: AttributeSet = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_id(self.id)
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
 
 
 #: Any node a resolved target may point at.

@@ -16,7 +16,11 @@ current state or extra attribute) between apostrophes, as in
 :func:`write_table` is the inverse writer. It wraps in apostrophes
 exactly the text values that would not read back as themselves: empty,
 padded, literal-shaped or apostrophe-wrapped text. So text values
-round-trip exactly, and so do lists and maps of trimmed items.
+round-trip exactly, and so do lists and maps of trimmed items. A list or
+map item is written as its own literal and reads back as that text,
+which writes the same cell again. The writer reads each column by its
+position, and writes the canonical column of any field an extra
+attribute key is a synonym of, so the key reads back as an attribute.
 
 Timestamps are optional throughout: many recorders omit them and rely
 on row order, which the model supports.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -37,6 +41,7 @@ from .errors import (
     MalformedDocumentError,
     MissingColumnError,
     NoUsableColumnsError,
+    UnserializableValueError,
 )
 from .model import (
     Action,
@@ -315,12 +320,17 @@ def _text_cell(text: str) -> str:
 
 
 def _plain_text(value) -> str:
+    """The text of a value; a list or map is its literal."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, datetime):
         return _render_timestamp(value, None)
+    if isinstance(value, (list, tuple)):
+        return render_list_literal(value)
+    if isinstance(value, (dict, Mapping)):  # the ABC check is slow, so it comes last
+        return render_map_literal(value)
     return str(value)
 
 
@@ -412,8 +422,6 @@ def ingest(
         mapping = infer_mapping(header)
     else:
         mapping.check_usable()
-        if not mapping.source_columns:
-            mapping = replace(mapping, source_columns=tuple(header))
 
     positions = {}
     for name, column in mapping.mapped().items():
@@ -574,12 +582,8 @@ def _render_cell(value, ts_format, text_value: bool) -> str:
         return ""
     if isinstance(value, str):  # most cells
         return _text_cell(value) if text_value else value
-    if isinstance(value, (list, tuple)):
-        return render_list_literal(value)
     if isinstance(value, datetime):
         return _render_timestamp(value, ts_format)
-    if isinstance(value, (dict, Mapping)):  # the ABC check is slow, so it comes last
-        return render_map_literal(value)
     return _plain_text(value)
 
 
@@ -593,10 +597,12 @@ def write_table(
 
     With a mapping whose ``source_columns`` are set, the original column
     layout is reproduced; otherwise the canonical headers are used for
-    every populated field, extra event attributes get their own columns,
-    and traced logs gain a ``Trace`` column. The tabular format is
-    text-typed: numbers, booleans, and timestamps become their printed
-    form. A bad ``delimiter`` raises BadConfigError.
+    every populated field and every field an extra attribute key is a
+    synonym of, extra event attributes get their own columns, and traced
+    logs gain a ``Trace`` column. The tabular format is text-typed:
+    numbers, booleans, and timestamps become their printed form. A bad
+    ``delimiter`` raises BadConfigError, and an attribute named "Trace"
+    on a traced log raises UnserializableValueError.
     """
     _check_delimiter(delimiter)
     mapping = mapping or ColumnMapping()
@@ -607,9 +613,11 @@ def write_table(
             return ((event, None) for event in log.events)
         return ((log.events[i], trace.id) for trace in log.traces for i in trace.events)
 
+    traced = log.traces is not None
     if mapping.source_columns:
         columns = list(mapping.source_columns)
-        column_to_field = {column: name for name, column in mapping.mapped().items()}
+        field_of = {column: name for name, column in mapping.mapped().items()}
+        fields = [field_of.get(column) for column in columns]
     else:
         populated = {"activity_name"}
         extra_keys = {}
@@ -618,22 +626,29 @@ def write_table(
                 if name not in populated and read(event) is not None:
                     populated.add(name)
             extra_keys.update(dict.fromkeys(event.attributes))
-        column_to_field = {
-            header: name for name, (header, _) in _FIELDS.items() if name in populated
-        }
-        columns = [*column_to_field, *extra_keys]
-        if log.traces is not None:
+        if traced and "Trace" in extra_keys:
+            raise UnserializableValueError(
+                "event attribute 'Trace' has no column: a traced log writes its trace ids there"
+            )
+        # The column of each field an extra key names comes first, so
+        # infer_mapping reads the field from it and the key as an extra.
+        populated.update(_SYNONYMS.get(_normalize_header(key)) for key in extra_keys)
+        fields = [name for name in _FIELDS if name in populated]
+        columns = [_FIELDS[name][0] for name in fields] + list(extra_keys)
+        fields += [None] * len(extra_keys)
+        if traced:
             columns.append("Trace")
+            fields.append(None)
 
-    # Per column: how to read its value off an event, and whether a text
-    # there is a value cell; None reads the row's trace id. An untraced
-    # log keeps a "Trace" attribute, as ingest makes of a traced table.
+    # Per column position: how to read its value off an event, and whether
+    # a text there is a value cell; None reads the row's trace id. An
+    # untraced log keeps a "Trace" attribute, as ingest makes of a traced
+    # table.
     readers = []
-    for column in columns:
-        name = column_to_field.get(column)
+    for column, name in zip(columns, fields):
         if name is not None:
             readers.append((_FIELDS[name][1], name in ("input_value", "current_state")))
-        elif column == "Trace" and log.traces is not None:
+        elif column == "Trace" and traced:
             readers.append((None, False))
         else:
             readers.append((lambda event, key=column: event.attributes.get(key), True))

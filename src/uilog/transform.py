@@ -23,15 +23,14 @@ from .errors import (
     DanglingReferenceError,
     MissingCaseAttributeError,
     MissingTimestampsError,
-    NoTargetError,
     TriggerNeverFiresWarning,
     UnknownGroupError,
 )
 from .model import (
     Action,
     InteractionEvent,
+    Target,
     Trace,
-    UIGroupNode,
     UILog,
     split_group_path,
 )
@@ -225,13 +224,12 @@ class AbstractionRule:
             object.__setattr__(self, "collect", tuple(self.collect))
 
 
-def _rule_group_node(log: UILog, rule: AbstractionRule) -> UIGroupNode:
+def _rule_location(log: UILog, rule: AbstractionRule) -> Target:
+    """The location of the one UI group a rule names."""
     path = split_group_path(rule.group)
-    matches = [
-        node
-        for node in log.hierarchy.ui_groups
-        if node.id == path[-1] and log.hierarchy.location_of(node).groups[-len(path):] == path
-    ]
+    hierarchy = log.hierarchy
+    locations = (hierarchy.location_of(n) for n in hierarchy.ui_groups if n.id == path[-1])
+    matches = [location for location in locations if location.groups[-len(path):] == path]
     if not matches:
         raise UnknownGroupError(f"no UI group matches {rule.group!r}")
     if len(matches) > 1:
@@ -242,14 +240,27 @@ def _rule_group_node(log: UILog, rule: AbstractionRule) -> UIGroupNode:
     return matches[0]
 
 
-def _in_subtree(log: UILog, event: InteractionEvent, group: UIGroupNode) -> bool:
-    if event.attributes.get(ABSTRACTED_KEY) is True:
-        return False
-    try:
-        node = log.hierarchy.resolve(event.target)
-    except (NoTargetError, DanglingReferenceError):
-        return False
-    return node is group or any(parent is group for parent in log.hierarchy.ancestors(node))
+def _rule_index(log: UILog, event: InteractionEvent, locations: list) -> Optional[int]:
+    """Index of the first rule whose group subtree holds the event's
+    resolved target, or None. The target's chain, rooted at its system
+    only where it records an application (see UIHierarchy.lookup), must
+    extend the group's location."""
+    target = event.target
+    if target is None or event.attributes.get(ABSTRACTED_KEY) is True:
+        return None
+    scope = target.system if target.application is not None else None
+    for index, group in enumerate(locations):
+        if (
+            scope == group.system
+            and target.application == group.application
+            and target.groups[:len(group.groups)] == group.groups
+        ):
+            try:
+                log.hierarchy.resolve(target)
+            except DanglingReferenceError:
+                return None
+            return index
+    return None
 
 
 def _kept_positions(rule: AbstractionRule, run: list) -> dict:
@@ -267,14 +278,14 @@ def _kept_positions(rule: AbstractionRule, run: list) -> dict:
 
 
 def _abstract_event(
-    log: UILog, rule: AbstractionRule, group, run: list, kept: dict
+    rule: AbstractionRule, location: Target, run: list, kept: dict
 ) -> InteractionEvent:
     trigger = run[-1]
     order = kept if rule.collect is None else [eid for eid in rule.collect if eid in kept]
     return InteractionEvent(
         activity_name=rule.abstract_name,
         action=Action("none"),
-        target=log.hierarchy.location_of(group),
+        target=location,
         input_value={eid: run[kept[eid]].input_value for eid in order},
         timestamp=trigger.timestamp,
         user=trigger.user,
@@ -283,7 +294,7 @@ def _abstract_event(
     )
 
 
-def _abstract_sequence(log: UILog, events: list, rules, groups) -> list:
+def _abstract_sequence(log: UILog, events: Iterable, rules, locations) -> list:
     out = []
     run: list = []
     active = None  # index into rules
@@ -303,11 +314,7 @@ def _abstract_sequence(log: UILog, events: list, rules, groups) -> list:
         active = None
 
     for event in events:
-        matched = None
-        for rule_index, rule in enumerate(rules):
-            if _in_subtree(log, event, groups[rule_index]):
-                matched = rule_index
-                break
+        matched = _rule_index(log, event, locations)
         if matched is None:
             flush_unabstracted()
             out.append(event)
@@ -322,7 +329,7 @@ def _abstract_sequence(log: UILog, events: list, rules, groups) -> list:
             if not rule.drop_noise:
                 contributing = {*kept.values(), len(run) - 1}  # the trigger too
                 out.extend(e for i, e in enumerate(run) if i not in contributing)
-            out.append(_abstract_event(log, rule, groups[matched], run, kept))
+            out.append(_abstract_event(rule, locations[matched], run, kept))
             run = []
             active = None
     flush_unabstracted()
@@ -343,29 +350,24 @@ def abstract(log: UILog, rules: Union[AbstractionRule, Iterable[AbstractionRule]
 
     Event count never grows, output order follows input order, and the
     result validates whenever the input does. Applying the same rules
-    twice is a no-op because abstract events are marked.
+    twice is a no-op because abstract events are marked. Each trace of a
+    traced log is abstracted on its own.
     """
     if isinstance(rules, AbstractionRule):
         rules = (rules,)
     rules = tuple(rules)
-    groups = [_rule_group_node(log, rule) for rule in rules]
+    locations = [_rule_location(log, rule) for rule in rules]
 
-    if log.traces is None:
-        events = _abstract_sequence(log, list(log.events), rules, groups)
-        return replace(log, events=tuple(events))
-
-    new_events = []
-    new_traces = []
-    for trace in log.traces:
-        sequence = _abstract_sequence(
-            log, [log.events[i] for i in trace.events], rules, groups
-        )
-        start = len(new_events)
-        new_events.extend(sequence)
-        new_traces.append(
-            replace(trace, events=tuple(range(start, len(new_events))))
-        )
-    return replace(log, events=tuple(new_events), traces=tuple(new_traces))
+    traces = log.traces
+    sequences = [range(len(log.events))] if traces is None else [t.events for t in traces]
+    events, spans = [], []
+    for sequence in sequences:
+        start = len(events)
+        events += _abstract_sequence(log, (log.events[i] for i in sequence), rules, locations)
+        spans.append(tuple(range(start, len(events))))
+    if traces is not None:
+        traces = tuple(replace(trace, events=span) for trace, span in zip(traces, spans))
+    return replace(log, events=tuple(events), traces=traces)
 
 
 # ---------------------------------------------------------------------------

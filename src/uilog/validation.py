@@ -55,22 +55,37 @@ class ValidationReport:
 
 
 def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
-    out = []
-
+    """Parent link faults, cycles, then duplicate siblings. A node the
+    location index placed has neither of the first two, so only the
+    unplaced ones are checked for them."""
+    located = hierarchy._located
+    out, cycles = [], []
+    siblings = Counter()
     for node in hierarchy.all_nodes():
-        if type(node) not in _PARENT_TYPES:  # the table admits exact node types only
+        kind = type(node)
+        parent = parent_of(node)
+        if kind in _PARENT_TYPES:  # the table admits exact node types only
+            siblings[(level_of(node), id(parent) if parent is not None else None, node.id)] += 1
+        if located[id(node)] is not None:
+            continue
+        try:
+            hierarchy.ancestors(node)
+        except CycleError as exc:
+            cycles.append(
+                Violation(ViolationCode.CYCLE_DETECTED, node_id=node.id, message=str(exc))
+            )
+        if kind not in _PARENT_TYPES:
             out.append(
                 Violation(
                     ViolationCode.LEVEL_VIOLATION,
                     node_id=node.id,
-                    message=f"{node.id!r} is a {type(node).__name__}, not a hierarchy node type",
+                    message=f"{node.id!r} is a {kind.__name__}, not a hierarchy node type",
                 )
             )
             continue
-        parent = parent_of(node)
         if parent is None:
             continue
-        if parent not in hierarchy:
+        if id(parent) not in located:
             out.append(
                 Violation(
                     ViolationCode.DANGLING_REFERENCE,
@@ -78,7 +93,7 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
                     message=f"parent of {node.id!r} is not registered in the hierarchy",
                 )
             )
-        if not isinstance(parent, _PARENT_TYPES[type(node)]):
+        if not isinstance(parent, _PARENT_TYPES[kind]):
             out.append(
                 Violation(
                     ViolationCode.LEVEL_VIOLATION,
@@ -88,19 +103,7 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
                 )
             )
 
-    for node in hierarchy.all_nodes():
-        try:
-            hierarchy.ancestors(node)
-        except CycleError as exc:
-            out.append(
-                Violation(ViolationCode.CYCLE_DETECTED, node_id=node.id, message=str(exc))
-            )
-
-    siblings = Counter()
-    for node in hierarchy.all_nodes():
-        if type(node) in _PARENT_TYPES:
-            parent = parent_of(node)
-            siblings[(level_of(node), id(parent) if parent is not None else None, node.id)] += 1
+    out += cycles
     for (level, _parent, node_id), count in siblings.items():
         if count > 1:
             out.append(

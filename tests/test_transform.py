@@ -1,4 +1,5 @@
 import random
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -14,6 +15,7 @@ from uilog import (
     InteractionEvent,
     MissingCaseAttributeError,
     MissingTimestampsError,
+    Target,
     TriggerNeverFiresWarning,
     UILog,
     UnknownGroupError,
@@ -241,6 +243,95 @@ class TestAbstract:
         out = abstract(log, AbstractionRule("login mask", "click login", "A_Login"))
         assert [e.activity_name for e in out.events] == ["A_Login"]
         assert out.events[0].input_value == {"username": "u"}
+
+    def test_group_without_application_takes_events_recording_only_a_system(self):
+        # A system recorded without an application does not scope the
+        # chain, so this event resolves to the element under the group.
+        b = HierarchyBuilder()
+        b.chain(system="s", application="a")
+        field = b.chain(groups=("form",), element="field")
+        button = b.chain(groups=("form",), element="ok")
+        log = UILog(
+            events=(
+                InteractionEvent("type", target=field, input_value="v"),
+                InteractionEvent(
+                    "type", target=Target(system="s", groups=("form",), element="field"),
+                    input_value="w",
+                ),
+                InteractionEvent("elsewhere", target=Target(
+                    system="s", application="a", groups=("form",), element="field"
+                )),
+                InteractionEvent("ok", target=button),
+            ),
+            hierarchy=b.build(),
+        )
+        assert validate(log).violations[0].event_index == 2  # dangling, not in the group
+        with pytest.warns(TriggerNeverFiresWarning, match="run of 2 event"):
+            out = abstract(log, AbstractionRule("form", "ok", "A_Form"))
+        assert [e.activity_name for e in out.events] == ["type", "type", "elsewhere", "A_Form"]
+        assert out.events[-1].target == Target(groups=("form",))
+        assert out.events[-1].input_value == {}
+
+    def test_dangling_element_under_the_group_ends_the_run(self):
+        b = HierarchyBuilder()
+        field = b.chain(groups=("form",), element="field")
+        button = b.chain(groups=("form",), element="ok")
+        ghost = InteractionEvent("ghost", target=Target(groups=("form",), element="gone"))
+        log = UILog(
+            events=(
+                InteractionEvent("type", target=field, input_value="v"),
+                ghost,
+                InteractionEvent("type", target=field, input_value="w"),
+                InteractionEvent("ok", target=button),
+            ),
+            hierarchy=b.build(),
+        )
+        with pytest.warns(TriggerNeverFiresWarning, match="run of 1 event"):
+            out = abstract(log, AbstractionRule("form", "ok", "A_Form"))
+        assert [e.activity_name for e in out.events] == ["type", "ghost", "A_Form"]
+        assert out.events[-1].input_value == {"field": "w"}
+
+    def test_nested_group_under_an_application_is_its_own_target(self):
+        b = HierarchyBuilder()
+        where = dict(system="s", application="erp")
+        inner = b.chain(**where, groups=("main", "login mask", "credentials"), element="user")
+        mask = b.chain(**where, groups=("main", "login mask"))
+        beside = b.chain(**where, groups=("main",), element="menu")
+        log = UILog(
+            events=(
+                InteractionEvent("type", target=inner, input_value="u"),
+                InteractionEvent("menu", target=beside),
+                InteractionEvent("type", target=inner, input_value="v"),
+                InteractionEvent("confirm", target=mask),
+            ),
+            hierarchy=b.build(),
+        )
+        with pytest.warns(TriggerNeverFiresWarning, match="run of 1 event"):
+            out = abstract(log, AbstractionRule("login mask", "confirm", "A_Login"))
+        assert [e.activity_name for e in out.events] == ["type", "menu", "A_Login"]
+        assert out.events[-1].target == Target(
+            groups=("main", "login mask"), application="erp", system="s"
+        )
+        assert out.events[-1].input_value == {"user": "v"}
+        assert validate(out).ok
+
+    def test_traced_log_equals_abstracting_each_trace_alone(self):
+        rng = random.Random(11)
+        raw = raw_login_log()
+        events = tuple(rng.choice(raw.events) for _ in range(40))
+        log = segment(UILog(events=events, hierarchy=raw.hierarchy), ByMarker({"input username"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TriggerNeverFiresWarning)
+            out = abstract(log, login_rule())
+            alone = [
+                abstract(UILog(events=[events[i] for i in trace.events],
+                               hierarchy=raw.hierarchy), login_rule()).events
+                for trace in log.traces
+            ]
+        assert [trace.id for trace in out.traces] == [trace.id for trace in log.traces]
+        assert [tuple(out.events[i] for i in trace.events) for trace in out.traces] == alone
+        assert [i for trace in out.traces for i in trace.events] == list(range(len(out.events)))
+        assert any(e.activity_name == "A_Login" for e in out.events)
 
     def test_drop_noise_false_keeps_non_contributors(self):
         raw = raw_login_log()

@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -111,6 +112,54 @@ FAULTY_REPORT = """\
 
 def test_composition_faults_report_exactly():
     assert render_report(validate(faulty_log())) == FAULTY_REPORT
+
+
+def mixed_hierarchy():
+    """Placed nodes beside unplaced ones: a group under a foreign parent
+    with children and twin elements below it, a non-node object, a cycle
+    with an element hanging on it, and twins on either side."""
+    s = SystemNode("s")
+    a = ApplicationNode("a", system=s)
+    g = UIGroupNode("g", parent=a)
+    lost = UIGroupNode("lost", parent=ApplicationNode("foreign"))
+    loop1 = UIGroupNode("loop1")
+    loop2 = UIGroupNode("loop2", parent=loop1)
+    object.__setattr__(loop1, "parent", loop2)
+    return UIHierarchy(
+        systems=(s, SimpleNamespace(id="thing")),
+        applications=(a,),
+        ui_groups=(
+            g, UIGroupNode("pair", parent=a), UIGroupNode("pair", parent=a),
+            lost, UIGroupNode("inner", parent=lost), loop1, loop2,
+        ),
+        ui_elements=(
+            UIElementNode("e", parent=g),
+            UIElementNode("child", parent=lost),
+            UIElementNode("twin", parent=lost),
+            UIElementNode("twin", parent=lost),
+            UIElementNode("tail", parent=loop1),
+            UIElementNode("misplaced", parent=s),
+            UIElementNode("twin", parent=g),
+        ),
+    )
+
+
+MIXED_REPORT = """\
+8 violations (0 events, 17 nodes checked)
+  [LevelViolation] node 'thing': 'thing' is a SimpleNamespace, not a hierarchy node type
+  [DanglingReference] node 'lost': parent of 'lost' is not registered in the hierarchy
+  [LevelViolation] node 'misplaced': 'misplaced' (element) cannot be parented to SystemNode
+  [CycleDetected] node 'loop1': parent chain from 'loop1' does not terminate
+  [CycleDetected] node 'loop2': parent chain from 'loop2' does not terminate
+  [CycleDetected] node 'tail': parent chain from 'tail' does not terminate
+  [DuplicateId] node 'pair': 2 sibling group nodes share the id 'pair'
+  [DuplicateId] node 'twin': 2 sibling element nodes share the id 'twin'"""
+
+
+def test_placed_and_unplaced_nodes_report_exactly():
+    # Nodes below an unplaced parent get no fault of their own, but their
+    # twins are still counted; parent link faults come before cycles.
+    assert render_report(validate(UILog(hierarchy=mixed_hierarchy()))) == MIXED_REPORT
 
 
 class TestValidate:
