@@ -38,6 +38,10 @@ _EXPORTS = {
         "UnknownGroupError",
         "UnserializableValueError",
     ),
+    "extension": (
+        "EXTENSION_KEYS",
+        "emit_extension_definition",
+    ),
     "model": (
         "Action",
         "ApplicationNode",
@@ -95,8 +99,6 @@ _EXPORTS = {
         "validate",
     ),
     "xes": (
-        "EXTENSION_KEYS",
-        "emit_extension_definition",
         "read_xes",
         "write_xes",
     ),

@@ -245,9 +245,9 @@ def _cmd_abstract(args) -> int:
 
 
 def _cmd_extension(args) -> int:
-    from . import xes
+    from . import extension
 
-    text = xes.emit_extension_definition()
+    text = extension.emit_extension_definition()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -334,7 +334,17 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run :func:`main` as the whole process and exit with its code.
+
+    The process ends right after the command, so the collector is frozen
+    first: interpreter shutdown then skips a last sweep over every
+    class, function and module the command loaded. Only this entry point
+    freezes; :func:`main` and the library leave the collector as they
+    found it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -404,7 +404,8 @@ def ingest(
     with a warning, and activity names are synthesized from action type
     and target id when no activity column is mapped. A row the csv module
     cannot split, or whose group path holds an empty id, raises a
-    MalformedDocumentError naming the row; a bad ``delimiter`` raises
+    MalformedDocumentError naming the row; two kept extra columns of one
+    name raise MissingColumnError naming both; a bad ``delimiter`` raises
     BadConfigError.
     """
     _check_delimiter(delimiter)
@@ -440,6 +441,15 @@ def ingest(
             for i, column in enumerate(header)
             if i not in mapped_positions
         ]
+        # An extra attribute is keyed by its column's name, so two named
+        # alike would keep only the last cell.
+        first_of = {}
+        for i, column, _ in extra_columns:
+            if column and first_of.setdefault(column, i) != i:
+                raise MissingColumnError(
+                    f"header: columns {first_of[column] + 1} and {i + 1} are both named "
+                    f"{column!r}"
+                )
 
     # Each row is cut or padded to the header's width plus one empty cell,
     # which stands in for every unmapped field.
@@ -601,11 +611,13 @@ def write_table(
     synonym of, extra event attributes get their own columns, and traced
     logs gain a ``Trace`` column. The tabular format is text-typed:
     numbers, booleans, and timestamps become their printed form. A bad
-    ``delimiter`` raises BadConfigError, and an attribute named "Trace"
-    on a traced log raises UnserializableValueError.
+    ``delimiter`` raises BadConfigError. On a traced log an attribute
+    named "Trace" is written in the ``Trace`` column when its cell is the
+    row's trace id, and raises UnserializableValueError otherwise.
     """
     _check_delimiter(delimiter)
     mapping = mapping or ColumnMapping()
+    ts_format = mapping.timestamp_format
 
     def rows():
         """(event, trace id or None) per row, in output order."""
@@ -627,9 +639,17 @@ def write_table(
                     populated.add(name)
             extra_keys.update(dict.fromkeys(event.attributes))
         if traced and "Trace" in extra_keys:
-            raise UnserializableValueError(
-                "event attribute 'Trace' has no column: a traced log writes its trace ids there"
-            )
+            # The Trace column holds the trace ids, so an attribute of that
+            # name is written there once, where it reads back as itself.
+            for event, trace_id in rows():
+                if "Trace" in event.attributes:
+                    cell = _render_cell(event.attributes["Trace"], ts_format, True)
+                    if cell != trace_id:
+                        raise UnserializableValueError(
+                            f"event attribute 'Trace' {cell!r} is not its trace id "
+                            f"{trace_id!r}: a traced log writes its trace ids in that column"
+                        )
+            del extra_keys["Trace"]
         # The column of each field an extra key names comes first, so
         # infer_mapping reads the field from it and the key as an extra.
         populated.update(_SYNONYMS.get(_normalize_header(key)) for key in extra_keys)
@@ -663,7 +683,6 @@ def write_table(
         (quoted if "\r" in "".join(cells) else plain).writerow(cells)
 
     write_row(columns)
-    ts_format = mapping.timestamp_format
     for event, trace_id in rows():
         write_row([
             (trace_id or "") if read is None else _render_cell(read(event), ts_format, text_value)

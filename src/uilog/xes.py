@@ -12,7 +12,8 @@ group first (a literal "/" in an id is escaped as "\\/"). Hierarchy
 context is repeated on every event; that redundancy is the price of the
 flat format and is accepted deliberately, but neither side pays it per
 event: the reader types and the writer renders each distinct context
-once per document.
+once per document. The keys, URIs and extension declaration live in
+:mod:`uilog.extension` and are re-exported here.
 
 Logs without traces are wrapped in a single artificial trace, marked by
 the log-level boolean ``uilog:untraced`` so the reader can undo it.
@@ -22,11 +23,12 @@ appended to one list of pieces, indented from a precomputed table and
 escaped as ElementTree escapes attribute values, and the list is joined
 once. The element of each distinct target, the group path, application
 and system elements of each distinct (system, application, group path)
-scope, and each user and task element are rendered once per document;
-each event writes its own element state between its element and the
-rest of its scope.
+scope, and each user, task and action element are rendered once per
+document; each event writes its own element state between its element
+and the rest of its scope.
 
-The reader parses incrementally: it feeds the text to an ElementTree
+The reader parses incrementally (and imports ElementTree only when it
+runs, so writing loads no XML parser): it feeds the text to an ElementTree
 parser in 64 KiB slices and, after each slice, reads the children of
 ``<log>`` and of the open ``<trace>`` that the parser has finished and
 deletes them from the tree, so the tree holds about one slice of the
@@ -43,14 +45,32 @@ from __future__ import annotations
 import re
 import warnings
 from datetime import datetime
-from typing import Mapping, Optional
-from xml.etree import ElementTree as ET
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import (
     InvalidLogError,
     MalformedDocumentError,
     MissingConceptNameError,
     UnserializableValueError,
+)
+from .extension import (  # re-exported: the XES vocabulary is public here too
+    CONCEPT_URI,
+    EXTENSION_KEYS,
+    KEY_ACTION_TYPE,
+    KEY_APPLICATION,
+    KEY_CONCEPT_NAME,
+    KEY_INPUT_VALUE,
+    KEY_SYSTEM,
+    KEY_TASK,
+    KEY_TIMESTAMP,
+    KEY_UI_ELEMENT,
+    KEY_UI_ELEMENT_STATE,
+    KEY_UI_GROUP_PATH,
+    KEY_UNTRACED,
+    KEY_USER,
+    TIME_URI,
+    UILOG_URI,
+    emit_extension_definition,
 )
 from .model import (
     Action,
@@ -71,67 +91,8 @@ from .model import (
 )
 from .validation import validate
 
-CONCEPT_URI = "http://www.xes-standard.org/concept.xesext"
-TIME_URI = "http://www.xes-standard.org/time.xesext"
-UILOG_URI = "http://www.xes-standard.org/uilog.xesext"
-
-KEY_CONCEPT_NAME = "concept:name"
-KEY_TIMESTAMP = "time:timestamp"
-
-KEY_ACTION_TYPE = "uilog:action-type"
-KEY_INPUT_VALUE = "uilog:input-value"
-KEY_UI_ELEMENT = "uilog:ui-element"
-KEY_UI_ELEMENT_STATE = "uilog:ui-element-state"
-KEY_UI_GROUP_PATH = "uilog:ui-group-path"
-KEY_APPLICATION = "uilog:application"
-KEY_SYSTEM = "uilog:system"
-KEY_USER = "uilog:user"
-KEY_TASK = "uilog:task"
-KEY_UNTRACED = "uilog:untraced"
-
-#: The event-level vocabulary of the uilog extension, in canonical order.
-EXTENSION_KEYS = (
-    KEY_ACTION_TYPE,
-    KEY_INPUT_VALUE,
-    KEY_UI_ELEMENT,
-    KEY_UI_ELEMENT_STATE,
-    KEY_UI_GROUP_PATH,
-    KEY_APPLICATION,
-    KEY_SYSTEM,
-    KEY_USER,
-    KEY_TASK,
-)
-
-# Canonical extension declaration. Keys that admit more than one XES type
-# (input values may be plain strings or maps; element states are often
-# lists) are declared once per admitted type.
-_EXTENSION_DEFINITION = """<?xml version="1.0" encoding="UTF-8"?>
-<xesextension name="UILog" prefix="uilog" uri="http://www.xes-standard.org/uilog.xesext">
-  <log>
-    <boolean key="untraced"/>
-  </log>
-  <trace/>
-  <event>
-    <string key="action-type"/>
-    <string key="input-value"/>
-    <container key="input-value"/>
-    <string key="ui-element"/>
-    <string key="ui-element-state"/>
-    <list key="ui-element-state"/>
-    <string key="ui-group-path"/>
-    <string key="application"/>
-    <string key="system"/>
-    <string key="user"/>
-    <string key="task"/>
-  </event>
-</xesextension>
-"""
-
-
-def emit_extension_definition() -> str:
-    """The uilog XES extension declaration; byte-stable across runs."""
-    return _EXTENSION_DEFINITION
-
+if TYPE_CHECKING:
+    from xml.etree import ElementTree as ET
 
 # ---------------------------------------------------------------------------
 # Writing
@@ -253,8 +214,16 @@ def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> No
     _attribute(out, 3, KEY_CONCEPT_NAME, event.activity_name)
     if event.timestamp is not None:
         _attribute(out, 3, KEY_TIMESTAMP, event.timestamp)
-    if event.action is not None:
-        _attribute(out, 3, KEY_ACTION_TYPE, event.action.action_type, event.action.attributes)
+    action = event.action
+    if action is not None:
+        # An Action holds a dict and is unhashable; the log keeps each alive
+        # for the call, so its id is its key.
+        text = contexts.get(id(action))
+        if text is None:
+            text = contexts[id(action)] = _rendered(
+                KEY_ACTION_TYPE, action.action_type, action.attributes
+            )
+        out.append(text)
     if event.input_value is not None:
         _attribute(out, 3, KEY_INPUT_VALUE, event.input_value)
     head = rest = ""
@@ -295,7 +264,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
         traces = [("all-events", {}, range(len(log.events)))]
-    contexts = {}  # rendered context parts by target, scope, user and task
+    contexts = {}  # rendered context parts by target, scope, user, task and action
     for trace_id, attributes, indices in traces:
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
@@ -675,6 +644,8 @@ def read_xes(source: str, *, lenient_names: bool = False) -> UILog:
     ``<log>`` beside traces is reported at the end, since
     ``uilog:untraced`` may follow it.
     """
+    from xml.etree import ElementTree as ET  # only a command that reads XES loads the parser
+
     reader = _LogReader(lenient_names)
     tree = ET.TreeBuilder()
     holder = tree.start("", {})  # <log> is holder[0] while it is parsed

@@ -502,8 +502,10 @@ CSV_AND_CONFIG_MODULES = {"uilog.tabular", "uilog.transform", "csv", "configpars
 
 def test_extension_loads_no_csv_or_transform_module(tmp_path):
     modules = loaded_modules(tmp_path, "extension", "-o", tmp_path / "ext.xml")
-    assert "uilog.xes" in modules
-    assert not modules & CSV_AND_CONFIG_MODULES
+    assert {m for m in modules if m.startswith("uilog")} == {
+        "uilog", "uilog.cli", "uilog.errors", "uilog.extension"
+    }
+    assert not modules & (CSV_AND_CONFIG_MODULES | {"dataclasses"})
 
 
 def test_validate_on_xes_loads_no_csv_or_transform_module(tmp_path):
@@ -518,3 +520,101 @@ def test_convert_without_mapping_loads_no_transform_or_configparser(tmp_path):
     modules = loaded_modules(tmp_path, "convert", "-i", KC, "-o", tmp_path / "kc.xes")
     assert {"uilog.tabular", "uilog.xes", "csv"} <= modules
     assert not modules & {"uilog.transform", "configparser"}
+
+
+def test_csv_to_xes_convert_loads_no_xml_parser(tmp_path):
+    modules = loaded_modules(tmp_path, "convert", "-i", KC, "-o", tmp_path / "kc.xes")
+    assert "uilog.xes" in modules
+    assert not modules & {"xml.etree.ElementTree", "pyexpat"}
+
+
+def test_segment_by_the_trace_column_keeps_a_csv_pipeline_working(tmp_path):
+    source = tmp_path / "traced.csv"
+    source.write_text("Activity,Trace\nb,t1\na,t2\n")
+    notion = tmp_path / "trace.notion"
+    notion.write_text("[notion]\nkind = attribute\nkey = Trace\n")
+    out = tmp_path / "out.csv"
+    done = run_child("segment", "--notion", notion, "-i", source, "-o", out)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "note: 2 trace(s)\n"
+    before, _ = uilog.ingest(source.read_text())
+    after, _ = uilog.ingest(out.read_text())
+    assert [e.attributes["Trace"] for e in after.events] == ["t1", "t2"]
+    assert after.events == before.events
+
+
+def test_extra_columns_named_alike_are_an_operational_error(tmp_path):
+    source = tmp_path / "moods.csv"
+    source.write_text("Activity,Mood,Mood\nx,fine,bad\n")
+    out = tmp_path / "moods.xes"
+    done = run_child("convert", "-i", source, "-o", out)
+    assert done.returncode == 1
+    assert done.stderr == "error: header: columns 2 and 3 are both named 'Mood'\n"
+    assert not out.exists()
+
+
+#: Exit code and command of each case; paths are relative to where it runs.
+EXIT_PATHS = {
+    "stdout-and-report": (0, ["stats", "-i", KC, "--report", "stats.json"]),
+    "output-and-notes": (0, ["convert", "-i", "unordered.csv", "-o", "out.xes"]),
+    "extension": (0, ["extension"]),
+    "error": (1, ["convert", "-i", "missing.csv", "-o", "out.xes"]),
+    "findings": (2, ["validate", "-i", "unordered.csv", "--report", "findings.jsonl"]),
+}
+
+
+@pytest.mark.parametrize("code,argv", EXIT_PATHS.values(), ids=EXIT_PATHS)
+def test_a_child_process_writes_what_main_writes(tmp_path, monkeypatch, code, argv):
+    """``python -m uilog`` exits through ``entrypoint``, which freezes the
+    collector before the interpreter shuts down: nothing it writes may
+    differ from an in-process ``main`` run."""
+    argv = [str(a) for a in argv]
+    sides = {}
+    for side in ("child", "main"):
+        directory = tmp_path / side
+        directory.mkdir()
+        (directory / "unordered.csv").write_text(
+            "Activity,Timestamp\na,2024-01-01T00:01:00Z\nb,2024-01-01T00:00:00Z\n"
+        )
+        if side == "child":
+            env = dict(os.environ, PYTHONPATH=str(Path(uilog.__file__).parent.parent))
+            done = subprocess.run(
+                [sys.executable, "-m", "uilog", *argv], capture_output=True, cwd=directory,
+                env=env,
+            )
+            result = done.returncode, done.stdout, done.stderr
+        else:
+            monkeypatch.chdir(directory)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                result = main(argv), out.getvalue().encode(), err.getvalue().encode()
+        files = {path.name: path.read_bytes() for path in directory.iterdir()}
+        sides[side] = *result, files
+    assert sides["child"] == sides["main"]
+    assert sides["main"][0] == code
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    assert run("extension", "-o", tmp_path / "ext.xml") == 0
+    assert run("convert", "-i", KC, "-o", tmp_path / "kc.xes") == 0
+    assert run("stats", "-i", tmp_path / "missing.csv") == 1
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entrypoint_freezes_the_collector_before_it_exits(tmp_path):
+    script = (
+        "import gc, sys\n"
+        "from uilog.cli import entrypoint\n"
+        f"sys.argv = ['uilog', 'extension', '-o', {str(tmp_path / 'ext.xml')!r}]\n"
+        "frozen = gc.get_freeze_count()\n"
+        "try:\n"
+        "    entrypoint()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > frozen)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(uilog.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.stdout.split() == ["0", "True"], done.stderr

@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +191,20 @@ class TestIngestBehavior:
     def test_unnamed_column_is_dropped_when_extras_are_ignored(self):
         mapping = ColumnMapping(activity_name="Activity", extras="ignore")
         log, _ = ingest("Activity,,x\na,b,c\n", mapping)
+        assert log.events[0].attributes == {}
+
+    @pytest.mark.parametrize("header", ["Activity,Mood,Mood", "Activity,Mood,x, Mood "])
+    def test_extra_columns_named_alike_are_a_header_error(self, header):
+        last = len(header.split(","))
+        with pytest.raises(MissingColumnError, match=rf"^header: columns 2 and {last} are "
+                                                     "both named 'Mood'$"):
+            ingest(f"{header}\nx,fine,bad,worse\n")
+
+    def test_unnamed_or_ignored_columns_may_repeat(self):
+        log, _ = ingest("Activity,,Mood,\nx,,fine,\n")
+        assert log.events[0].attributes == {"Mood": "fine"}
+        mapping = ColumnMapping(activity_name="Activity", extras="ignore")
+        log, _ = ingest("Activity,Mood,Mood\nx,fine,bad\n", mapping)
         assert log.events[0].attributes == {}
 
     @pytest.mark.parametrize(
@@ -432,6 +447,26 @@ class TestInverseWriter:
         )
         with pytest.raises(UnserializableValueError, match="'Trace'"):
             write_table(log)
+
+    def test_a_trace_attribute_that_is_its_trace_id_is_written_once(self):
+        log = UILog(
+            events=(
+                InteractionEvent("a", attributes={"Trace": "t2"}),
+                InteractionEvent("b", attributes={"Trace": "t1", "Mood": "fine"}),
+                InteractionEvent("c", attributes={"Trace": "'t1'"}),
+            ),
+            traces=(Trace(id="t1", events=(1,)), Trace(id="t2", events=(0,)),
+                    Trace(id="'t1'", events=(2,))),
+        )
+        with pytest.raises(UnserializableValueError, match="'Trace' \"''t1''\" is not its "):
+            write_table(log)  # the cell of the text 't1' is ''t1''
+        log = replace(log, events=log.events[:2], traces=log.traces[:2])
+        emitted = write_table(log)
+        assert emitted == "Activity,Mood,Trace\nb,fine,t1\na,,t2\n"
+        again, _ = ingest(emitted)
+        assert [e.attributes for e in again.events] == [
+            {"Mood": "fine", "Trace": "t1"}, {"Trace": "t2"}
+        ]
 
     def test_text_values_that_would_not_read_back_are_wrapped(self):
         values = ["", " padded ", "[a, b]", "{k: v}", "'quoted'", "''", "'", "plain", "[a"]

@@ -90,6 +90,26 @@ class TestWrite:
         attrs = attribute_map(events_of(write_xes(log))[0])
         assert attrs["time:timestamp"].get("value") == "2024-05-01T08:30:15.123+00:00"
 
+    def test_a_shared_action_writes_as_equal_actions_do(self):
+        shared = Action("click", attributes={"button": "left", "at": {"x": 1}})
+        alike = Action("click", attributes={"button": "left", "at": {"x": 1}})
+        one = UILog(events=(InteractionEvent("a", action=shared),
+                            InteractionEvent("b", action=Action("key")),
+                            InteractionEvent("c", action=shared)))
+        two = UILog(events=(InteractionEvent("a", action=shared),
+                            InteractionEvent("b", action=Action("key")),
+                            InteractionEvent("c", action=alike)))
+        assert write_xes(one) == write_xes(two)
+        assert write_xes(one).count('<string key="button" value="left" />') == 2
+        assert read_xes(write_xes(one)).events == one.events
+
+    def test_extension_vocabulary_is_public_here(self):
+        from uilog import extension
+
+        assert xes.EXTENSION_KEYS is extension.EXTENSION_KEYS
+        assert xes.emit_extension_definition is extension.emit_extension_definition
+        assert xes.validate is validate
+
 
 class TestRead:
     def test_group_only_event_resolves_to_group(self):
