@@ -4,7 +4,7 @@ One binary, six subcommands: convert, validate, stats, segment,
 abstract, and extension. Data and reports go to files or standard
 output; diagnostics go to standard error, so the commands compose in
 shell pipelines. Exit codes are a stable contract: 0 success, 1
-operational error, 2 validation findings.
+operational error (a usage error included), 2 validation findings.
 """
 
 from __future__ import annotations
@@ -255,6 +255,15 @@ def _cmd_extension(args) -> int:
     return _EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error, its own or a command's, after the usage
+    line, so :func:`main` returns 1 for it where argparse would exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UILogError(message)
+
+
 def _add_io_arguments(parser, *, needs_output: bool) -> None:
     parser.add_argument("--input", "-i", required=True, help="input log file")
     parser.add_argument(
@@ -278,7 +287,7 @@ def _add_io_arguments(parser, *, needs_output: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uilog",
         description="Convert, validate, profile, segment, and abstract "
         "user-interaction logs (CSV and XES with the uilog extension).",
@@ -315,18 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # A command builds many objects and few reference cycles, so cyclic
     # collection is paused while it runs and the caller's setting restored.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         _prepare(args)
         return args.handler(args)
-    except UILogError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (UILogError, OSError) as exc:
         return _fail(str(exc))
     finally:
         if collecting:

@@ -27,9 +27,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import CycleError, DanglingReferenceError, NoTargetError
+from .errors import BadConfigError, CycleError, DanglingReferenceError, NoTargetError
 
 #: Maximum nesting depth of list/map attribute values.
 MAX_NESTING_DEPTH = 32
@@ -173,6 +173,24 @@ def _trusted(cls, **fields):
     instance = object.__new__(cls)
     instance.__dict__.update(fields)
     return instance
+
+
+def load_ini(text: str, kind: str, interpret: Callable):
+    """Parse INI text and return what ``interpret`` makes of the parser.
+
+    Keys keep their case and values are taken literally. Any syntax or
+    value error, in parsing or in ``interpret``, is raised as a
+    BadConfigError naming the ``kind`` of file.
+    """
+    import configparser  # only config files need it, so only their loads import it
+
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+        return interpret(parser)
+    except (configparser.Error, ValueError) as exc:
+        raise BadConfigError(f"bad {kind} file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ exactly the text values that would not read back as themselves: empty,
 padded, literal-shaped or apostrophe-wrapped text. So text values
 round-trip exactly, and so do lists and maps of trimmed items. A list or
 map item is written as its own literal and reads back as that text,
-which writes the same cell again. The writer reads each column by its
-position, and writes the canonical column of any field an extra
-attribute key is a synonym of, so the key reads back as an attribute.
+which writes the same cell again. The writer has one column layout:
+the canonical column of each populated field and of any field an extra
+attribute key is a synonym of (so the key reads back as an attribute),
+then the extra keys in first-seen order, then ``Trace`` for a traced
+log. Each column is read by its position.
 
 Timestamps are optional throughout: many recorders omit them and rely
 on row order, which the model supports.
@@ -33,7 +35,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     BadConfigError,
@@ -51,6 +53,7 @@ from .model import (
     _trusted,
     format_timestamp,
     join_group_path,
+    load_ini,
     make_activity_name,
     normalize_timestamp,
     parse_timestamp,
@@ -128,8 +131,7 @@ class ColumnMapping:
     "map", "list", or the default "auto", which sniffs the literal
     braces). ``extras`` says what happens to unmapped columns: "keep"
     turns them into event attributes keyed by column name, "ignore"
-    drops them. ``source_columns`` remembers the original header order
-    so the inverse writer can reproduce the file layout.
+    drops them.
     """
 
     activity_name: Optional[str] = None
@@ -146,7 +148,6 @@ class ColumnMapping:
     timestamp_format: Optional[str] = None
     value_parsers: Mapping = field(default_factory=dict)
     extras: str = "keep"
-    source_columns: tuple = ()
 
     def __post_init__(self):
         if self.extras not in ("keep", "ignore"):
@@ -155,7 +156,6 @@ class ColumnMapping:
             if parser not in ("plain", "map", "list", "auto"):
                 raise ValueError(f"unknown value parser {parser!r} for column {column!r}")
         object.__setattr__(self, "value_parsers", dict(self.value_parsers))
-        object.__setattr__(self, "source_columns", tuple(self.source_columns))
 
     def mapped(self) -> dict:
         """field → column, for the fields that are mapped."""
@@ -184,13 +184,12 @@ def infer_mapping(header: Iterable[str]) -> ColumnMapping:
     and underscores. Unmatched columns fall to the extras policy. Raises
     NoUsableColumnsError when nothing usable matches.
     """
-    columns = [c.strip() for c in header]
     assignments = {}
-    for column in columns:
+    for column in header:
         target_field = _SYNONYMS.get(_normalize_header(column))
         if target_field and target_field not in assignments:
-            assignments[target_field] = column
-    mapping = ColumnMapping(**assignments, source_columns=tuple(columns))
+            assignments[target_field] = column.strip()
+    mapping = ColumnMapping(**assignments)
     mapping.check_usable()
     return mapping
 
@@ -605,19 +604,17 @@ def write_table(
 ) -> str:
     """Render a log back to delimiter-separated text.
 
-    With a mapping whose ``source_columns`` are set, the original column
-    layout is reproduced; otherwise the canonical headers are used for
-    every populated field and every field an extra attribute key is a
-    synonym of, extra event attributes get their own columns, and traced
-    logs gain a ``Trace`` column. The tabular format is text-typed:
+    The canonical headers are used for every populated field and every
+    field an extra attribute key is a synonym of, extra event attributes
+    get their own columns in first-seen order, and traced logs gain a
+    ``Trace`` column. The tabular format is text-typed:
     numbers, booleans, and timestamps become their printed form. A bad
     ``delimiter`` raises BadConfigError. On a traced log an attribute
     named "Trace" is written in the ``Trace`` column when its cell is the
     row's trace id, and raises UnserializableValueError otherwise.
     """
     _check_delimiter(delimiter)
-    mapping = mapping or ColumnMapping()
-    ts_format = mapping.timestamp_format
+    ts_format = mapping.timestamp_format if mapping else None
 
     def rows():
         """(event, trace id or None) per row, in output order."""
@@ -626,52 +623,38 @@ def write_table(
         return ((log.events[i], trace.id) for trace in log.traces for i in trace.events)
 
     traced = log.traces is not None
-    if mapping.source_columns:
-        columns = list(mapping.source_columns)
-        field_of = {column: name for name, column in mapping.mapped().items()}
-        fields = [field_of.get(column) for column in columns]
-    else:
-        populated = {"activity_name"}
-        extra_keys = {}
-        for event, _ in rows():
-            for name, (_, read) in _FIELDS.items():
-                if name not in populated and read(event) is not None:
-                    populated.add(name)
-            extra_keys.update(dict.fromkeys(event.attributes))
-        if traced and "Trace" in extra_keys:
-            # The Trace column holds the trace ids, so an attribute of that
-            # name is written there once, where it reads back as itself.
-            for event, trace_id in rows():
-                if "Trace" in event.attributes:
-                    cell = _render_cell(event.attributes["Trace"], ts_format, True)
-                    if cell != trace_id:
-                        raise UnserializableValueError(
-                            f"event attribute 'Trace' {cell!r} is not its trace id "
-                            f"{trace_id!r}: a traced log writes its trace ids in that column"
-                        )
-            del extra_keys["Trace"]
-        # The column of each field an extra key names comes first, so
-        # infer_mapping reads the field from it and the key as an extra.
-        populated.update(_SYNONYMS.get(_normalize_header(key)) for key in extra_keys)
-        fields = [name for name in _FIELDS if name in populated]
-        columns = [_FIELDS[name][0] for name in fields] + list(extra_keys)
-        fields += [None] * len(extra_keys)
-        if traced:
-            columns.append("Trace")
-            fields.append(None)
-
-    # Per column position: how to read its value off an event, and whether
-    # a text there is a value cell; None reads the row's trace id. An
-    # untraced log keeps a "Trace" attribute, as ingest makes of a traced
-    # table.
-    readers = []
-    for column, name in zip(columns, fields):
-        if name is not None:
-            readers.append((_FIELDS[name][1], name in ("input_value", "current_state")))
-        elif column == "Trace" and traced:
-            readers.append((None, False))
-        else:
-            readers.append((lambda event, key=column: event.attributes.get(key), True))
+    populated = {"activity_name"}
+    extra_keys = {}
+    for event, _ in rows():
+        for name, (_, read) in _FIELDS.items():
+            if name not in populated and read(event) is not None:
+                populated.add(name)
+        extra_keys.update(dict.fromkeys(event.attributes))
+    if traced and "Trace" in extra_keys:
+        # The Trace column holds the trace ids, so an attribute of that
+        # name is written there once, where it reads back as itself.
+        for event, trace_id in rows():
+            if "Trace" in event.attributes:
+                cell = _render_cell(event.attributes["Trace"], ts_format, True)
+                if cell != trace_id:
+                    raise UnserializableValueError(
+                        f"event attribute 'Trace' {cell!r} is not its trace id "
+                        f"{trace_id!r}: a traced log writes its trace ids in that column"
+                    )
+        del extra_keys["Trace"]
+    # The column of each field an extra key names comes first, so
+    # infer_mapping reads the field from it and the key as an extra.
+    populated.update(_SYNONYMS.get(_normalize_header(key)) for key in extra_keys)
+    fields = [name for name in _FIELDS if name in populated]
+    columns = [_FIELDS[name][0] for name in fields] + list(extra_keys)
+    # Per column: how to read its value off an event, and whether a text
+    # there is a value cell; None reads the row's trace id. An untraced
+    # log keeps a "Trace" attribute, as ingest makes of a traced table.
+    readers = [(_FIELDS[name][1], name in ("input_value", "current_state")) for name in fields]
+    readers += [(lambda event, key=key: event.attributes.get(key), True) for key in extra_keys]
+    if traced:
+        columns.append("Trace")
+        readers.append((None, False))
 
     buffer = io.StringIO()
     plain = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
@@ -685,7 +668,7 @@ def write_table(
     write_row(columns)
     for event, trace_id in rows():
         write_row([
-            (trace_id or "") if read is None else _render_cell(read(event), ts_format, text_value)
+            trace_id if read is None else _render_cell(read(event), ts_format, text_value)
             for read, text_value in readers
         ])
     return buffer.getvalue()
@@ -693,24 +676,6 @@ def write_table(
 
 # ---------------------------------------------------------------------------
 # Mapping files
-
-
-def load_ini(text: str, kind: str, interpret: Callable):
-    """Parse INI text and return what ``interpret`` makes of the parser.
-
-    Keys keep their case and values are taken literally. Any syntax or
-    value error, in parsing or in ``interpret``, is raised as a
-    BadConfigError naming the ``kind`` of file.
-    """
-    import configparser  # only config files need it, so only their loads import it
-
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-        return interpret(parser)
-    except (configparser.Error, ValueError) as exc:
-        raise BadConfigError(f"bad {kind} file: {exc}") from exc
 
 
 def load_mapping(text: str) -> ColumnMapping:

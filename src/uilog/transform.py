@@ -8,7 +8,7 @@ event (conventionally "A_"-prefixed), the way a login mask's keystrokes
 become a single "A_Login".
 
 Both notions and rules can be loaded from the same INI format the column
-mappings use (:func:`uilog.tabular.load_ini`), so CLI pipelines can keep
+mappings use (:func:`uilog.model.load_ini`), so CLI pipelines can keep
 them in files.
 """
 
@@ -32,9 +32,9 @@ from .model import (
     Target,
     Trace,
     UILog,
+    load_ini,
     split_group_path,
 )
-from .tabular import load_ini
 
 #: Marker attribute carried by events produced by :func:`abstract`, so a
 #: second application never re-matches them as raw in-group runs.

@@ -36,8 +36,9 @@ document rather than all of it. It checks and normalizes each value
 where it types it, so the model is built without a second pass. The
 nested attributes of a group path, application, system, user, task or
 action type are typed once per distinct subtree and shared by every
-event that repeats it; a subtree whose typing warned is typed again
-where it recurs, so each occurrence warns with its own location.
+event that repeats it, and a document holds one :class:`Action` per
+distinct action; a subtree whose typing warned is typed again where it
+recurs, so each occurrence warns with its own location.
 """
 
 from __future__ import annotations
@@ -502,22 +503,27 @@ class _LogReader:
             mapping[key] = value
         return mapping
 
-    def _context(self, key: str, value, nested: ET.Element, where: str):
+    def _context(self, key: str, value, nested: Optional[ET.Element], where: str):
         """The attributes nested on the event field ``key`` = ``value``, typed.
 
         A group path gives its group attribute sets by group id path, an
-        action type its :class:`Action`, the other fields their map. A
-        document repeats these on every event, so each distinct subtree
-        is typed once: it is known by its raw elements, (tag, key, value,
-        child count) in document order, which is all that typing reads.
+        action type its :class:`Action` (None for an empty type), the
+        other fields their map. A document repeats these on every event,
+        so each distinct subtree is typed once: it is known by its raw
+        elements, (tag, key, value, child count) in document order, which
+        is all that typing reads, and a bare action type by its text.
         """
-        raw = tuple([(e.tag, e.get("key"), e.get("value"), len(e)) for e in nested.iter()])
+        if nested is None:
+            raw = (key, str(value))  # its text: True == 1, yet they print apart
+        else:
+            raw = tuple([(e.tag, e.get("key"), e.get("value"), len(e)) for e in nested.iter()])
         typed = self.contexts.get(raw)
         if typed is not None:
             return typed
         warned = self.warned
-        # Group containers do not count as nesting.
-        typed = self._map(nested, where, -1 if key == KEY_UI_GROUP_PATH else 0)
+        typed = {}
+        if nested is not None:  # group containers do not count as nesting
+            typed = self._map(nested, where, -1 if key == KEY_UI_GROUP_PATH else 0)
         if key == KEY_UI_GROUP_PATH:
             typed = {
                 split_group_path(path): attributes
@@ -526,7 +532,7 @@ class _LogReader:
             }
         elif key == KEY_ACTION_TYPE:
             if not str(value):
-                return typed  # the event fails where it checks its action
+                return None  # the event fails where it checks its action
             typed = _trusted(Action, action_type=str(value), attributes=typed)
         if self.warned == warned:
             self.contexts[raw] = typed
@@ -548,7 +554,7 @@ class _LogReader:
             key: self._context(key, fields[key], nested, where) if key in _CONTEXT_KEYS
             else self._map(nested, where)
             for key, nested in nested_by_key.items()
-            if nested is not None
+            if nested is not None or key == KEY_ACTION_TYPE
         }
 
         name = fields.get(KEY_CONCEPT_NAME)
@@ -563,14 +569,9 @@ class _LogReader:
         if timestamp is not None and not isinstance(timestamp, datetime):
             timestamp = self._timestamp(str(timestamp), where)
 
-        action = None
-        if KEY_ACTION_TYPE in fields:
-            action = nested_by_key.get(KEY_ACTION_TYPE)
-            if not isinstance(action, Action):
-                action_type = str(fields[KEY_ACTION_TYPE])
-                if not action_type:
-                    raise ValueError("action_type must be non-empty text")
-                action = _trusted(Action, action_type=action_type, attributes=action or {})
+        action = nested_by_key.get(KEY_ACTION_TYPE)
+        if action is None and KEY_ACTION_TYPE in fields:
+            raise ValueError("action_type must be non-empty text")
 
         element_id = fields.get(KEY_UI_ELEMENT)
         groups = split_group_path(str(fields[KEY_UI_GROUP_PATH])) if KEY_UI_GROUP_PATH in fields else ()

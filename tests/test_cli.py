@@ -528,6 +528,17 @@ def test_csv_to_xes_convert_loads_no_xml_parser(tmp_path):
     assert not modules & {"xml.etree.ElementTree", "pyexpat"}
 
 
+def test_segment_on_xes_loads_no_csv_module(tmp_path):
+    source = tmp_path / "kc.xes"
+    assert run("convert", "-i", KC, "-o", source) == 0
+    notion = tmp_path / "marker.notion"
+    notion.write_text("[notion]\nkind = marker\nmarkers = A_Login\n")
+    out = tmp_path / "traced.xes"
+    modules = loaded_modules(tmp_path, "segment", "-i", source, "--notion", notion, "-o", out)
+    assert {"uilog.transform", "configparser"} <= modules
+    assert not modules & {"uilog.tabular", "csv"}
+
+
 def test_segment_by_the_trace_column_keeps_a_csv_pipeline_working(tmp_path):
     source = tmp_path / "traced.csv"
     source.write_text("Activity,Trace\nb,t1\na,t2\n")
@@ -560,6 +571,9 @@ EXIT_PATHS = {
     "extension": (0, ["extension"]),
     "error": (1, ["convert", "-i", "missing.csv", "-o", "out.xes"]),
     "findings": (2, ["validate", "-i", "unordered.csv", "--report", "findings.jsonl"]),
+    "usage-missing-option": (1, ["validate"]),
+    "usage-unknown-option": (1, ["validate", "-i", "unordered.csv", "--bogus"]),
+    "usage-no-command": (1, []),
 }
 
 

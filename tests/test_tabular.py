@@ -409,6 +409,12 @@ class TestInverseWriter:
         again, _ = ingest(emitted)
         assert again.events == log.events
 
+    def test_an_inferred_mapping_writes_the_canonical_layout(self):
+        log, _ = ingest("Timestamp,Activity\n2024-01-01T09:00:00Z,a\n,b\n")
+        emitted = write_table(log, infer_mapping(["Timestamp", "Activity"]))
+        assert emitted.splitlines()[0] == "Activity,Timestamp"
+        again, _ = ingest(emitted)
+        assert again.events == log.events
 
     def test_a_row_holding_a_carriage_return_is_quoted_in_full(self):
         log = UILog(events=(InteractionEvent("a\rb", input_value="x"), InteractionEvent("c")))

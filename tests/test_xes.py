@@ -818,19 +818,83 @@ def test_repeated_context_fails_where_its_fault_is(monkeypatch, chunk, bodies, w
         read_xes(events_document(*bodies))
 
 
+BARE_ACTION = '<string key="uilog:action-type" value="click"/>'
+
+
 @pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
 def test_reads_share_no_context(monkeypatch, chunk):
     if chunk:
         monkeypatch.setattr(xes, "_CHUNK", chunk)
-    document = events_document(*[ACTION_WITH_ATTRIBUTES] * 3)
+    document = events_document(*[ACTION_WITH_ATTRIBUTES] * 3, BARE_ACTION, BARE_ACTION)
     first, second = read_xes(document), read_xes(document)
     actions = [event.action for event in first.events]
     assert actions[0] is actions[1] is actions[2]  # one Action per distinct subtree
+    assert actions[3] is actions[4]  # and per distinct bare action type
     assert actions[0] is not second.events[0].action
+    assert actions[3] is not second.events[3].action
     actions[0].attributes["at"]["x"] = 4
     actions[0].attributes["new"] = True
-    assert [event.action for event in second.events] == [Action("click", {"at": {"x": 3}})] * 3
+    actions[3].attributes["new"] = True
+    assert [event.action for event in second.events] == (
+        [Action("click", {"at": {"x": 3}})] * 3 + [Action("click")] * 2
+    )
     assert read_xes(document) == second
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+def test_bare_action_types_read_to_one_action_each(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    one = '<int key="uilog:action-type" value="1"/>'
+    true = '<boolean key="uilog:action-type" value="true"/>'  # True == 1, yet it reads "True"
+    document = events_document(
+        BARE_ACTION, one, BARE_ACTION, true, one, true, ACTION_WITH_ATTRIBUTES,
+        '<string key="uilog:action-type" value="1"/>',
+    )
+    actions = [event.action for event in read_xes(document).events]
+    assert actions == [
+        Action("click"), Action("1"), Action("click"), Action("True"), Action("1"),
+        Action("True"), Action("click", {"at": {"x": 3}}), Action("1"),
+    ]
+    assert actions[0] is actions[2]
+    assert actions[1] is actions[4] is actions[7]
+    assert actions[3] is actions[5]
+    assert len({id(action) for action in actions}) == 4
+
+
+EMPTY_ACTION = '<string key="uilog:action-type" value=""/>'
+EMPTY_ACTION_WITH = '<string key="uilog:action-type" value="">{}</string>'.format
+NAMED = '<string key="concept:name" value="a"/>'
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize(
+    "body,error,message",
+    [
+        (NAMED + EMPTY_ACTION, MalformedDocumentError, "action_type must be non-empty text"),
+        (NAMED + EMPTY_ACTION_WITH('<string key="k" value="v"/>'), MalformedDocumentError,
+         "action_type must be non-empty text"),
+        (EMPTY_ACTION, MissingConceptNameError, "event has no concept:name"),
+        (NAMED + EMPTY_ACTION + '<string key="time:timestamp" value="soon"/>',
+         MalformedDocumentError, "bad timestamp 'soon'"),
+        (NAMED + EMPTY_ACTION + '<int key="n" value="y"/>', MalformedDocumentError,
+         "invalid literal for int() with base 10: 'y'"),
+        (NAMED + EMPTY_ACTION_WITH('<int key="n" value="y"/>'), MalformedDocumentError,
+         "invalid literal for int() with base 10: 'y'"),
+    ],
+    ids=["bare", "nested", "unnamed", "bad-timestamp", "bad-value", "bad-nested-value"],
+)
+def test_an_empty_action_type_fails_after_the_faults_read_before_it(
+    monkeypatch, chunk, body, error, message
+):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    document = (
+        f'<log><trace><event>{NAMED}{BARE_ACTION}</event><event>{body}</event></trace></log>'
+    )
+    with pytest.raises(error) as caught:
+        read_xes(document)
+    assert str(caught.value) == f"trace 0, event 1: {message}"
 
 
 def test_repeated_contexts_write_each_event_its_own():
