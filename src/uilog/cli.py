@@ -118,8 +118,8 @@ def _load_log(args):
         return log
     from . import xes
 
-    lenient = getattr(args, "lenient_names", False)
-    return _noting_warnings(xes.read_xes, _read_text(args.input), lenient_names=lenient)
+    # An event without a name is a validation finding, not a read error.
+    return _noting_warnings(xes.read_xes, _read_text(args.input), lenient_names=True)
 
 
 def _write_log(log, args, report=None) -> int:
@@ -179,7 +179,6 @@ def _cmd_convert(args) -> int:
 def _cmd_validate(args) -> int:
     from . import validation
 
-    args.lenient_names = True
     log = _load_log(args)
     report = validation.validate(log)
     head, _, rest = validation.render_report(report).partition("\n")
@@ -264,7 +263,9 @@ class _Parser(argparse.ArgumentParser):
         raise UILogError(message)
 
 
-def _add_io_arguments(parser, *, needs_output: bool) -> None:
+def _add_io_arguments(parser, *, needs_output: bool, report: str | None = None) -> None:
+    """Declare the input options, the output ones with ``needs_output``,
+    and ``--report`` with ``report`` as its help."""
     parser.add_argument("--input", "-i", required=True, help="input log file")
     parser.add_argument(
         "--format", choices=("csv", "xes"), help="input format (default: by suffix)"
@@ -273,7 +274,8 @@ def _add_io_arguments(parser, *, needs_output: bool) -> None:
     parser.add_argument(
         "--delimiter", default=",", help="csv delimiter (default: comma)"
     )
-    parser.add_argument("--report", help="write findings/statistics to this file")
+    if report:
+        parser.add_argument("--report", help=report)
     if needs_output:
         parser.add_argument(
             "--strict",
@@ -295,15 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     convert = commands.add_parser("convert", help="convert between csv and xes")
-    _add_io_arguments(convert, needs_output=True)
+    findings = "write each validation finding to this file as a JSON line"
+    _add_io_arguments(convert, needs_output=True, report=findings)
     convert.set_defaults(handler=_cmd_convert)
 
     check = commands.add_parser("validate", help="check model invariants")
-    _add_io_arguments(check, needs_output=False)
+    _add_io_arguments(check, needs_output=False, report=findings)
     check.set_defaults(handler=_cmd_validate)
 
     stats = commands.add_parser("stats", help="attribute coverage and profile")
-    _add_io_arguments(stats, needs_output=False)
+    _add_io_arguments(
+        stats, needs_output=False, report="write the coverage and profile to this file as JSON"
+    )
     stats.set_defaults(handler=_cmd_stats)
 
     seg = commands.add_parser("segment", help="partition events into traces")

@@ -29,7 +29,13 @@ from datetime import datetime, timezone
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import BadConfigError, CycleError, DanglingReferenceError, NoTargetError
+from .errors import (
+    BadConfigError,
+    CycleError,
+    DanglingReferenceError,
+    InvalidLogError,
+    NoTargetError,
+)
 
 #: Maximum nesting depth of list/map attribute values.
 MAX_NESTING_DEPTH = 32
@@ -786,6 +792,20 @@ def _registry(entries: Mapping) -> dict:
         _check_id(entry_id)
         out[entry_id] = normalize_attributes(attributes)
     return out
+
+
+def _out_of_range(trace: Trace, index) -> str:
+    return f"trace {trace.id!r} references event index {index}, which is out of range"
+
+
+def _trace_events(log: UILog, trace: Trace) -> list:
+    """The events of ``trace``, in its order. An index that names no
+    event raises InvalidLogError, with the message validation gives."""
+    events = log.events
+    for index in trace.events:
+        if not 0 <= index < len(events):
+            raise InvalidLogError(_out_of_range(trace, index))
+    return [events[index] for index in trace.events]
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ padded, literal-shaped or apostrophe-wrapped text. So text values
 round-trip exactly, and so do lists and maps of trimmed items. A list or
 map item is written as its own literal and reads back as that text,
 which writes the same cell again. The writer has one column layout:
-the canonical column of each populated field and of any field an extra
+the canonical column of each populated field and of any field an
 attribute key is a synonym of (so the key reads back as an attribute),
-then the extra keys in first-seen order, then ``Trace`` for a traced
-log. Each column is read by its position.
+then the attribute keys in first-seen order. A traced log is written
+trace by trace, and each row's trace id is its last attribute,
+``Trace``, escaped like any value cell, so it reads back as that
+attribute. Each column is read by its position.
 
 Timestamps are optional throughout: many recorders omit them and rely
 on row order, which the model supports.
@@ -50,6 +52,7 @@ from .model import (
     HierarchyBuilder,
     InteractionEvent,
     UILog,
+    _trace_events,
     _trusted,
     format_timestamp,
     join_group_path,
@@ -292,13 +295,9 @@ def render_list_literal(value: Iterable) -> str:
 _SHAPES = {"{}": parse_map_literal, "[]": parse_list_literal}
 
 
-def _is_wrapped(text: str) -> bool:
-    return len(text) > 1 and text[0] == text[-1] == "'"
-
-
 def _parse_cell(text: str, parser: str):
     """The value of a trimmed, non-empty value cell."""
-    if _is_wrapped(text):
+    if len(text) > 1 and text[0] == text[-1] == "'":
         return text[1:-1]
     if parser == "auto":
         parse = _SHAPES.get(text[0] + text[-1])
@@ -310,12 +309,24 @@ def _parse_cell(text: str, parser: str):
     return text
 
 
-def _text_cell(text: str) -> str:
-    """The cell of a text value: ``text``, or ``'text'`` when ``text`` is
-    empty, padded, literal-shaped or wrapped in apostrophes itself."""
-    if not text or text != text.strip() or text[0] + text[-1] in _SHAPES or _is_wrapped(text):
-        return f"'{text}'"
-    return text
+def _render_cell(value, ts_format, text_value: bool) -> str:
+    """The cell of a field or attribute value. With ``text_value`` a
+    text is a value cell: ``'text'`` when the text is empty, padded,
+    literal-shaped or wrapped in apostrophes itself."""
+    if value is None:
+        return ""
+    if isinstance(value, str):  # most cells
+        if text_value and (
+            not value
+            or value != value.strip()
+            or value[0] + value[-1] in _SHAPES
+            or len(value) > 1 and value[0] == value[-1] == "'"
+        ):
+            return f"'{value}'"
+        return value
+    if isinstance(value, datetime):
+        return _render_timestamp(value, ts_format)
+    return _plain_text(value)
 
 
 def _plain_text(value) -> str:
@@ -324,6 +335,8 @@ def _plain_text(value) -> str:
         return value
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (int, float)):  # many values; they skip the slow ABC check
+        return str(value)
     if isinstance(value, datetime):
         return _render_timestamp(value, None)
     if isinstance(value, (list, tuple)):
@@ -584,18 +597,6 @@ def ingest(
 # Inverse writer
 
 
-def _render_cell(value, ts_format, text_value: bool) -> str:
-    """The cell of a field or attribute value; with ``text_value`` a
-    text is written under the value cell escape."""
-    if value is None:
-        return ""
-    if isinstance(value, str):  # most cells
-        return _text_cell(value) if text_value else value
-    if isinstance(value, datetime):
-        return _render_timestamp(value, ts_format)
-    return _plain_text(value)
-
-
 def write_table(
     log: UILog,
     mapping: Optional[ColumnMapping] = None,
@@ -604,57 +605,51 @@ def write_table(
 ) -> str:
     """Render a log back to delimiter-separated text.
 
-    The canonical headers are used for every populated field and every
-    field an extra attribute key is a synonym of, extra event attributes
-    get their own columns in first-seen order, and traced logs gain a
-    ``Trace`` column. The tabular format is text-typed:
-    numbers, booleans, and timestamps become their printed form. A bad
-    ``delimiter`` raises BadConfigError. On a traced log an attribute
-    named "Trace" is written in the ``Trace`` column when its cell is the
-    row's trace id, and raises UnserializableValueError otherwise.
+    One row per event; a traced log writes its events trace by trace,
+    and each row's trace id is its last attribute, ``Trace``. The
+    columns are the canonical column of every populated field and of
+    every field an attribute key is a synonym of, then the attribute
+    keys in first-seen order. The tabular format is text-typed:
+    numbers, booleans, and timestamps become their printed form. An
+    event attribute ``Trace`` whose cell is not its trace id's raises
+    UnserializableValueError, a trace index that names no event
+    InvalidLogError, and a bad ``delimiter`` BadConfigError.
     """
     _check_delimiter(delimiter)
     ts_format = mapping.timestamp_format if mapping else None
-
-    def rows():
-        """(event, trace id or None) per row, in output order."""
-        if log.traces is None:
-            return ((event, None) for event in log.events)
-        return ((log.events[i], trace.id) for trace in log.traces for i in trace.events)
-
     traced = log.traces is not None
-    populated = {"activity_name"}
-    extra_keys = {}
-    for event, _ in rows():
-        for name, (_, read) in _FIELDS.items():
-            if name not in populated and read(event) is not None:
-                populated.add(name)
-        extra_keys.update(dict.fromkeys(event.attributes))
-    if traced and "Trace" in extra_keys:
-        # The Trace column holds the trace ids, so an attribute of that
-        # name is written there once, where it reads back as itself.
-        for event, trace_id in rows():
-            if "Trace" in event.attributes:
-                cell = _render_cell(event.attributes["Trace"], ts_format, True)
-                if cell != trace_id:
-                    raise UnserializableValueError(
-                        f"event attribute 'Trace' {cell!r} is not its trace id "
-                        f"{trace_id!r}: a traced log writes its trace ids in that column"
-                    )
-        del extra_keys["Trace"]
-    # The column of each field an extra key names comes first, so
-    # infer_mapping reads the field from it and the key as an extra.
-    populated.update(_SYNONYMS.get(_normalize_header(key)) for key in extra_keys)
-    fields = [name for name in _FIELDS if name in populated]
-    columns = [_FIELDS[name][0] for name in fields] + list(extra_keys)
-    # Per column: how to read its value off an event, and whether a text
-    # there is a value cell; None reads the row's trace id. An untraced
-    # log keeps a "Trace" attribute, as ingest makes of a traced table.
-    readers = [(_FIELDS[name][1], name in ("input_value", "current_state")) for name in fields]
-    readers += [(lambda event, key=key: event.attributes.get(key), True) for key in extra_keys]
     if traced:
-        columns.append("Trace")
-        readers.append((None, False))
+        rows = [
+            (event, {**event.attributes, "Trace": trace.id})
+            for trace in log.traces
+            for event in _trace_events(log, trace)
+        ]
+    else:
+        rows = [(event, event.attributes) for event in log.events]
+
+    keys = {}
+    for event, attributes in rows:
+        keys.update(attributes)
+        if traced and "Trace" in event.attributes:
+            own = _render_cell(event.attributes["Trace"], ts_format, True)
+            cell = _render_cell(attributes["Trace"], ts_format, True)
+            if own != cell:
+                raise UnserializableValueError(
+                    f"event attribute 'Trace' {own!r} is not its trace id {cell!r}"
+                )
+    # Activity heads even an empty table. The column of each field a key
+    # names comes first, so infer_mapping reads the field from it and the
+    # key as an attribute.
+    named = {"activity_name", *(_SYNONYMS.get(_normalize_header(key)) for key in keys)}
+    fields = [
+        name for name, (_, read) in _FIELDS.items()
+        if name in named or any(read(event) is not None for event, _ in rows)
+    ]
+    # Per column: how to read its value off an event, or the key of the
+    # row attribute it holds, and whether a text there is a value cell.
+    value_fields = ("input_value", "current_state")
+    readers = [(_FIELDS[name][1], None, name in value_fields) for name in fields]
+    readers += [(None, key, True) for key in keys]
 
     buffer = io.StringIO()
     plain = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
@@ -665,11 +660,11 @@ def write_table(
         # and the row cannot be read back; such a row is quoted in full.
         (quoted if "\r" in "".join(cells) else plain).writerow(cells)
 
-    write_row(columns)
-    for event, trace_id in rows():
+    write_row([_FIELDS[name][0] for name in fields] + list(keys))
+    for event, attributes in rows:
         write_row([
-            trace_id if read is None else _render_cell(read(event), ts_format, text_value)
-            for read, text_value in readers
+            _render_cell(read(event) if read else attributes.get(key), ts_format, text_value)
+            for read, key, text_value in readers
         ])
     return buffer.getvalue()
 

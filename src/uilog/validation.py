@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import _PARENT_TYPES, UIHierarchy, UILog, level_of, parent_of
+from .model import _PARENT_TYPES, UIHierarchy, UILog, _out_of_range, level_of, parent_of
 from .errors import CycleError, DanglingReferenceError, NoTargetError
 
 
@@ -219,8 +219,7 @@ def _partition_violations(log: UILog) -> list:
                     Violation(
                         ViolationCode.DANGLING_REFERENCE,
                         node_id=trace.id,
-                        message=f"trace {trace.id!r} references event index {index}, "
-                        f"which is out of range",
+                        message=_out_of_range(trace, index),
                     )
                 )
                 continue

@@ -84,6 +84,7 @@ from .model import (
     _INT64_MAX,
     _INT64_MIN,
     _check_id,
+    _trace_events,
     _trusted,
     format_timestamp,
     join_group_path,
@@ -251,9 +252,11 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     """Serialize a log to XES XML text.
 
     With ``check`` (the default) the log must validate cleanly;
-    InvalidLogError carries the report otherwise. Output is deterministic
-    for a given log: fixed key order, fixed formatting. Text outside the
-    XML 1.0 character set raises UnserializableValueError.
+    InvalidLogError carries the report otherwise; without it, a trace
+    index that names no event still raises InvalidLogError. Output is
+    deterministic for a given log: fixed key order, fixed formatting.
+    Text outside the XML 1.0 character set raises
+    UnserializableValueError.
     """
     if check and not (report := validate(log)).ok:
         count = len(report.violations)
@@ -261,17 +264,19 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     out = [_HEADER]
     for key, value in log.attributes.items():
         _attribute(out, 1, key, value)
-    traces = [(stored.id, stored.attributes, stored.events) for stored in log.traces or ()]
+    traces = [
+        (stored.id, stored.attributes, _trace_events(log, stored)) for stored in log.traces or ()
+    ]
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
-        traces = [("all-events", {}, range(len(log.events)))]
+        traces = [("all-events", {}, log.events)]
     contexts = {}  # rendered context parts by target, scope, user, task and action
-    for trace_id, attributes, indices in traces:
+    for trace_id, attributes, events in traces:
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
             _attribute(out, 2, key, value)
-        for index in indices:
-            _event(out, log.events[index], log, contexts)
+        for event in events:
+            _event(out, event, log, contexts)
         out.append("\n  </trace>")
     out.append("\n</log>\n")
     return "".join(out)

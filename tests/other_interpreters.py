@@ -34,7 +34,9 @@ LENT = (
 TIER_1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 # Tests that need only the standard library and run as scripts.
-SCRIPTS = ("tests/test_xes_golden.py", "tests/test_tabular_timestamps.py")
+SCRIPTS = (
+    "tests/test_xes_golden.py", "tests/test_tabular_timestamps.py", "tests/test_tabular_roundtrip.py",
+)
 
 
 def lend_test_dependencies(into: Path) -> None:

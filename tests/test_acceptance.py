@@ -227,6 +227,12 @@ def _mutations():
     log = UILog(events=events, traces=(Trace("t1", (0, 1)), Trace("t2", (1,))))
     mutated.append((log, ViolationCode.PARTITION_OVERLAP, {"event_index": 1}))
 
+    log = UILog(events=events, traces=(Trace("t1", (0,)), Trace("t1", (1,))))
+    mutated.append((log, ViolationCode.DUPLICATE_ID, {"node_id": "t1"}))
+
+    log = UILog(events=events, traces=(Trace("t1", (0, 1, 2)),))
+    mutated.append((log, ViolationCode.DANGLING_REFERENCE, {"node_id": "t1"}))
+
     log = UILog(
         events=ok.events + (InteractionEvent("x", current_state="open"),), hierarchy=ok.hierarchy
     )

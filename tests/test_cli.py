@@ -59,12 +59,33 @@ class TestConvert:
         assert run("convert", "-i", middle, "-o", second) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_nameless_event_is_an_operational_error_on_convert(self, tmp_path):
+    def test_nameless_event_is_a_finding_on_convert(self, tmp_path, capsys):
         source = tmp_path / "bad.xes"
         source.write_text(
             '<log><trace><event><string key="x" value="1"/></event></trace></log>'
         )
-        assert run("convert", "-i", source, "-o", tmp_path / "out.csv") == 1
+        out = tmp_path / "out.csv"
+        assert run("convert", "-i", source, "-o", out) == 0
+        assert capsys.readouterr().err == "note: log has 1 validation finding(s)\n"
+        assert out.read_text() == "Activity,x,Trace\n,1,trace_0\n"
+        out.unlink()
+        assert run("convert", "-i", source, "--strict", "-o", out) == 2
+        assert "MissingActivityName" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("stats", "-i", source) == 0
+
+    def test_report_holds_one_json_line_per_finding(self, tmp_path):
+        source = tmp_path / "unordered.csv"
+        source.write_text(
+            "Activity,Timestamp\na,2024-01-01T00:01:00Z\nb,2024-01-01T00:00:00Z\n,\n"
+            "c,2023-12-31T00:00:00Z\n"
+        )
+        report = tmp_path / "findings.jsonl"
+        assert run("convert", "-i", source, "-o", tmp_path / "out.xes", "--report", report) == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [(r["code"], r["event_index"]) for r in records] == [
+            ("OutOfOrderTimestamp", 1), ("OutOfOrderTimestamp", 2)
+        ]
 
     def test_strict_blocks_validation_findings(self, tmp_path):
         source = tmp_path / "unordered.csv"
@@ -574,6 +595,10 @@ EXIT_PATHS = {
     "usage-missing-option": (1, ["validate"]),
     "usage-unknown-option": (1, ["validate", "-i", "unordered.csv", "--bogus"]),
     "usage-no-command": (1, []),
+    "usage-report-on-segment": (
+        1, ["segment", "-i", "unordered.csv", "--notion", "n.ini", "-o", "s.xes",
+            "--report", "r.json"],
+    ),
 }
 
 

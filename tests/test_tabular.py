@@ -2,7 +2,6 @@ import csv
 import io
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +10,7 @@ from uilog import (
     BadConfigError,
     BadLiteralError,
     InteractionEvent,
+    InvalidLogError,
     MalformedDocumentError,
     MissingColumnError,
     NoUsableColumnsError,
@@ -129,6 +129,23 @@ class TestIngestBehavior:
         log, report = ingest("Activity,Input value\nx,not a map\n", mapping)
         assert log.events[0].input_value == "not a map"
         assert report.warnings
+
+    @pytest.mark.parametrize("parser, cell, value, warnings", [
+        ("map", "{k: v}", {"k": "v"}, 0),
+        ("list", "[a, b]", ["a", "b"], 0),
+        ("list", "{k: v}", "{k: v}", 1),  # not a list: kept as text
+        ("plain", "[a, b]", "[a, b]", 0),
+        ("plain", "{k: v}", "{k: v}", 0),
+        ("plain", "'[a]'", "[a]", 0),
+    ])
+    def test_a_forced_parser_reads_its_column(self, parser, cell, value, warnings):
+        mapping = ColumnMapping(
+            activity_name="Activity", input_value="Input value",
+            value_parsers={"Input value": parser},
+        )
+        log, report = ingest(f'Activity,Input value\nx,"{cell}"\n', mapping)
+        assert log.events[0].input_value == value
+        assert len(report.warnings) == warnings
 
     def test_synthesized_names(self):
         text = "Action type,UI element,UI group\nleft click,go,main\n"
@@ -464,14 +481,51 @@ class TestInverseWriter:
             traces=(Trace(id="t1", events=(1,)), Trace(id="t2", events=(0,)),
                     Trace(id="'t1'", events=(2,))),
         )
-        with pytest.raises(UnserializableValueError, match="'Trace' \"''t1''\" is not its "):
-            write_table(log)  # the cell of the text 't1' is ''t1''
-        log = replace(log, events=log.events[:2], traces=log.traces[:2])
         emitted = write_table(log)
-        assert emitted == "Activity,Mood,Trace\nb,fine,t1\na,,t2\n"
+        assert emitted == "Activity,Trace,Mood\nb,t1,fine\na,t2,\nc,''t1'',\n"
         again, _ = ingest(emitted)
         assert [e.attributes for e in again.events] == [
-            {"Mood": "fine", "Trace": "t1"}, {"Trace": "t2"}
+            {"Trace": "t1", "Mood": "fine"}, {"Trace": "t2"}, {"Trace": "'t1'"}
+        ]
+        assert write_table(again) == emitted
+
+    def test_a_trace_id_is_the_last_attribute_of_its_rows(self):
+        log = UILog(
+            events=(
+                InteractionEvent("a", attributes={"Mood": "fine"}),
+                InteractionEvent("b"),
+                InteractionEvent("c", attributes={"Screen": "main"}),
+            ),
+            traces=(Trace(id="t1", events=(0, 1)), Trace(id="[t2]", events=(2,))),
+        )
+        emitted = write_table(log)
+        assert emitted == "Activity,Mood,Trace,Screen\na,fine,t1,\nb,,t1,\nc,,'[t2]',main\n"
+        again, _ = ingest(emitted)
+        assert [e.attributes for e in again.events] == [
+            {"Mood": "fine", "Trace": "t1"}, {"Trace": "t1"}, {"Trace": "[t2]", "Screen": "main"}
+        ]
+        assert write_table(again) == emitted
+
+    @pytest.mark.parametrize("names, indices", [("ab", (-1, 0)), ("a", (3,))])
+    @pytest.mark.parametrize("write", [write_table, write_xes], ids=["csv", "xes"])
+    def test_a_trace_index_out_of_range_is_an_invalid_log(self, write, names, indices):
+        log = UILog(events=tuple(map(InteractionEvent, names)), traces=(Trace("t", indices),))
+        message = f"trace 't' references event index {indices[0]}, which is out of range"
+        assert message in [v.message for v in validate(log).violations]
+        with pytest.raises(InvalidLogError, match=re.escape(message)):
+            write(log, **({"check": False} if write is write_xes else {}))
+
+    def test_a_timestamp_format_writes_what_it_reads(self):
+        mapping = ColumnMapping(
+            activity_name="Activity", timestamp="Timestamp", timestamp_format="%d.%m.%Y %H:%M"
+        )
+        log, _ = ingest("Activity,Timestamp\nx,2024-02-01T10:30:59.250+01:00\ny,\n")
+        emitted = write_table(log, mapping)
+        assert emitted == "Activity,Timestamp\nx,01.02.2024 09:30\ny,\n"
+        again, report = ingest(emitted, mapping)
+        assert report.rows_skipped == report.warnings == ()
+        assert [e.timestamp for e in again.events] == [
+            log.events[0].timestamp.replace(second=0, microsecond=0), None
         ]
 
     def test_text_values_that_would_not_read_back_are_wrapped(self):
