@@ -199,7 +199,6 @@ def _cmd_stats(args) -> int:
     print("profile")
     print(validation.render_profile(summary))
     if args.report:
-        import dataclasses
         import json
 
         payload = {
@@ -212,7 +211,7 @@ def _cmd_stats(args) -> int:
                 }
                 for name, cell in matrix.items()
             },
-            "profile": dataclasses.asdict(summary),
+            "profile": {name: getattr(summary, name) for name in validation.LogProfile.__slots__},
         }
         Path(args.report).write_text(
             json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"

@@ -17,14 +17,15 @@ Events therefore record their location as the full id chain
 (:class:`Target`), and :meth:`UIHierarchy.resolve` maps that chain to
 the most specific node.
 
-All types are immutable after construction; operations return new values.
+Every record is a plain class whose ``__slots__`` are its fields (see
+:class:`_Record`). Records are immutable after construction; operations
+return new values.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -47,7 +48,6 @@ _INT64_MAX = 2**63 - 1
 # boolean, a UTC timestamp, an ordered list of values, or a map with text
 # keys. Containers may nest up to MAX_NESTING_DEPTH levels.
 AttributeValue = Union[str, int, float, bool, datetime, list, dict]
-AttributeSet = dict
 
 
 def normalize_timestamp(value: datetime) -> datetime:
@@ -169,16 +169,60 @@ def _check_id(node_id) -> None:
         raise ValueError(f"id must be non-empty text, got {node_id!r}")
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+class _Record:
+    """Base of every record: a plain class whose ``__slots__`` are its
+    fields, in order. Each class's ``__init__`` checks and normalizes its
+    arguments and hands them to this one, which fills the slots. A record
+    compares, hashes, prints, copies and pickles by its fields, and
+    refuses to set or delete them."""
 
-    Skips ``__post_init__``: for the loaders and the builder only, which
-    check and normalize every value where they first type it and pass
-    every field.
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values):
+        for set_value, value in zip(self._setters, values):
+            set_value(self, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _trusted, (type(self), *self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _trusted(cls, *values):
+    """A ``cls`` record holding ``values``, one per field in order, as given.
+
+    Skips the checks of ``cls.__init__``: for the loaders, the builder and
+    unpickling only, which pass values checked and normalized already.
+    Fills the slots through their descriptors as :class:`_Record` does,
+    but inline, since every loaded event pays for this call.
     """
-    instance = object.__new__(cls)
-    instance.__dict__.update(fields)
-    return instance
+    record = object.__new__(cls)
+    for set_value, value in zip(cls._setters, values):
+        set_value(record, value)
+    return record
 
 
 def load_ini(text: str, kind: str, interpret: Callable):
@@ -212,42 +256,44 @@ class Level(enum.IntEnum):
     ELEMENT = 4
 
 
-class _Node:
+class _Node(_Record):
     """What every hierarchy node checks: a non-empty text id, and its
-    attribute set normalized."""
+    attribute set normalized. ``parent`` is the node it hangs under."""
 
-    def __post_init__(self):
-        _check_id(self.id)
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
+    __slots__ = ()
+
+    def __init__(self, id: str, parent: Optional[_Node] = None,
+                 attributes: Optional[Mapping] = None):
+        _check_id(id)
+        _Record.__init__(self, id, parent, normalize_attributes(attributes))
 
 
-@dataclass(frozen=True)
 class SystemNode(_Node):
     """Root of a composition tree: the machine or environment observed."""
 
-    id: str
-    attributes: AttributeSet = field(default_factory=dict)
+    __slots__ = ("id", "attributes")
+
+    def __init__(self, id: str, attributes: Optional[Mapping] = None):
+        _check_id(id)
+        _Record.__init__(self, id, normalize_attributes(attributes))
 
 
-@dataclass(frozen=True)
 class ApplicationNode(_Node):
     """A single program instance, optionally running on a system."""
 
-    id: str
-    system: Optional[SystemNode] = None
-    attributes: AttributeSet = field(default_factory=dict)
+    __slots__ = ("id", "system", "attributes")
+
+    def __init__(self, id: str, system: Optional[SystemNode] = None,
+                 attributes: Optional[Mapping] = None):
+        _Node.__init__(self, id, system, attributes)
 
 
-@dataclass(frozen=True)
 class UIGroupNode(_Node):
     """A named part of an interface; groups nest inside groups or apps."""
 
-    id: str
-    parent: Union["UIGroupNode", ApplicationNode, None] = None
-    attributes: AttributeSet = field(default_factory=dict)
+    __slots__ = ("id", "parent", "attributes")
 
 
-@dataclass(frozen=True)
 class UIElementNode(_Node):
     """An atomic widget (button, text box, dropdown); always a leaf.
 
@@ -255,9 +301,7 @@ class UIElementNode(_Node):
     :class:`InteractionEvent`, not on the node.
     """
 
-    id: str
-    parent: Union[UIGroupNode, ApplicationNode, None] = None
-    attributes: AttributeSet = field(default_factory=dict)
+    __slots__ = ("id", "parent", "attributes")
 
 
 #: Any node a resolved target may point at.
@@ -339,8 +383,7 @@ def split_group_path(text: str) -> tuple:
 # Targets
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(_Record):
     """The UI location recorded for one event, as an id chain.
 
     Each field holds what the recorder captured at that level; ``None``
@@ -351,19 +394,17 @@ class Target:
     kept as a free-standing association next to the group/element chain.
     """
 
-    element: Optional[str] = None
-    groups: tuple = ()
-    application: Optional[str] = None
-    system: Optional[str] = None
+    __slots__ = ("element", "groups", "application", "system")
 
-    def __post_init__(self):
-        groups = tuple(self.groups)
+    def __init__(self, element: Optional[str] = None, groups: Iterable[str] = (),
+                 application: Optional[str] = None, system: Optional[str] = None):
+        groups = tuple(groups)
         for gid in groups:
             _check_id(gid)
-        object.__setattr__(self, "groups", groups)
-        for value in (self.element, self.application, self.system):
+        for value in (element, application, system):
             if value is not None:
                 _check_id(value)
+        _Record.__init__(self, element, groups, application, system)
 
     @property
     def is_empty(self) -> bool:
@@ -380,20 +421,16 @@ class Target:
         return self.system
 
 
-@dataclass(frozen=True)
-class UIHierarchy:
+class UIHierarchy(_Record):
     """The registered node sets of one log's UI composition forest."""
 
-    systems: tuple = ()
-    applications: tuple = ()
-    ui_groups: tuple = ()
-    ui_elements: tuple = ()
+    # The instance dict holds the location index, built on first use.
+    __slots__ = ("systems", "applications", "ui_groups", "ui_elements", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "systems", tuple(self.systems))
-        object.__setattr__(self, "applications", tuple(self.applications))
-        object.__setattr__(self, "ui_groups", tuple(self.ui_groups))
-        object.__setattr__(self, "ui_elements", tuple(self.ui_elements))
+    def __init__(self, systems: Iterable = (), applications: Iterable = (),
+                 ui_groups: Iterable = (), ui_elements: Iterable = ()):
+        _Record.__init__(self, tuple(systems), tuple(applications), tuple(ui_groups),
+                         tuple(ui_elements))
 
     def all_nodes(self) -> Iterator[TargetNode]:
         yield from self.systems
@@ -587,7 +624,8 @@ class HierarchyBuilder:
 
     def __init__(self):
         self._records = {}  # location, as UIHierarchy.lookup keys nodes -> _Pending
-        self._chains = {}  # (system, application, groups, element) -> (Target, records)
+        # (system, application, groups or their path, element) -> (Target, records)
+        self._chains = {}
         self._prefixes = {}  # (system, application, groups) -> (records, last one, its location)
 
     def chain(
@@ -631,6 +669,17 @@ class HierarchyBuilder:
         _merge(element_rec, element_attributes)
         return target
 
+    def locate(self, system, application, path: str, element) -> Target:
+        """:meth:`chain` for a location as a table row records it, without
+        attributes: ``path`` is its group path as :func:`join_group_path`
+        writes it, and each distinct row location is split once."""
+        key = (system, application, path, element)
+        known = self._chains.get(key)
+        if known is None:
+            ids = (system, application, split_group_path(path), element)
+            known = self._chains[key] = self._chains.get(ids) or self._walk(*ids)
+        return known[0]
+
     def _walk(self, system, application, groups, element) -> tuple:
         """(Target, system, application, group and element records) of a
         location, creating the records it lacks. The records down to its
@@ -656,8 +705,7 @@ class HierarchyBuilder:
         element_rec = None
         if element is not None:
             element_rec = self._record(parent, location, UIElementNode, element)[0]
-        target = _trusted(Target, element=element, groups=groups, application=application,
-                          system=system)
+        target = _trusted(Target, element, groups, application, system)
         system_rec, app_rec, *group_recs = records
         return target, system_rec, app_rec, group_recs, element_rec
 
@@ -678,8 +726,11 @@ class HierarchyBuilder:
         built = {}
         levels = {kind: [] for kind in _PARENT_TYPES}  # in UIHierarchy's field order
         for rec in self._records.values():
-            parents = () if rec.parent is None else (built[id(rec.parent)],)
-            node = built[id(rec)] = rec.kind(rec.id, *parents, attributes=rec.attributes)
+            # _record checked the id and the link; the attributes are checked here.
+            link = () if rec.kind is SystemNode else (rec.parent and built[id(rec.parent)],)
+            node = built[id(rec)] = _trusted(
+                rec.kind, rec.id, *link, normalize_attributes(rec.attributes)
+            )
             levels[rec.kind].append(node)
         return UIHierarchy(*levels.values())
 
@@ -693,23 +744,20 @@ def _merge(rec: Optional[_Pending], attributes: Optional[Mapping]) -> None:
 # Context components and events
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(_Record):
     """What the user did. The type domain is open ("left click", "input",
     "KEY_F5", ...); the literal "none" is a real value used by abstracted
     events and is distinct from an absent action."""
 
-    action_type: str
-    attributes: AttributeSet = field(default_factory=dict)
+    __slots__ = ("action_type", "attributes")
 
-    def __post_init__(self):
-        if not isinstance(self.action_type, str) or not self.action_type:
+    def __init__(self, action_type: str, attributes: Optional[Mapping] = None):
+        if not isinstance(action_type, str) or not action_type:
             raise ValueError("action_type must be non-empty text")
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
+        _Record.__init__(self, action_type, normalize_attributes(attributes))
 
 
-@dataclass(frozen=True)
-class InteractionEvent:
+class InteractionEvent(_Record):
     """One activity instance.
 
     Only the activity name is mandatory, and even that is checked by
@@ -721,44 +769,37 @@ class InteractionEvent:
     are ids into the owning log's registries.
     """
 
-    activity_name: str
-    action: Optional[Action] = None
-    target: Optional[Target] = None
-    input_value: Optional[AttributeValue] = None
-    current_state: Optional[AttributeValue] = None
-    timestamp: Optional[datetime] = None
-    user: Optional[str] = None
-    task: Optional[str] = None
-    attributes: AttributeSet = field(default_factory=dict)
+    __slots__ = ("activity_name", "action", "target", "input_value", "current_state",
+                 "timestamp", "user", "task", "attributes")
 
-    def __post_init__(self):
-        if not isinstance(self.activity_name, str):
+    def __init__(self, activity_name: str, action: Optional[Action] = None,
+                 target: Optional[Target] = None, input_value: Optional[AttributeValue] = None,
+                 current_state: Optional[AttributeValue] = None,
+                 timestamp: Optional[datetime] = None, user: Optional[str] = None,
+                 task: Optional[str] = None, attributes: Optional[Mapping] = None):
+        if not isinstance(activity_name, str):
             raise TypeError("activity_name must be text")
-        if self.timestamp is not None:
-            object.__setattr__(self, "timestamp", normalize_timestamp(self.timestamp))
-        if self.input_value is not None:
-            object.__setattr__(self, "input_value", normalize_value(self.input_value))
-        if self.current_state is not None:
-            object.__setattr__(self, "current_state", normalize_value(self.current_state))
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
+        timestamp = None if timestamp is None else normalize_timestamp(timestamp)
+        _Record.__init__(
+            self, activity_name, action, target,
+            None if input_value is None else normalize_value(input_value),
+            None if current_state is None else normalize_value(current_state),
+            timestamp, user, task, normalize_attributes(attributes),
+        )
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Record):
     """One case of a partitioned log: an ordered group of event indices."""
 
-    id: str
-    events: tuple = ()
-    attributes: AttributeSet = field(default_factory=dict)
+    __slots__ = ("id", "events", "attributes")
 
-    def __post_init__(self):
-        _check_id(self.id)
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
+    def __init__(self, id: str, events: Iterable[int] = (),
+                 attributes: Optional[Mapping] = None):
+        _check_id(id)
+        _Record.__init__(self, id, tuple(events), normalize_attributes(attributes))
 
 
-@dataclass(frozen=True)
-class UILog:
+class UILog(_Record):
     """An ordered event sequence plus its hierarchy and registries.
 
     The registries map ids that events reference to attribute sets:
@@ -769,26 +810,23 @@ class UILog:
     interchange document) and must cover every event exactly once.
     """
 
-    events: tuple = ()
-    hierarchy: UIHierarchy = field(default_factory=UIHierarchy)
-    users: Mapping = field(default_factory=dict)
-    tasks: Mapping = field(default_factory=dict)
-    attributes: AttributeSet = field(default_factory=dict)
-    traces: Optional[tuple] = None
+    __slots__ = ("events", "hierarchy", "users", "tasks", "attributes", "traces")
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "users", _registry(self.users))
-        object.__setattr__(self, "tasks", _registry(self.tasks))
-        object.__setattr__(self, "attributes", normalize_attributes(self.attributes))
-        if self.traces is not None:
-            object.__setattr__(self, "traces", tuple(self.traces))
+    def __init__(self, events: Iterable[InteractionEvent] = (),
+                 hierarchy: Optional[UIHierarchy] = None, users: Optional[Mapping] = None,
+                 tasks: Optional[Mapping] = None, attributes: Optional[Mapping] = None,
+                 traces: Optional[Iterable[Trace]] = None):
+        _Record.__init__(
+            self, tuple(events), UIHierarchy() if hierarchy is None else hierarchy,
+            _registry(users), _registry(tasks), normalize_attributes(attributes),
+            None if traces is None else tuple(traces),
+        )
 
 
-def _registry(entries: Mapping) -> dict:
+def _registry(entries: Optional[Mapping]) -> dict:
     """id → normalized attribute set; ids must be non-empty text."""
     out = {}
-    for entry_id, attributes in entries.items():
+    for entry_id, attributes in (entries or {}).items():
         _check_id(entry_id)
         out[entry_id] = normalize_attributes(attributes)
     return out

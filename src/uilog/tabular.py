@@ -13,12 +13,16 @@ Cells are trimmed. Literal items are trimmed and stay text; a "," or ":"
 that is part of an item is written doubled. A value cell (input value,
 current state or extra attribute) between apostrophes, as in
 ``' padded '``, is text taken as it stands, never read as a literal.
+An activity cell is never read as a literal either, but between
+apostrophes it is likewise its text: ``'x'`` reads as ``x``, and ``''``
+is the empty name, which is not replaced by a synthesized one.
 :func:`write_table` is the inverse writer. It wraps in apostrophes
-exactly the text values that would not read back as themselves: empty,
-padded, literal-shaped or apostrophe-wrapped text. So text values
-round-trip exactly, and so do lists and maps of trimmed items. A list or
-map item is written as its own literal and reads back as that text,
-which writes the same cell again. The writer has one column layout:
+exactly the text that would not read back as itself: empty, padded or
+apostrophe-wrapped text, and in a value cell literal-shaped text. So
+activity names and text values round-trip exactly, and so do lists and
+maps of trimmed items. A list or map item is written as its own
+literal and reads back as that text, which writes the same cell
+again. The writer has one column layout:
 the canonical column of each populated field and of any field an
 attribute key is a synonym of (so the key reads back as an attribute),
 then the attribute keys in first-seen order. A traced log is written
@@ -35,7 +39,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -52,6 +55,7 @@ from .model import (
     HierarchyBuilder,
     InteractionEvent,
     UILog,
+    _Record,
     _trace_events,
     _trusted,
     format_timestamp,
@@ -60,7 +64,6 @@ from .model import (
     make_activity_name,
     normalize_timestamp,
     parse_timestamp,
-    split_group_path,
 )
 
 #: Per model field a column can feed, in canonical output order: the
@@ -126,8 +129,7 @@ def _normalize_header(name: str) -> str:
     return re.sub(r"[\s_\-]+", " ", spaced).strip().lower()
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
+class ColumnMapping(_Record):
     """Which source column feeds which model field.
 
     ``value_parsers`` forces how a column's cells are read ("plain",
@@ -137,28 +139,26 @@ class ColumnMapping:
     drops them.
     """
 
-    activity_name: Optional[str] = None
-    action_type: Optional[str] = None
-    ui_element: Optional[str] = None
-    ui_group_path: Optional[str] = None
-    application: Optional[str] = None
-    system: Optional[str] = None
-    input_value: Optional[str] = None
-    current_state: Optional[str] = None
-    timestamp: Optional[str] = None
-    user: Optional[str] = None
-    task: Optional[str] = None
-    timestamp_format: Optional[str] = None
-    value_parsers: Mapping = field(default_factory=dict)
-    extras: str = "keep"
+    __slots__ = ("activity_name", "action_type", "ui_element", "ui_group_path", "application",
+                 "system", "input_value", "current_state", "timestamp", "user", "task",
+                 "timestamp_format", "value_parsers", "extras")
 
-    def __post_init__(self):
-        if self.extras not in ("keep", "ignore"):
-            raise ValueError(f"extras must be 'keep' or 'ignore', got {self.extras!r}")
-        for column, parser in dict(self.value_parsers).items():
+    def __init__(self, activity_name: Optional[str] = None, action_type: Optional[str] = None,
+                 ui_element: Optional[str] = None, ui_group_path: Optional[str] = None,
+                 application: Optional[str] = None, system: Optional[str] = None,
+                 input_value: Optional[str] = None, current_state: Optional[str] = None,
+                 timestamp: Optional[str] = None, user: Optional[str] = None,
+                 task: Optional[str] = None, timestamp_format: Optional[str] = None,
+                 value_parsers: Optional[Mapping] = None, extras: str = "keep"):
+        if extras not in ("keep", "ignore"):
+            raise ValueError(f"extras must be 'keep' or 'ignore', got {extras!r}")
+        value_parsers = dict(value_parsers or {})
+        for column, parser in value_parsers.items():
             if parser not in ("plain", "map", "list", "auto"):
                 raise ValueError(f"unknown value parser {parser!r} for column {column!r}")
-        object.__setattr__(self, "value_parsers", dict(self.value_parsers))
+        _Record.__init__(self, activity_name, action_type, ui_element, ui_group_path,
+                         application, system, input_value, current_state, timestamp, user,
+                         task, timestamp_format, value_parsers, extras)
 
     def mapped(self) -> dict:
         """field → column, for the fields that are mapped."""
@@ -309,17 +309,17 @@ def _parse_cell(text: str, parser: str):
     return text
 
 
-def _render_cell(value, ts_format, text_value: bool) -> str:
-    """The cell of a field or attribute value. With ``text_value`` a
-    text is a value cell: ``'text'`` when the text is empty, padded,
-    literal-shaped or wrapped in apostrophes itself."""
+def _render_cell(value, ts_format, shapes) -> str:
+    """The cell of a field or attribute value. Unless ``shapes`` is None,
+    a text is written ``'text'`` when it is empty, padded, wrapped in
+    apostrophes itself or shaped like one of the literals in ``shapes``."""
     if value is None:
         return ""
     if isinstance(value, str):  # most cells
-        if text_value and (
+        if shapes is not None and (
             not value
             or value != value.strip()
-            or value[0] + value[-1] in _SHAPES
+            or value[0] + value[-1] in shapes
             or len(value) > 1 and value[0] == value[-1] == "'"
         ):
             return f"'{value}'"
@@ -364,15 +364,15 @@ def _parse_row_timestamp(text: str, pattern: Optional[str]):
 # Ingest
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(_Record):
     """What :func:`ingest` read: the number of data rows, and, as
     ``"row N: ..."`` texts with N counting data rows from 1, the rows
     that produced no event and the warnings."""
 
-    rows_read: int = 0
-    rows_skipped: tuple = ()
-    warnings: tuple = ()
+    __slots__ = ("rows_read", "rows_skipped", "warnings")
+
+    def __init__(self, rows_read: int = 0, rows_skipped: tuple = (), warnings: tuple = ()):
+        _Record.__init__(self, rows_read, rows_skipped, warnings)
 
 
 def _rows(reader) -> Iterator:
@@ -490,7 +490,7 @@ def ingest(
             return text
 
     for row_number, row in rows:
-        row = [cell.strip() for cell in row]
+        row = list(map(str.strip, row))
         if not any(row):
             skipped.append(f"row {row_number}: empty row")
             continue
@@ -517,7 +517,6 @@ def ingest(
 
         element = row[element_at] or None
         group_cell = row[groups_at]
-        groups = split_group_path(group_cell) if group_cell else ()
         application = row[application_at] or None
         system = row[system_at] or None
         if current_state is not None and element is None:
@@ -527,17 +526,17 @@ def ingest(
             current_state = None
 
         target = None
-        if element or groups or application or system:
+        if element or group_cell or application or system:
             try:
-                target = builder.chain(
-                    system=system, application=application, groups=groups, element=element
-                )
+                target = builder.locate(system, application, group_cell, element)
             except ValueError as exc:  # an empty group id, as in "a//b"
                 raise MalformedDocumentError(f"row {row_number}: {exc}") from None
 
         action_type = row[action_at] or None
         name = row[name_at]
-        if not name:
+        if len(name) > 1 and name[0] == name[-1] == "'":
+            name = name[1:-1]  # text as it stands; '' is the empty name
+        elif not name:
             if target is None:
                 skipped.append(f"row {row_number}: no activity name and no target to name it by")
                 continue
@@ -546,7 +545,7 @@ def ingest(
         action = None
         if action_type is not None:
             action = actions.get(action_type) or actions.setdefault(
-                action_type, _trusted(Action, action_type=action_type, attributes={})
+                action_type, _trusted(Action, action_type, {})
             )
 
         user = row[user_at] or None
@@ -566,20 +565,8 @@ def ingest(
                     )
                 attributes[column] = literal(text, parser, row_number)
 
-        events.append(
-            _trusted(
-                InteractionEvent,
-                activity_name=name,
-                action=action,
-                target=target,
-                input_value=input_value,
-                current_state=current_state,
-                timestamp=timestamp,
-                user=user,
-                task=task,
-                attributes=attributes,
-            )
-        )
+        events.append(_trusted(InteractionEvent, name, action, target, input_value,
+                               current_state, timestamp, user, task, attributes))
 
     log = UILog(
         events=tuple(events),
@@ -631,8 +618,8 @@ def write_table(
     for event, attributes in rows:
         keys.update(attributes)
         if traced and "Trace" in event.attributes:
-            own = _render_cell(event.attributes["Trace"], ts_format, True)
-            cell = _render_cell(attributes["Trace"], ts_format, True)
+            own = _render_cell(event.attributes["Trace"], ts_format, _SHAPES)
+            cell = _render_cell(attributes["Trace"], ts_format, _SHAPES)
             if own != cell:
                 raise UnserializableValueError(
                     f"event attribute 'Trace' {own!r} is not its trace id {cell!r}"
@@ -646,10 +633,12 @@ def write_table(
         if name in named or any(read(event) is not None for event, _ in rows)
     ]
     # Per column: how to read its value off an event, or the key of the
-    # row attribute it holds, and whether a text there is a value cell.
-    value_fields = ("input_value", "current_state")
-    readers = [(_FIELDS[name][1], None, name in value_fields) for name in fields]
-    readers += [(None, key, True) for key in keys]
+    # row attribute it holds, and the literal shapes a text there must
+    # not take (None: the cell is raw). The activity cell is never read
+    # as a literal, so it takes only the text half of the escape.
+    escapes = {"activity_name": (), "input_value": _SHAPES, "current_state": _SHAPES}
+    readers = [(_FIELDS[name][1], None, escapes.get(name)) for name in fields]
+    readers += [(None, key, _SHAPES) for key in keys]
 
     buffer = io.StringIO()
     plain = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
@@ -663,8 +652,8 @@ def write_table(
     write_row([_FIELDS[name][0] for name in fields] + list(keys))
     for event, attributes in rows:
         write_row([
-            _render_cell(read(event) if read else attributes.get(key), ts_format, text_value)
-            for read, key, text_value in readers
+            _render_cell(read(event) if read else attributes.get(key), ts_format, shapes)
+            for read, key, shapes in readers
         ])
     return buffer.getvalue()
 

@@ -15,7 +15,6 @@ them in files.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from datetime import timedelta
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -32,6 +31,7 @@ from .model import (
     Target,
     Trace,
     UILog,
+    _Record,
     load_ini,
     split_group_path,
 )
@@ -45,8 +45,7 @@ ABSTRACTED_KEY = "uilog:abstracted"
 # Case notions
 
 
-@dataclass(frozen=True)
-class ByAttribute:
+class ByAttribute(_Record):
     """One trace per distinct value of an event attribute.
 
     ``key`` may be "user", "task", or any extension attribute key. Trace
@@ -54,55 +53,52 @@ class ByAttribute:
     even when they do not touch.
     """
 
-    key: str
+    __slots__ = ("key",)
 
-    def __post_init__(self):
-        if not self.key:
+    def __init__(self, key: str):
+        if not key:
             raise ValueError("attribute key must be non-empty")
+        _Record.__init__(self, key)
 
 
-@dataclass(frozen=True)
-class ByTimeGap:
+class ByTimeGap(_Record):
     """A new trace starts where the gap between consecutive events
     exceeds the threshold. Requires timestamps on every event."""
 
-    threshold: timedelta
+    __slots__ = ("threshold",)
 
-    def __post_init__(self):
-        threshold = self.threshold
+    def __init__(self, threshold: Union[timedelta, int, float]):
         if isinstance(threshold, (int, float)):
             threshold = timedelta(seconds=threshold)
-            object.__setattr__(self, "threshold", threshold)
         if threshold <= timedelta(0):
             raise ValueError("gap threshold must be positive")
+        _Record.__init__(self, threshold)
 
 
-@dataclass(frozen=True)
-class ByMarker:
+class ByMarker(_Record):
     """Activities that open a new case; events before the first marker
     form a leading trace of their own."""
 
-    markers: frozenset
+    __slots__ = ("markers",)
 
-    def __post_init__(self):
-        markers = frozenset(self.markers)
+    def __init__(self, markers: Iterable[str]):
+        markers = frozenset(markers)
         if not markers:
             raise ValueError("marker set must be non-empty")
-        object.__setattr__(self, "markers", markers)
+        _Record.__init__(self, markers)
 
 
-@dataclass(frozen=True)
-class Composite:
+class Composite(_Record):
     """Notions applied left to right, each refining the previous
     partition; trace ids join the part ids with "/"."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: Iterable):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("composite notion needs at least one part")
-        object.__setattr__(self, "parts", parts)
+        _Record.__init__(self, parts)
 
 
 CaseNotion = Union[ByAttribute, ByTimeGap, ByMarker, Composite]
@@ -188,15 +184,14 @@ def segment(log: UILog, notion: CaseNotion) -> UILog:
     """
     parts = _partition(log, range(len(log.events)), notion)
     traces = tuple(Trace(id=trace_id, events=tuple(run)) for trace_id, run in parts)
-    return replace(log, traces=traces)
+    return UILog(log.events, log.hierarchy, log.users, log.tasks, log.attributes, traces)
 
 
 # ---------------------------------------------------------------------------
 # Abstraction
 
 
-@dataclass(frozen=True)
-class AbstractionRule:
+class AbstractionRule(_Record):
     """Collapse in-group runs that end with a trigger activity.
 
     ``group`` names the UI group (a plain id, or a "/"-separated path
@@ -207,21 +202,18 @@ class AbstractionRule:
     contribute a kept value stay in the log ahead of the abstract event.
     """
 
-    group: str
-    trigger_activity: str
-    abstract_name: str
-    collect: Optional[tuple] = None
-    drop_noise: bool = True
+    __slots__ = ("group", "trigger_activity", "abstract_name", "collect", "drop_noise")
 
-    def __post_init__(self):
-        if not self.group:
+    def __init__(self, group: str, trigger_activity: str, abstract_name: str,
+                 collect: Optional[Iterable[str]] = None, drop_noise: bool = True):
+        if not group:
             raise ValueError("rule needs a group id")
-        if not self.trigger_activity:
+        if not trigger_activity:
             raise ValueError("trigger_activity must be non-empty")
-        if not self.abstract_name:
+        if not abstract_name:
             raise ValueError("abstract_name must be non-empty")
-        if self.collect is not None:
-            object.__setattr__(self, "collect", tuple(self.collect))
+        collect = None if collect is None else tuple(collect)
+        _Record.__init__(self, group, trigger_activity, abstract_name, collect, drop_noise)
 
 
 def _rule_location(log: UILog, rule: AbstractionRule) -> Target:
@@ -366,8 +358,8 @@ def abstract(log: UILog, rules: Union[AbstractionRule, Iterable[AbstractionRule]
         events += _abstract_sequence(log, (log.events[i] for i in sequence), rules, locations)
         spans.append(tuple(range(start, len(events))))
     if traces is not None:
-        traces = tuple(replace(trace, events=span) for trace, span in zip(traces, spans))
-    return replace(log, events=tuple(events), traces=traces)
+        traces = tuple(Trace(t.id, span, t.attributes) for t, span in zip(traces, spans))
+    return UILog(events, log.hierarchy, log.users, log.tasks, log.attributes, traces)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from .model import _PARENT_TYPES, UIHierarchy, UILog, _out_of_range, level_of, parent_of
+from .model import (
+    _PARENT_TYPES, UIHierarchy, UILog, _out_of_range, _Record, level_of, parent_of
+)
 from .errors import CycleError, DanglingReferenceError, NoTargetError
 
 
@@ -30,24 +31,22 @@ class ViolationCode(enum.Enum):
     STATE_WITHOUT_ELEMENT = "StateWithoutElement"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One invariant breach, located by event index and/or node id."""
 
-    code: ViolationCode
-    event_index: Optional[int] = None
-    node_id: Optional[str] = None
-    message: str = ""
+    __slots__ = ("code", "event_index", "node_id", "message")
+
+    def __init__(self, code: ViolationCode, event_index: Optional[int] = None,
+                 node_id: Optional[str] = None, message: str = ""):
+        _Record.__init__(self, code, event_index, node_id, message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple = ()
-    checked_events: int = 0
-    checked_nodes: int = 0
+class ValidationReport(_Record):
+    __slots__ = ("violations", "checked_events", "checked_nodes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
+    def __init__(self, violations: Iterable[Violation] = (), checked_events: int = 0,
+                 checked_nodes: int = 0):
+        _Record.__init__(self, tuple(violations), checked_events, checked_nodes)
 
     @property
     def ok(self) -> bool:
@@ -267,12 +266,13 @@ def validate(log: UILog) -> ValidationReport:
 # Coverage and profile
 
 
-@dataclass(frozen=True)
-class Coverage:
+class Coverage(_Record):
     """How many events populate one attribute."""
 
-    events_present: int = 0
-    events_total: int = 0
+    __slots__ = ("events_present", "events_total")
+
+    def __init__(self, events_present: int = 0, events_total: int = 0):
+        _Record.__init__(self, events_present, events_total)
 
     @property
     def ratio(self) -> float:
@@ -328,16 +328,15 @@ def coverage(log: UILog) -> dict:
     return {name: Coverage(counts[name], total) for name in _COVERED}
 
 
-@dataclass(frozen=True)
-class LogProfile:
-    events: int = 0
-    distinct_activities: int = 0
-    distinct_action_types: int = 0
-    systems: int = 0
-    applications: int = 0
-    ui_groups: int = 0
-    ui_elements: int = 0
-    traces: Optional[int] = None
+class LogProfile(_Record):
+    __slots__ = ("events", "distinct_activities", "distinct_action_types", "systems",
+                 "applications", "ui_groups", "ui_elements", "traces")
+
+    def __init__(self, events: int = 0, distinct_activities: int = 0,
+                 distinct_action_types: int = 0, systems: int = 0, applications: int = 0,
+                 ui_groups: int = 0, ui_elements: int = 0, traces: Optional[int] = None):
+        _Record.__init__(self, events, distinct_activities, distinct_action_types, systems,
+                         applications, ui_groups, ui_elements, traces)
 
 
 def profile(log: UILog) -> LogProfile:

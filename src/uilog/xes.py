@@ -538,7 +538,7 @@ class _LogReader:
         elif key == KEY_ACTION_TYPE:
             if not str(value):
                 return None  # the event fails where it checks its action
-            typed = _trusted(Action, action_type=str(value), attributes=typed)
+            typed = _trusted(Action, str(value), typed)
         if self.warned == warned:
             self.contexts[raw] = typed
         return typed
@@ -600,18 +600,10 @@ class _LogReader:
                 element_attributes=nested_by_key.get(KEY_UI_ELEMENT),
             )
 
-        return _trusted(
-            InteractionEvent,
-            activity_name=name,
-            action=action,
-            target=target,
-            input_value=fields.get(KEY_INPUT_VALUE),
-            current_state=state,
-            timestamp=timestamp,
-            user=_merge_ref(self.users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {})),
-            task=_merge_ref(self.tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {})),
-            attributes=extras,
-        )
+        user = _merge_ref(self.users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {}))
+        task = _merge_ref(self.tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {}))
+        return _trusted(InteractionEvent, name, action, target, fields.get(KEY_INPUT_VALUE),
+                        state, timestamp, user, task, extras)
 
     def finish(self) -> UILog:
         # A document written untraced holds one wrapping trace, which is

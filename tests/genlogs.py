@@ -1,7 +1,6 @@
 """Seeded random log generator shared by property and acceptance tests."""
 
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 from uilog import (
@@ -205,7 +204,7 @@ def assert_equivalent(a: UILog, b: UILog) -> None:
 
 def rebuilt_by_constructors(log: UILog) -> UILog:
     """``log`` with every event, action and hierarchy node passed through
-    its public constructor again (``dataclasses.replace``), which checks
+    its public constructor again, every field spelled out, which checks
     and normalizes every value."""
     rebuilt = {}
 
@@ -214,18 +213,34 @@ def rebuilt_by_constructors(log: UILog) -> UILog:
             return None
         if id(node) not in rebuilt:
             if isinstance(node, SystemNode):
-                rebuilt[id(node)] = replace(node)
+                again = SystemNode(id=node.id, attributes=node.attributes)
             elif isinstance(node, ApplicationNode):
-                rebuilt[id(node)] = replace(node, system=rebuild(node.system))
+                again = ApplicationNode(
+                    id=node.id, system=rebuild(node.system), attributes=node.attributes
+                )
             else:
-                rebuilt[id(node)] = replace(node, parent=rebuild(node.parent))
+                again = type(node)(
+                    id=node.id, parent=rebuild(node.parent), attributes=node.attributes
+                )
+            rebuilt[id(node)] = again
         return rebuilt[id(node)]
+
+    def action(a):
+        return None if a is None else Action(action_type=a.action_type, attributes=a.attributes)
 
     h = log.hierarchy
     hierarchy = UIHierarchy(
         *(tuple(map(rebuild, nodes)) for nodes in (h.systems, h.applications, h.ui_groups, h.ui_elements))
     )
     events = tuple(
-        replace(e, action=None if e.action is None else replace(e.action)) for e in log.events
+        InteractionEvent(
+            activity_name=e.activity_name, action=action(e.action), target=e.target,
+            input_value=e.input_value, current_state=e.current_state, timestamp=e.timestamp,
+            user=e.user, task=e.task, attributes=e.attributes,
+        )
+        for e in log.events
     )
-    return replace(log, events=events, hierarchy=hierarchy)
+    return UILog(
+        events=events, hierarchy=hierarchy, users=log.users, tasks=log.tasks,
+        attributes=log.attributes, traces=log.traces,
+    )

@@ -67,12 +67,27 @@ class TestConvert:
         out = tmp_path / "out.csv"
         assert run("convert", "-i", source, "-o", out) == 0
         assert capsys.readouterr().err == "note: log has 1 validation finding(s)\n"
-        assert out.read_text() == "Activity,x,Trace\n,1,trace_0\n"
+        assert out.read_text() == "Activity,x,Trace\n'',1,trace_0\n"
         out.unlink()
         assert run("convert", "-i", source, "--strict", "-o", out) == 2
         assert "MissingActivityName" in capsys.readouterr().err
         assert not out.exists()
         assert run("stats", "-i", source) == 0
+
+    def test_nameless_event_survives_a_csv_round_trip(self, tmp_path, capsys):
+        source = tmp_path / "bad.xes"
+        source.write_text(
+            '<log><trace><event><string key="x" value="1"/></event></trace></log>'
+        )
+        table, back = tmp_path / "out.csv", tmp_path / "back.xes"
+        assert run("convert", "-i", source, "-o", table) == 0
+        assert run("convert", "-i", table, "-o", back) == 0
+        assert capsys.readouterr().err == "note: log has 1 validation finding(s)\n" * 2
+        for path in (table, back):
+            assert run("validate", "-i", path) == 2
+            report = capsys.readouterr().out
+            assert "1 violation (1 events" in report
+            assert "[MissingActivityName] event 0" in report
 
     def test_report_holds_one_json_line_per_finding(self, tmp_path):
         source = tmp_path / "unordered.csv"
@@ -520,6 +535,9 @@ def loaded_modules(tmp_path, *argv):
 
 CSV_AND_CONFIG_MODULES = {"uilog.tabular", "uilog.transform", "csv", "configparser"}
 
+#: dataclasses and what it imports; the records need none of them.
+DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+
 
 def test_extension_loads_no_csv_or_transform_module(tmp_path):
     modules = loaded_modules(tmp_path, "extension", "-o", tmp_path / "ext.xml")
@@ -535,12 +553,15 @@ def test_validate_on_xes_loads_no_csv_or_transform_module(tmp_path):
     modules = loaded_modules(tmp_path, "validate", "-i", source)
     assert {"uilog.xes", "uilog.validation"} <= modules
     assert not modules & CSV_AND_CONFIG_MODULES
+    # ElementTree's C accelerator imports copy itself.
+    assert not modules & (DATACLASS_MODULES - {"copy"})
 
 
 def test_convert_without_mapping_loads_no_transform_or_configparser(tmp_path):
     modules = loaded_modules(tmp_path, "convert", "-i", KC, "-o", tmp_path / "kc.xes")
     assert {"uilog.tabular", "uilog.xes", "csv"} <= modules
     assert not modules & {"uilog.transform", "configparser"}
+    assert not modules & DATACLASS_MODULES
 
 
 def test_csv_to_xes_convert_loads_no_xml_parser(tmp_path):

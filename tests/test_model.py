@@ -1,6 +1,7 @@
 import contextlib
+import copy
+import pickle
 import random
-from dataclasses import replace
 import signal
 from datetime import datetime, timedelta, timezone
 
@@ -262,6 +263,16 @@ class TestBuilder:
         assert h.resolve(targets[3]).parent is inner.parent
         assert [h.location_of(h.resolve(target)) for target in targets] == targets
 
+    def test_locate_takes_a_group_path_and_shares_chain_targets(self):
+        b = HierarchyBuilder()
+        by_ids = b.chain(application="a", groups=("g", "h/i"), element="e")
+        assert b.locate(None, "a", "g/h\\/i", "e") is by_ids
+        assert b.locate(None, "a", "g/h\\/i", "e") is by_ids
+        assert b.locate("s", None, "", "e") == Target("e", system="s")
+        assert b.build().node_count == 6
+        with pytest.raises(ValueError, match="id must be non-empty text"):
+            HierarchyBuilder().locate(None, None, "a//b", None)
+
     def test_repeated_chain_merges_into_the_same_nodes(self):
         b = HierarchyBuilder()
         first = b.chain(application="a", groups=("g",), element="e",
@@ -415,7 +426,9 @@ def test_locations_resolve_and_levels_keep_first_mention_order(seed):
                  if t.application else None]
         chain += [(Level.GROUP, Target(groups=t.groups[:depth], application=t.application,
                                        system=scope)) for depth in range(1, len(t.groups) + 1)]
-        chain.append((Level.ELEMENT, replace(t, system=scope)) if t.element else None)
+        chain.append((Level.ELEMENT, Target(element=t.element, groups=t.groups,
+                                            application=t.application, system=scope))
+                      if t.element else None)
         for level, location in filter(None, chain):
             if location not in mentioned[level]:
                 mentioned[level].append(location)
@@ -447,3 +460,18 @@ def test_sorting_by_timestamp_is_noop_on_strict_logs():
     for event in log.events:
         merged.append(next(pull) if event.timestamp is not None else event)
     assert tuple(merged) == log.events
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda log: pickle.loads(pickle.dumps(log)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_log_indexes_its_own_nodes(duplicate):
+    builder = HierarchyBuilder()
+    target = builder.chain(application="app", groups=["g"], element="e")
+    log = UILog(events=[InteractionEvent("a", target=target)], hierarchy=builder.build())
+    assert validate(log).ok  # builds the location index of the original
+    again = duplicate(log)
+    assert again == log and validate(again).ok
+    element = again.hierarchy.ui_elements[0]
+    assert again.hierarchy.location_of(element) == target
+    assert again.hierarchy.resolve(target) is element

@@ -536,6 +536,17 @@ class TestInverseWriter:
             "''", "' padded '", "'[a, b]'", "'{k: v}'", "''quoted''", "''''", "'", "plain", "[a"
         ]
 
+    def test_activity_names_take_the_text_half_of_the_escape(self):
+        names = ["", " padded ", "'quoted'", "''", "'", "[a, b]", "{k: v}", "plain"]
+        log = UILog(events=tuple(InteractionEvent(name) for name in names))
+        cells = [row[0] for row in csv.reader(io.StringIO(write_table(log)))][1:]
+        assert cells == ["''", "' padded '", "''quoted''", "''''", "'", "[a, b]", "{k: v}", "plain"]
+
+    def test_an_activity_cell_between_apostrophes_is_its_text(self):
+        log, report = ingest("Activity,UI element\n'x',\n'',e\n'[a]',\n")
+        assert report.rows_skipped == ()
+        assert [e.activity_name for e in log.events] == ["x", "", "[a]"]
+
 
 # Text a value may hold: any but NUL and lone surrogates, drawn often from
 # the characters that csv, the cell trim, the literal parsers and the
@@ -569,6 +580,15 @@ def values_through_csv(value):
 @given(_TEXT)
 def test_text_values_round_trip_through_csv(text):
     assert values_through_csv(text) == [text] * 3
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT)
+def test_activity_names_round_trip_through_csv(name):
+    log = UILog(events=(InteractionEvent(name), InteractionEvent(name, target=Target(element="e"))))
+    again, report = ingest(write_table(log))
+    assert report.rows_skipped == report.warnings == ()
+    assert [event.activity_name for event in again.events] == [name, name]
 
 
 @settings(max_examples=150, deadline=None)
