@@ -31,13 +31,16 @@ trace by trace, and each row's trace id is its last attribute,
 attribute. Each column is read by its position.
 
 Timestamps are optional throughout: many recorders omit them and rely
-on row order, which the model supports.
+on row order, which the model supports. One byte order mark (U+FEFF) at
+the start of the input, as spreadsheet "CSV UTF-8" exports write it, is
+ignored.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -375,6 +378,11 @@ class IngestReport(_Record):
         _Record.__init__(self, rows_read, rows_skipped, warnings)
 
 
+#: The byte order mark that spreadsheet "CSV UTF-8" exports start with;
+#: :func:`ingest` ignores one at the start of its input.
+_BOM = "\ufeff"
+
+
 def _rows(reader) -> Iterator:
     """(number, cells) per row of a csv reader, the header being row 0;
     a row the reader cannot split raises a located MalformedDocumentError."""
@@ -411,20 +419,25 @@ def ingest(
     """Turn delimiter-separated text into a (UILog, IngestReport) pair.
 
     One event per data row, in row order; hierarchy nodes are created on
-    first mention. Rows whose timestamp does not parse are skipped (noise
-    tolerance), cells whose literal does not parse are kept as raw text
-    with a warning, and activity names are synthesized from action type
-    and target id when no activity column is mapped. A row the csv module
-    cannot split, or whose group path holds an empty id, raises a
-    MalformedDocumentError naming the row; two kept extra columns of one
-    name raise MissingColumnError naming both; a bad ``delimiter`` raises
+    first mention. One leading byte order mark is ignored. Rows whose
+    timestamp does not parse are skipped (noise tolerance), cells whose
+    literal does not parse are kept as raw text with a warning, non-empty
+    cells beyond the header's width are dropped with a warning, and
+    activity names are synthesized from action type and target id when no
+    activity column is mapped. A row the csv module cannot split, or
+    whose group path holds an empty id, raises a MalformedDocumentError
+    naming the row; two kept extra columns of one name raise
+    MissingColumnError naming both; a bad ``delimiter`` raises
     BadConfigError.
     """
     _check_delimiter(delimiter)
     if isinstance(source, str):
-        lines = io.StringIO(source)
+        lines = io.StringIO(source.removeprefix(_BOM))
     else:
         lines = iter(source)
+        first = next(lines, None)
+        if first is not None:
+            lines = itertools.chain((first.removeprefix(_BOM),), lines)
     rows = _rows(csv.reader(lines, delimiter=delimiter))
     try:
         header = [c.strip() for c in next(rows)[1]]
@@ -494,6 +507,11 @@ def ingest(
         if not any(row):
             skipped.append(f"row {row_number}: empty row")
             continue
+        if len(row) > width and any(row[width:]):
+            warnings_out.append(
+                f"row {row_number}: cells beyond the header's {width} column(s) are not kept; "
+                "ignored"
+            )
         del row[width:]
         row += padding[len(row):]
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import warnings
 from datetime import timedelta
+from functools import partial
+from itertools import groupby
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -112,6 +114,17 @@ def _case_value(event: InteractionEvent, key: str):
     return event.attributes.get(key)
 
 
+def _runs(items: Iterable, starts_run) -> list:
+    """``items`` cut into maximal runs, in order: an item opens a new run
+    where ``starts_run(previous item, item)`` holds."""
+    runs: list = []
+    for item in items:
+        if not runs or starts_run(runs[-1][-1], item):
+            runs.append([])
+        runs[-1].append(item)
+    return runs
+
+
 def _partition(log: UILog, indices: Sequence[int], notion) -> list:
     """[(trace id, [indices])] for one event subsequence."""
     events = log.events
@@ -137,29 +150,11 @@ def _partition(log: UILog, indices: Sequence[int], notion) -> list:
                 f"(first indices: {missing[:5]})",
                 event_indices=missing,
             )
-        runs = []
-        current: list = []
-        previous = None
-        for i in indices:
-            ts = events[i].timestamp
-            if current and ts - previous > notion.threshold:
-                runs.append(current)
-                current = []
-            current.append(i)
-            previous = ts
-        if current:
-            runs.append(current)
+        gap = notion.threshold
+        runs = _runs(indices, lambda a, b: events[b].timestamp - events[a].timestamp > gap)
         return [(f"case_{n}", run) for n, run in enumerate(runs, start=1)]
     if isinstance(notion, ByMarker):
-        runs = []
-        current = []
-        for i in indices:
-            if events[i].activity_name in notion.markers and current:
-                runs.append(current)
-                current = []
-            current.append(i)
-        if current:
-            runs.append(current)
+        runs = _runs(indices, lambda a, b: events[b].activity_name in notion.markers)
         return [(f"case_{n}", run) for n, run in enumerate(runs, start=1)]
     if isinstance(notion, Composite):
         partition = [("", list(indices))]
@@ -286,59 +281,49 @@ def _abstract_event(
     )
 
 
+def _after_trigger(trigger: str, previous: InteractionEvent, event) -> bool:
+    return previous.activity_name == trigger
+
+
 def _abstract_sequence(log: UILog, events: Iterable, rules, locations) -> list:
+    """``events`` with each run that reaches its rule's trigger
+    abstracted; see :func:`abstract`."""
     out = []
-    run: list = []
-    active = None  # index into rules
-
-    def flush_unabstracted():
-        nonlocal run, active
-        if run:
-            warnings.warn(
-                TriggerNeverFiresWarning(
-                    f"run of {len(run)} event(s) in group "
-                    f"{rules[active].group!r} never reached trigger "
-                    f"{rules[active].trigger_activity!r}; left unabstracted"
-                )
-            )
-            out.extend(run)
-        run = []
-        active = None
-
-    for event in events:
-        matched = _rule_index(log, event, locations)
-        if matched is None:
-            flush_unabstracted()
-            out.append(event)
+    for index, stretch in groupby(events, partial(_rule_index, log, locations=locations)):
+        if index is None:
+            out.extend(stretch)
             continue
-        if active is not None and matched != active:
-            flush_unabstracted()
-        active = matched
-        run.append(event)
-        rule = rules[matched]
-        if event.activity_name == rule.trigger_activity:
+        rule = rules[index]
+        for run in _runs(stretch, partial(_after_trigger, rule.trigger_activity)):
+            if run[-1].activity_name != rule.trigger_activity:
+                warnings.warn(
+                    TriggerNeverFiresWarning(
+                        f"run of {len(run)} event(s) in group {rule.group!r} never "
+                        f"reached trigger {rule.trigger_activity!r}; left unabstracted"
+                    )
+                )
+                out.extend(run)
+                continue
             kept = _kept_positions(rule, run)
             if not rule.drop_noise:
                 contributing = {*kept.values(), len(run) - 1}  # the trigger too
                 out.extend(e for i, e in enumerate(run) if i not in contributing)
-            out.append(_abstract_event(rule, locations[matched], run, kept))
-            run = []
-            active = None
-    flush_unabstracted()
+            out.append(_abstract_event(rule, locations[index], run, kept))
     return out
 
 
 def abstract(log: UILog, rules: Union[AbstractionRule, Iterable[AbstractionRule]]) -> UILog:
     """Replace in-group runs with single task-level events.
 
-    A run is a maximal stretch of consecutive events whose resolved
-    target lies in a rule's group subtree; it is abstracted when it
-    reaches the rule's trigger activity and otherwise passes through
-    with a TriggerNeverFiresWarning (abstraction must not silently lose
-    unconfirmed work). The abstract event carries the rule's name, the
-    action type "none", the group as its target, the trigger's
-    timestamp, and a map of each collected element's latest input value,
-    so a mistyped password superseded later never surfaces.
+    Consecutive events whose resolved target lies in the group subtree
+    of the same rule (the first that matches) form a stretch, cut into
+    runs after each occurrence of the rule's trigger activity. Each run
+    that ends in the trigger is abstracted; a last run that does not
+    passes through with a TriggerNeverFiresWarning (abstraction must not
+    silently lose unconfirmed work). The abstract event carries the
+    rule's name, the action type "none", the group as its target, the
+    trigger's timestamp, and a map of each collected element's latest
+    input value, so a mistyped password superseded later never surfaces.
 
     Event count never grows, output order follows input order, and the
     result validates whenever the input does. Applying the same rules

@@ -543,6 +543,15 @@ class _LogReader:
             self.contexts[raw] = typed
         return typed
 
+    def _field_map(self, key: str, nested: ET.Element, where: str) -> dict:
+        """The attributes nested on the event field ``key``, which is not a
+        context, typed; only the UI element keeps them, the other fields
+        warn that theirs are ignored."""
+        typed = self._map(nested, where)
+        if key != KEY_UI_ELEMENT:
+            warnings.warn(f"{where}: attributes nested on {key} are not kept; ignored")
+        return typed
+
     def _read_event(self, element: ET.Element, where: str) -> InteractionEvent:
         fields = {}
         nested_by_key = {}
@@ -557,7 +566,7 @@ class _LogReader:
         # The attributes nested on field values, each context typed once per document.
         nested_by_key = {
             key: self._context(key, fields[key], nested, where) if key in _CONTEXT_KEYS
-            else self._map(nested, where)
+            else self._field_map(key, nested, where)
             for key, nested in nested_by_key.items()
             if nested is not None or key == KEY_ACTION_TYPE
         }

@@ -43,6 +43,24 @@ class TestConvert:
         assert text.count("<event>") == 20
         assert 'prefix="uilog"' in text
 
+    @pytest.mark.parametrize("header", ["Timestamp,Activity", '"Timestamp","Activity"'],
+                             ids=["unquoted", "quoted"])
+    def test_csv_with_a_byte_order_mark(self, tmp_path, header):
+        source = tmp_path / "bom.csv"
+        source.write_bytes(b"\xef\xbb\xbf" + f"{header}\n2024-01-01T10:00:00Z,x\n".encode())
+        out = tmp_path / "bom.xes"
+        assert run("convert", "-i", source, "-o", out) == 0
+        event = out.read_text().split("<event>")[1]
+        assert '<date key="time:timestamp" value="2024-01-01T10:00:00.000+00:00" />' in event
+        assert "Timestamp" not in event
+
+    def test_cells_beyond_the_header_are_noted(self, tmp_path, capsys):
+        source = tmp_path / "wide.csv"
+        source.write_text("Activity,Input value\nx,1,2,3\n")
+        assert run("convert", "-i", source, "-o", tmp_path / "wide.xes") == 0
+        assert "note: row 1: cells beyond the header's 2 column(s) are not kept; ignored" \
+            in capsys.readouterr().err
+
     def test_empty_csv(self, tmp_path):
         source = tmp_path / "empty.csv"
         source.write_text("Activity,Action type\n")
@@ -136,6 +154,14 @@ class TestValidate:
         assert "MissingActivityName" in capsys.readouterr().out
         record = json.loads(report.read_text().splitlines()[0])
         assert record["code"] == "MissingActivityName"
+
+    @pytest.mark.parametrize("header", ["Activity,Input value", '"Activity","Input value"'],
+                             ids=["unquoted", "quoted"])
+    def test_csv_with_a_byte_order_mark(self, tmp_path, capsys, header):
+        source = tmp_path / "bom.csv"
+        source.write_bytes(b"\xef\xbb\xbf" + f"{header}\nx,1\n".encode())
+        assert run("validate", "-i", source) == 0
+        assert capsys.readouterr().out.startswith("0 violations (1 events")
 
     def test_corrupted_xml(self, tmp_path):
         source = tmp_path / "broken.xes"

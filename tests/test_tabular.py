@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import re
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +175,23 @@ class TestIngestBehavior:
         log, report = ingest(text)
         assert report.warnings
         assert log.hierarchy.ui_elements == ()
+
+    @pytest.mark.parametrize("header", ["Timestamp,Activity", '"Timestamp","Activity"'],
+                             ids=["unquoted", "quoted"])
+    def test_a_leading_byte_order_mark_is_ignored(self, header):
+        text = f"\ufeff{header}\n2024-01-01T10:00:00Z,x\n"
+        for source in (text, text.splitlines(keepends=True)):
+            log, report = ingest(source)
+            assert log.events[0].timestamp == datetime(2024, 1, 1, 10, tzinfo=timezone.utc)
+            assert log.events[0].attributes == {}
+            assert report.warnings == ()
+
+    def test_non_empty_cells_beyond_the_header_are_dropped_with_a_warning(self):
+        log, report = ingest("Activity,Mood\nx,fine,2,3\ny,bad,,\nz,ok, \n")
+        assert [e.attributes for e in log.events] == [{"Mood": m} for m in ("fine", "bad", "ok")]
+        assert report.warnings == (
+            "row 1: cells beyond the header's 2 column(s) are not kept; ignored",
+        )
 
     def test_users_and_tasks_registered(self):
         text = "Activity,User,Task\nx,alice,review\n"

@@ -367,9 +367,9 @@ class TestAbstract:
 
         rng = random.Random(7_000 + seed)
         log = genlogs.random_log(rng, max_events=120)
+        while not log.hierarchy.ui_groups:
+            log = genlogs.random_log(rng, max_events=120)
         groups = log.hierarchy.ui_groups
-        if not groups:
-            pytest.skip("no groups drawn")
         group = rng.choice(groups)
         path = log.hierarchy.location_of(group).groups
         from uilog import join_group_path
@@ -381,12 +381,15 @@ class TestAbstract:
             ),
             abstract_name="A_Task",
         )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TriggerNeverFiresWarning)
-                out = abstract(log, rule)
-        except UnknownGroupError:
-            pytest.skip("group id ambiguous in this draw")
+        # The path names every group whose own path ends with it.
+        named = [g for g in groups if log.hierarchy.location_of(g).groups[-len(path):] == path]
+        if len(named) > 1:
+            with pytest.raises(UnknownGroupError, match=f"^{len(named)} UI groups match "):
+                abstract(log, rule)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TriggerNeverFiresWarning)
+            out = abstract(log, rule)
         assert len(out.events) <= len(log.events)
         assert validate(out).ok
 

@@ -796,6 +796,30 @@ def test_repeated_context_warns_at_every_occurrence(monkeypatch, chunk):
     assert group.attributes == {"d": datetime(2024, 1, 1, tzinfo=timezone.utc)}
 
 
+UNKEPT_FIELDS = [
+    ("concept:name", "string", "a"),
+    ("time:timestamp", "date", "2024-01-01T00:00:00Z"),
+    ("uilog:input-value", "string", "v"),
+    ("uilog:ui-element-state", "string", "open"),
+]
+
+
+@pytest.mark.parametrize("key,tag,value", UNKEPT_FIELDS, ids=[f[0] for f in UNKEPT_FIELDS])
+def test_attributes_nested_on_an_unkept_field_are_warned_of(key, tag, value):
+    field = f'<{tag} key="{key}" value="{value}"><string key="lang" value="en"/></{tag}>'
+    element = '<string key="uilog:ui-element" value="el"><string key="kept" value="1"/></string>'
+    event = f'<event><string key="concept:name" value="x"/>{element}{field}</event>'
+    log, noted = read_recording_warnings(f"<log><trace>{event}{event}</trace></log>")
+    assert noted == [
+        f"trace 0, event {i}: attributes nested on {key} are not kept; ignored" for i in (0, 1)
+    ]
+    assert all(event.attributes == {} for event in log.events)
+    assert log.hierarchy.resolve(log.events[0].target).attributes == {"kept": "1"}
+    with pytest.raises(MalformedDocumentError, match="^trace 0, event 0: "):
+        read_xes(f'<log><trace><event><{tag} key="{key}" value="{value}">'
+                 f'<int key="n" value="x"/></{tag}></event></trace></log>')
+
+
 @pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
 @pytest.mark.parametrize(
     "bodies,where",
