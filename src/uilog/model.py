@@ -599,34 +599,22 @@ def _not_found(target: Target, level: Level) -> DanglingReferenceError:
 # Hierarchy construction
 
 
-class _Pending:
-    """Mutable node record used while a hierarchy is being assembled."""
-
-    __slots__ = ("kind", "id", "parent", "attributes")
-
-    def __init__(self, kind, node_id, parent):
-        self.kind = kind
-        self.id = node_id
-        self.parent = parent
-        self.attributes = {}
-
-
 class HierarchyBuilder:
     """Incremental constructor for a UIHierarchy.
 
-    :meth:`chain` declares one recorded location at a time and reuses
-    the nodes earlier calls created, which is what ingestion wants when
-    every row repeats its context. Chains only link levels the
-    composition rules admit, so the result is well-formed by
-    construction. Nodes are materialized, and their attributes checked
-    and normalized, once, in :meth:`build`.
+    :meth:`chain` declares one recorded location at a time and makes each
+    node the first time a location reaches it; later calls reuse it,
+    which is what ingestion wants when every row repeats its context.
+    Chains only link levels the composition rules admit, so the result
+    is well-formed by construction. Node attributes are checked and
+    normalized once, in :meth:`build`, which hands the nodes over and
+    empties the builder.
     """
 
     def __init__(self):
-        self._records = {}  # location, as UIHierarchy.lookup keys nodes -> _Pending
-        # (system, application, groups or their path, element) -> (Target, records)
-        self._chains = {}
-        self._prefixes = {}  # (system, application, groups) -> (records, last one, its location)
+        self._nodes = {}  # location, as UIHierarchy.lookup keys nodes -> node
+        self._chains = {}  # (system, application, groups, element) -> (Target, nodes)
+        self._prefixes = {}  # (system, application, groups) -> (nodes, last one, its location)
 
     def chain(
         self,
@@ -645,12 +633,12 @@ class HierarchyBuilder:
         Attribute mappings are merged into the nodes as given (later
         values win), and ``group_attributes`` maps group id paths
         (tuples) to attribute sets. Values are checked when :meth:`build`
-        materializes the nodes, so an unsupported or too deeply nested
+        hands the nodes over, so an unsupported or too deeply nested
         attribute value raises TypeError or ValueError from there; an
         empty id raises ValueError here. Each distinct location is walked
-        once, and later calls for it reuse its Target and node records; a
-        walk reuses the records of its (system, application, groups)
-        prefix where an earlier walk made them.
+        once, and later calls for it reuse its Target and nodes; a walk
+        reuses the nodes of its (system, application, groups) prefix
+        where an earlier walk made them.
         """
         groups = tuple(groups)
         key = (system, application, groups, element)
@@ -660,84 +648,76 @@ class HierarchyBuilder:
             known = None
         if known is None:
             known = self._chains[key] = self._walk(*key)
-        target, system_rec, app_rec, group_recs, element_rec = known
-        _merge(system_rec, system_attributes)
-        _merge(app_rec, application_attributes)
+        target, system_node, app_node, group_nodes, element_node = known
+        _merge(system_node, system_attributes)
+        _merge(app_node, application_attributes)
         if group_attributes:
-            for depth, group_rec in enumerate(group_recs, start=1):
-                _merge(group_rec, group_attributes.get(groups[:depth]))
-        _merge(element_rec, element_attributes)
+            for depth, group_node in enumerate(group_nodes, start=1):
+                _merge(group_node, group_attributes.get(groups[:depth]))
+        _merge(element_node, element_attributes)
         return target
 
-    def locate(self, system, application, path: str, element) -> Target:
-        """:meth:`chain` for a location as a table row records it, without
-        attributes: ``path`` is its group path as :func:`join_group_path`
-        writes it, and each distinct row location is split once."""
-        key = (system, application, path, element)
-        known = self._chains.get(key)
-        if known is None:
-            ids = (system, application, split_group_path(path), element)
-            known = self._chains[key] = self._chains.get(ids) or self._walk(*ids)
-        return known[0]
-
     def _walk(self, system, application, groups, element) -> tuple:
-        """(Target, system, application, group and element records) of a
-        location, creating the records it lacks. The records down to its
-        group path are kept per (system, application, groups) prefix, so a
-        new element under a known prefix adds its own record only."""
+        """(Target, system, application, group and element nodes) of a
+        location, making the nodes it lacks. The nodes down to its group
+        path are kept per (system, application, groups) prefix, so a new
+        element under a known prefix makes its own node only."""
         prefix = (system, application, groups)
         try:
             above = self._prefixes.get(prefix)
-        except TypeError:  # an unhashable id, which _record rejects
+        except TypeError:  # an unhashable id, which _node rejects
             above = None
         if above is None:
-            records, parent, location = [], None, _NOWHERE
+            nodes, parent, location = [], None, _NOWHERE
             levels = [(SystemNode, system), (ApplicationNode, application)]
             levels += [(UIGroupNode, gid) for gid in groups]
             for kind, node_id in levels:
                 if node_id is None:
-                    records.append(None)
+                    nodes.append(None)
                     continue
-                parent, location = self._record(parent, location, kind, node_id)
-                records.append(parent)
-            above = self._prefixes[prefix] = (records, parent, location)
-        records, parent, location = above
-        element_rec = None
+                parent, location = self._node(parent, location, kind, node_id)
+                nodes.append(parent)
+            above = self._prefixes[prefix] = (nodes, parent, location)
+        nodes, parent, location = above
+        element_node = None
         if element is not None:
-            element_rec = self._record(parent, location, UIElementNode, element)[0]
+            element_node = self._node(parent, location, UIElementNode, element)[0]
         target = _trusted(Target, element, groups, application, system)
-        system_rec, app_rec, *group_recs = records
-        return target, system_rec, app_rec, group_recs, element_rec
+        system_node, app_node, *group_nodes = nodes
+        return target, system_node, app_node, group_nodes, element_node
 
-    def _record(self, parent, location: tuple, kind: type, node_id) -> tuple:
-        """(record, location) of a ``kind`` node ``node_id`` below ``parent``
-        at ``location``, created if new. It hangs there where
-        :data:`_PARENT_TYPES` admits it, else is a root."""
+    def _node(self, parent, location: tuple, kind: type, node_id) -> tuple:
+        """(node, location) of a ``kind`` node ``node_id`` below ``parent``
+        at ``location``, made if new, with an empty attribute set. It
+        hangs there where :data:`_PARENT_TYPES` admits it, else is a root."""
         _check_id(node_id)
-        if parent is None or parent.kind not in _PARENT_TYPES[kind]:
+        if type(parent) not in _PARENT_TYPES[kind]:
             parent, location = None, _NOWHERE
         location = _extend(location, kind, node_id)
-        rec = self._records.get(location)
-        if rec is None:
-            rec = self._records[location] = _Pending(kind, node_id, parent)
-        return rec, location
+        node = self._nodes.get(location)
+        if node is None:
+            link = () if kind is SystemNode else (parent,)
+            node = self._nodes[location] = _trusted(kind, node_id, *link, {})
+        return node, location
 
     def build(self) -> UIHierarchy:
-        built = {}
+        """The hierarchy of the nodes chained so far, grouped by type, with
+        their attributes normalized in place; a bad value raises TypeError
+        or ValueError. It hands the nodes over and empties the builder, so
+        a later :meth:`chain` starts a new hierarchy."""
+        nodes = self._nodes.values()
+        self.__init__()
         levels = {kind: [] for kind in _PARENT_TYPES}  # in UIHierarchy's field order
-        for rec in self._records.values():
-            # _record checked the id and the link; the attributes are checked here.
-            link = () if rec.kind is SystemNode else (rec.parent and built[id(rec.parent)],)
-            node = built[id(rec)] = _trusted(
-                rec.kind, rec.id, *link, normalize_attributes(rec.attributes)
-            )
-            levels[rec.kind].append(node)
+        for node in nodes:
+            if node.attributes:
+                node.attributes.update(normalize_attributes(node.attributes))
+            levels[type(node)].append(node)
         return UIHierarchy(*levels.values())
 
 
-def _merge(rec: Optional[_Pending], attributes: Optional[Mapping]) -> None:
-    if rec is not None and attributes:
-        rec.attributes.update(attributes)
+def _merge(node: Optional[_Node], attributes: Optional[Mapping]) -> None:
+    if node is not None and attributes:
+        node.attributes.update(attributes)
 
 
 # ---------------------------------------------------------------------------

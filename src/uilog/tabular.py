@@ -67,6 +67,7 @@ from .model import (
     make_activity_name,
     normalize_timestamp,
     parse_timestamp,
+    split_group_path,
 )
 
 #: Per model field a column can feed, in canonical output order: the
@@ -487,6 +488,7 @@ def ingest(
     timestamp_format = mapping.timestamp_format
 
     builder = HierarchyBuilder()
+    targets: dict = {}  # (system, application, group cell, element) -> Target
     actions: dict = {}
     users: dict = {}
     tasks: dict = {}
@@ -545,10 +547,16 @@ def ingest(
 
         target = None
         if element or group_cell or application or system:
-            try:
-                target = builder.locate(system, application, group_cell, element)
-            except ValueError as exc:  # an empty group id, as in "a//b"
-                raise MalformedDocumentError(f"row {row_number}: {exc}") from None
+            location = (system, application, group_cell, element)
+            target = targets.get(location)
+            if target is None:
+                try:
+                    target = targets[location] = builder.chain(
+                        system=system, application=application,
+                        groups=split_group_path(group_cell), element=element,
+                    )
+                except ValueError as exc:  # an empty group id, as in "a//b"
+                    raise MalformedDocumentError(f"row {row_number}: {exc}") from None
 
         action_type = row[action_at] or None
         name = row[name_at]

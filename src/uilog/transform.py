@@ -34,6 +34,7 @@ from .model import (
     Trace,
     UILog,
     _Record,
+    _trace_events,
     load_ini,
     split_group_path,
 )
@@ -52,7 +53,8 @@ class ByAttribute(_Record):
 
     ``key`` may be "user", "task", or any extension attribute key. Trace
     ids are the attribute values; events with equal values group together
-    even when they do not touch.
+    even when they do not touch. A value of empty text counts as missing,
+    as ``ingest`` never keeps an empty cell.
     """
 
     __slots__ = ("key",)
@@ -129,7 +131,7 @@ def _partition(log: UILog, indices: Sequence[int], notion) -> list:
     """[(trace id, [indices])] for one event subsequence."""
     events = log.events
     if isinstance(notion, ByAttribute):
-        missing = [i for i in indices if _case_value(events[i], notion.key) is None]
+        missing = [i for i in indices if _case_value(events[i], notion.key) in (None, "")]
         if missing:
             raise MissingCaseAttributeError(
                 f"{len(missing)} event(s) lack the case attribute {notion.key!r} "
@@ -336,11 +338,11 @@ def abstract(log: UILog, rules: Union[AbstractionRule, Iterable[AbstractionRule]
     locations = [_rule_location(log, rule) for rule in rules]
 
     traces = log.traces
-    sequences = [range(len(log.events))] if traces is None else [t.events for t in traces]
+    sequences = [log.events] if traces is None else [_trace_events(log, t) for t in traces]
     events, spans = [], []
     for sequence in sequences:
         start = len(events)
-        events += _abstract_sequence(log, (log.events[i] for i in sequence), rules, locations)
+        events += _abstract_sequence(log, sequence, rules, locations)
         spans.append(tuple(range(start, len(events))))
     if traces is not None:
         traces = tuple(Trace(t.id, span, t.attributes) for t, span in zip(traces, spans))

@@ -408,16 +408,8 @@ class _LogReader:
         if not complete:
             return
         self.open = None
-        try:
-            self.traces.append(
-                Trace(
-                    id=self.trace_id if self.trace_id else f"trace_{self.trace_position}",
-                    events=tuple(self.indices),
-                    attributes=self.trace_attributes,
-                )
-            )
-        except ValueError as exc:
-            raise MalformedDocumentError(f"{where}: {exc}") from exc
+        trace_id = self.trace_id or f"trace_{self.trace_position}"
+        self.traces.append(_trusted(Trace, trace_id, tuple(self.indices), self.trace_attributes))
 
     def _event(self, element: ET.Element, where: str) -> None:
         try:
@@ -621,17 +613,8 @@ class _LogReader:
         if traced and self.stray is not None:
             # Tolerated only without traces: here no trace would cover it.
             raise MalformedDocumentError(f"{self.stray}: an event outside every trace")
-        try:
-            return UILog(
-                events=tuple(self.events),
-                hierarchy=self.builder.build(),
-                users=self.users,
-                tasks=self.tasks,
-                attributes=self.attributes,
-                traces=tuple(self.traces) if traced else None,
-            )
-        except ValueError as exc:
-            raise MalformedDocumentError(f"log: {exc}") from exc
+        return _trusted(UILog, tuple(self.events), self.builder.build(), self.users, self.tasks,
+                        self.attributes, tuple(self.traces) if traced else None)
 
 
 def read_xes(source: str, *, lenient_names: bool = False) -> UILog:

@@ -36,7 +36,7 @@ TIER_1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cac
 # Tests that need only the standard library and run as scripts.
 SCRIPTS = (
     "tests/test_xes_golden.py", "tests/test_tabular_timestamps.py", "tests/test_tabular_roundtrip.py",
-    "tests/test_records.py", "tests/test_transform_runs.py",
+    "tests/test_records.py", "tests/test_transform_runs.py", "tests/test_builder.py",
 )
 
 

@@ -622,6 +622,28 @@ def test_segment_by_the_trace_column_keeps_a_csv_pipeline_working(tmp_path):
     assert after.events == before.events
 
 
+def test_segment_by_an_attribute_with_an_empty_value_is_an_operational_error(tmp_path):
+    source = tmp_path / "e.xes"
+    source.write_text('<log><trace><event><string key="concept:name" value="a"/>'
+                      '<string key="mood" value=""/></event></trace></log>')
+    notion = tmp_path / "mood.notion"
+    notion.write_text("[notion]\nkind = attribute\nkey = mood\n")
+    out = tmp_path / "o.xes"
+    done = run_child("segment", "--notion", notion, "-i", source, "-o", out)
+    assert done.returncode == 1
+    assert done.stderr == "error: 1 event(s) lack the case attribute 'mood' (first indices: [0])\n"
+    assert not out.exists()
+
+
+def test_validate_notes_an_element_state_without_an_element(tmp_path, capsys):
+    source = tmp_path / "doc.xes"
+    source.write_text('<log><trace><event><string key="concept:name" value="a"/>'
+                      '<string key="uilog:ui-element-state" value="open"/></event></trace></log>')
+    assert run("validate", "-i", source) == 0
+    assert "note: trace 0, event 0: uilog:ui-element-state without uilog:ui-element; ignored\n" \
+        in capsys.readouterr().err
+
+
 def test_extra_columns_named_alike_are_an_operational_error(tmp_path):
     source = tmp_path / "moods.csv"
     source.write_text("Activity,Mood,Mood\nx,fine,bad\n")

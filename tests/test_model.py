@@ -72,6 +72,16 @@ class TestResolveTarget:
         with pytest.raises(DanglingReferenceError):
             erp_hierarchy.resolve(event_at(Target(element="nope")).target)
 
+    @pytest.mark.parametrize("target,message", [
+        (Target(application="zz"), "application 'zz' not found"),
+        (Target(system="qq"), "system 'qq' not found"),
+    ], ids=["application", "system"])
+    def test_check_target_names_a_missing_application_or_system(self, erp_hierarchy, target,
+                                                                 message):
+        with pytest.raises(DanglingReferenceError, match=f"^{message}$") as error:
+            erp_hierarchy.check_target(target)
+        assert error.value.node_id == target.most_specific_id
+
     def test_removing_levels_raises_resolution(self):
         b = HierarchyBuilder()
         full = b.chain(
@@ -262,16 +272,6 @@ class TestBuilder:
         assert all(h.resolve(target).parent is inner for target in targets[:3])
         assert h.resolve(targets[3]).parent is inner.parent
         assert [h.location_of(h.resolve(target)) for target in targets] == targets
-
-    def test_locate_takes_a_group_path_and_shares_chain_targets(self):
-        b = HierarchyBuilder()
-        by_ids = b.chain(application="a", groups=("g", "h/i"), element="e")
-        assert b.locate(None, "a", "g/h\\/i", "e") is by_ids
-        assert b.locate(None, "a", "g/h\\/i", "e") is by_ids
-        assert b.locate("s", None, "", "e") == Target("e", system="s")
-        assert b.build().node_count == 6
-        with pytest.raises(ValueError, match="id must be non-empty text"):
-            HierarchyBuilder().locate(None, None, "a//b", None)
 
     def test_repeated_chain_merges_into_the_same_nodes(self):
         b = HierarchyBuilder()

@@ -13,9 +13,11 @@ from uilog import (
     Composite,
     HierarchyBuilder,
     InteractionEvent,
+    InvalidLogError,
     MissingCaseAttributeError,
     MissingTimestampsError,
     Target,
+    Trace,
     TriggerNeverFiresWarning,
     UILog,
     UnknownGroupError,
@@ -103,6 +105,14 @@ class TestSegment:
         log = UILog(events=events, users={"u1": {}})
         with pytest.raises(MissingCaseAttributeError) as error:
             segment(log, ByAttribute(key="user"))
+        assert error.value.event_indices == (1,)
+
+    def test_empty_text_case_value_counts_as_missing(self):
+        events = (InteractionEvent("a", attributes={"mood": "fine"}),
+                  InteractionEvent("b", attributes={"mood": ""}))
+        message = r"^1 event\(s\) lack the case attribute 'mood' \(first indices: \[1\]\)$"
+        with pytest.raises(MissingCaseAttributeError, match=message) as error:
+            segment(UILog(events=events), ByAttribute(key="mood"))
         assert error.value.event_indices == (1,)
 
     def test_missing_timestamps(self):
@@ -206,6 +216,18 @@ class TestAbstract:
         assert names == ["A_Login", "elsewhere", "A_Login"]
         assert out.events[0].input_value == {"username": "a"}
         assert out.events[2].input_value == {"username": "b"}
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_a_trace_index_that_names_no_event_is_an_invalid_log(self, index):
+        b = HierarchyBuilder()
+        field = b.chain(groups=("login mask",), element="username")
+        button = b.chain(groups=("login mask",), element="login")
+        events = (InteractionEvent("input username", target=field, input_value="x"),
+                  InteractionEvent("click login", target=button))
+        log = UILog(events=events, hierarchy=b.build(), traces=[Trace("t", [0, 1, index])])
+        message = f"^trace 't' references event index {index}, which is out of range$"
+        with pytest.raises(InvalidLogError, match=message):
+            abstract(log, login_rule())
 
     def test_trigger_never_fires_passes_through(self):
         b = HierarchyBuilder()

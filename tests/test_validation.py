@@ -311,6 +311,17 @@ class TestCoverage:
         assert matrix["application"].events_present == 0
         assert matrix["timestamp"].events_present == 0
 
+    def test_application_and_timestamp_count_where_recorded(self):
+        at = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        events = (
+            InteractionEvent("a", target=Target(application="app"), timestamp=at),
+            InteractionEvent("b", target=Target(element="e"), timestamp=at),
+            InteractionEvent("c"),
+        )
+        matrix = coverage(UILog(events=events))
+        assert matrix["application"].fraction == "1/3"
+        assert matrix["timestamp"].fraction == "2/3"
+
     def test_none_action_counts_as_present(self):
         from uilog import Action
 

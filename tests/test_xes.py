@@ -143,6 +143,10 @@ class TestRead:
         log = read_xes(document, lenient_names=True)
         assert log.events[0].activity_name == ""
 
+    def test_non_text_concept_name_reads_as_its_text(self):
+        log = read_xes('<log><trace><event><int key="concept:name" value="7"/></event></trace></log>')
+        assert log.events[0].activity_name == "7"
+
     def test_malformed_xml(self):
         with pytest.raises(MalformedDocumentError):
             read_xes("<log><trace>")
@@ -622,6 +626,19 @@ def read_recording_warnings(document):
         warnings.simplefilter("always")
         log = read_xes(document)
     return log, [str(warning.message) for warning in caught]
+
+
+def test_element_state_without_an_element_is_dropped_with_a_warning():
+    log, noted = read_recording_warnings(
+        '<log><trace><event><string key="concept:name" value="a"/>'
+        '<string key="uilog:ui-group-path" value="g"/>'
+        '<string key="uilog:ui-element-state" value="open"/></event></trace></log>'
+    )
+    assert noted == [
+        "trace 0, event 0: uilog:ui-element-state without uilog:ui-element; ignored"
+    ]
+    assert log.events[0].current_state is None
+    assert log.events[0].target == Target(groups=("g",))
 
 
 GOLDEN = {
