@@ -180,7 +180,7 @@ class ColumnMapping(_Record):
         if self.action_type is not None and has_target:
             return
         raise NoUsableColumnsError(
-            "mapping must provide activity_name or action_type plus a target column"
+            "mapping: must provide activity_name or action_type plus a target column"
         )
 
 
@@ -189,15 +189,22 @@ def infer_mapping(header: Iterable[str]) -> ColumnMapping:
 
     Matching is case-insensitive and tolerant of camel case, hyphens,
     and underscores. Unmatched columns fall to the extras policy. Raises
-    NoUsableColumnsError when nothing usable matches.
+    NoUsableColumnsError, naming the columns, when nothing usable matches.
     """
+    header = [column.strip() for column in header]
     assignments = {}
     for column in header:
         target_field = _SYNONYMS.get(_normalize_header(column))
         if target_field and target_field not in assignments:
-            assignments[target_field] = column.strip()
+            assignments[target_field] = column
     mapping = ColumnMapping(**assignments)
-    mapping.check_usable()
+    try:
+        mapping.check_usable()
+    except NoUsableColumnsError:
+        raise NoUsableColumnsError(
+            f"header: no usable column in {header}; it needs an activity column, or an "
+            "action type column and a target column"
+        ) from None
     return mapping
 
 
@@ -539,11 +546,6 @@ def ingest(
         group_cell = row[groups_at]
         application = row[application_at] or None
         system = row[system_at] or None
-        if current_state is not None and element is None:
-            warnings_out.append(
-                f"row {row_number}: current state without a UI element; ignored"
-            )
-            current_state = None
 
         target = None
         if element or group_cell or application or system:

@@ -25,6 +25,7 @@ from .errors import (
     MissingCaseAttributeError,
     MissingTimestampsError,
     TriggerNeverFiresWarning,
+    UILogError,
     UnknownGroupError,
 )
 from .model import (
@@ -35,6 +36,7 @@ from .model import (
     UILog,
     _Record,
     _trace_events,
+    join_group_path,
     load_ini,
     split_group_path,
 )
@@ -52,9 +54,12 @@ class ByAttribute(_Record):
     """One trace per distinct value of an event attribute.
 
     ``key`` may be "user", "task", or any extension attribute key. Trace
-    ids are the attribute values; events with equal values group together
-    even when they do not touch. A value of empty text counts as missing,
-    as ``ingest`` never keeps an empty cell.
+    ids are the attribute values, text as itself and any other value as
+    its repr; events with equal values of one type group together even
+    when they do not touch, so 1, 1.0, True and "1" are four cases. Two
+    cases whose values print alike, as 1 and "1" do, raise UILogError. A
+    value of empty text counts as missing, as ``ingest`` never keeps an
+    empty cell.
     """
 
     __slots__ = ("key",)
@@ -94,7 +99,10 @@ class ByMarker(_Record):
 
 class Composite(_Record):
     """Notions applied left to right, each refining the previous
-    partition; trace ids join the part ids with "/"."""
+    partition; trace ids join the part ids as a group path does
+    (:func:`uilog.model.join_group_path`), with "/" between them and a
+    "/" or "\\" inside one escaped by "\\", so distinct cases keep
+    distinct ids."""
 
     __slots__ = ("parts",)
 
@@ -138,12 +146,24 @@ def _partition(log: UILog, indices: Sequence[int], notion) -> list:
                 f"(first indices: {missing[:5]})",
                 event_indices=missing,
             )
+        # Keyed by type as well as id: 1 and "1" are two cases, so one id
+        # would name both.
         groups: dict = {}
         for i in indices:
             value = _case_value(events[i], notion.key)
-            key = value if isinstance(value, str) else repr(value)
-            groups.setdefault(key, []).append(i)
-        return list(groups.items())
+            trace_id = value if isinstance(value, str) else repr(value)
+            groups.setdefault((type(value), trace_id), (trace_id, []))[1].append(i)
+        firsts: dict = {}
+        for trace_id, run in groups.values():
+            other = firsts.setdefault(trace_id, run[0])
+            if other != run[0]:
+                raise UILogError(
+                    f"case attribute {notion.key!r} holds "
+                    f"{_case_value(events[other], notion.key)!r} (event {other}) and "
+                    f"{_case_value(events[run[0]], notion.key)!r} (event {run[0]}), "
+                    f"which would share the trace id {trace_id!r}"
+                )
+        return list(groups.values())
     if isinstance(notion, ByTimeGap):
         missing = [i for i in indices if events[i].timestamp is None]
         if missing:
@@ -159,14 +179,11 @@ def _partition(log: UILog, indices: Sequence[int], notion) -> list:
         runs = _runs(indices, lambda a, b: events[b].activity_name in notion.markers)
         return [(f"case_{n}", run) for n, run in enumerate(runs, start=1)]
     if isinstance(notion, Composite):
-        partition = [("", list(indices))]
+        partition = [((), indices)]
         for part in notion.parts:
-            refined = []
-            for prefix, group in partition:
-                for trace_id, run in _partition(log, group, part):
-                    refined.append((f"{prefix}/{trace_id}" if prefix else trace_id, run))
-            partition = refined
-        return partition
+            partition = [((*path, trace_id), run) for path, group in partition
+                         for trace_id, run in _partition(log, group, part)]
+        return [(join_group_path(path), run) for path, run in partition]
     raise TypeError(f"not a case notion: {type(notion).__name__}")
 
 
@@ -177,7 +194,8 @@ def segment(log: UILog, notion: CaseNotion) -> UILog:
     event indices in log order, and the traces cover the log exactly.
     Any existing partition is replaced. Trace ids are deterministic: the
     attribute value for ByAttribute, "case_<n>" ordinals for gaps and
-    markers, "/"-joined for composites.
+    markers, the parts' ids joined with "/", each escaped as in a group
+    path, for composites.
     """
     parts = _partition(log, range(len(log.events)), notion)
     traces = tuple(Trace(id=trace_id, events=tuple(run)) for trace_id, run in parts)

@@ -133,8 +133,7 @@ def _event_violations(log: UILog) -> list:
                 Violation(
                     ViolationCode.STATE_WITHOUT_ELEMENT,
                     event_index=index,
-                    message="element state recorded without a UI element; "
-                    "the XES and CSV readers drop it",
+                    message="element state recorded without a UI element",
                 )
             )
         if event.target is not None and not event.target.is_empty:

@@ -357,7 +357,7 @@ class _LogReader:
         log = holder[0]
         if _local_name(log.tag) != "log":
             raise MalformedDocumentError(
-                f"expected a <log> document, found <{_local_name(log.tag)}>"
+                f"log: expected <log> as the document element, found <{_local_name(log.tag)}>"
             )
         done = len(log) if complete else len(log) - 1  # the last child may still be open
         for child in log[:done]:
@@ -522,17 +522,29 @@ class _LogReader:
         if nested is not None:  # group containers do not count as nesting
             typed = self._map(nested, where, -1 if key == KEY_UI_GROUP_PATH else 0)
         if key == KEY_UI_GROUP_PATH:
-            typed = {
-                split_group_path(path): attributes
-                for path, attributes in typed.items()
-                if isinstance(attributes, dict)
-            }
+            typed = self._group_attributes(split_group_path(str(value)), typed, where)
         elif key == KEY_ACTION_TYPE:
             if not str(value):
                 return None  # the event fails where it checks its action
             typed = _trusted(Action, str(value), typed)
         if self.warned == warned:
             self.contexts[raw] = typed
+        return typed
+
+    def _group_attributes(self, groups: tuple, nested: dict, where: str) -> dict:
+        """Of the attributes nested on the group path ``groups``, the
+        containers of its groups by group id path; the rest warn."""
+        typed = {}
+        for path, attributes in nested.items():
+            ids = split_group_path(path)
+            if isinstance(attributes, dict) and ids == groups[:len(ids)]:
+                typed[ids] = attributes
+            else:
+                self.warned += 1
+                fault = "names no group on its path" if isinstance(attributes, dict) \
+                    else "is not a container"
+                warnings.warn(f"{where}: attribute {path!r} nested on {KEY_UI_GROUP_PATH} "
+                              f"{fault}, so it is not kept; ignored")
         return typed
 
     def _field_map(self, key: str, nested: ET.Element, where: str) -> dict:
@@ -555,6 +567,10 @@ class _LogReader:
                 nested_by_key[key] = nested
             else:
                 extras[key] = value
+        if len(fields) + len(extras) < len(element):  # a key repeats; the last one is kept
+            keys = [child.get("key") for child in element]
+            for key in dict.fromkeys(key for key in keys if keys.count(key) > 1):
+                warnings.warn(f"{where}: duplicate event key {key!r}; keeping the last")
         # The attributes nested on field values, each context typed once per document.
         nested_by_key = {
             key: self._context(key, fields[key], nested, where) if key in _CONTEXT_KEYS
@@ -583,10 +599,6 @@ class _LogReader:
         groups = split_group_path(str(fields[KEY_UI_GROUP_PATH])) if KEY_UI_GROUP_PATH in fields else ()
         application = fields.get(KEY_APPLICATION)
         system = fields.get(KEY_SYSTEM)
-        state = fields.get(KEY_UI_ELEMENT_STATE)
-        if state is not None and element_id is None:
-            warnings.warn(f"{where}: {KEY_UI_ELEMENT_STATE} without {KEY_UI_ELEMENT}; ignored")
-            state = None
 
         target = None
         if element_id is not None or groups or application is not None or system is not None:
@@ -604,7 +616,7 @@ class _LogReader:
         user = _merge_ref(self.users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {}))
         task = _merge_ref(self.tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {}))
         return _trusted(InteractionEvent, name, action, target, fields.get(KEY_INPUT_VALUE),
-                        state, timestamp, user, task, extras)
+                        fields.get(KEY_UI_ELEMENT_STATE), timestamp, user, task, extras)
 
     def finish(self) -> UILog:
         # A document written untraced holds one wrapping trace, which is

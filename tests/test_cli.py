@@ -398,21 +398,23 @@ def test_xes_boolean_outside_xs_boolean_is_an_operational_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "attribute",
+    "attribute, noted",
     [
-        '<date key="time:timestamp" value="2024-01-01T00:00:00.0001Z"/>',
-        '<string key="uilog:ui-element-state" value="open"/>',
+        ('<date key="time:timestamp" value="2024-01-01T00:00:00.0001Z"/>', True),
+        # A state without an element is read as it is; validate judges it.
+        ('<string key="uilog:ui-element-state" value="open"/>', False),
+        ('<string key="k" value="1"/><string key="k" value="2"/>', True),
     ],
-    ids=["sub-millisecond-timestamp", "state-without-element"],
+    ids=["sub-millisecond-timestamp", "state-without-element", "repeated-event-key"],
 )
-def test_xes_reader_warnings_are_notes(tmp_path, attribute):
+def test_xes_reader_warnings_are_notes(tmp_path, attribute, noted):
     source = tmp_path / "doc.xes"
     source.write_text(
         f'<log><trace><event><string key="concept:name" value="a"/>{attribute}</event></trace></log>'
     )
     done = run_child("stats", "-i", source)
     assert done.returncode == 0
-    assert "note: trace 0, event 0:" in done.stderr
+    assert ("note: trace 0, event 0:" in done.stderr) is noted
     assert "UserWarning" not in done.stderr
 
 
@@ -635,13 +637,77 @@ def test_segment_by_an_attribute_with_an_empty_value_is_an_operational_error(tmp
     assert not out.exists()
 
 
-def test_validate_notes_an_element_state_without_an_element(tmp_path, capsys):
+def test_segment_by_values_that_print_alike_is_an_operational_error(tmp_path):
+    source = tmp_path / "k.xes"
+    source.write_text('<log><trace><event><string key="concept:name" value="a"/>'
+                      '<int key="k" value="1"/></event><event><string key="concept:name" '
+                      'value="b"/><string key="k" value="1"/></event></trace></log>')
+    notion = tmp_path / "k.notion"
+    notion.write_text("[notion]\nkind = attribute\nkey = k\n")
+    out = tmp_path / "o.xes"
+    done = run_child("segment", "--notion", notion, "-i", source, "-o", out)
+    assert done.returncode == 1
+    assert done.stderr == ("error: case attribute 'k' holds 1 (event 0) and '1' (event 1), "
+                           "which would share the trace id '1'\n")
+    assert not out.exists()
+
+
+def test_segment_by_a_composite_notion_gives_distinct_cases_distinct_ids(tmp_path):
+    source = tmp_path / "xy.csv"
+    source.write_text("Activity,X,Y\na,a/b,c\nb,a,b/c\n")
+    notion = tmp_path / "xy.notion"
+    notion.write_text("[notion:x]\nkind = attribute\nkey = X\n"
+                      "[notion:y]\nkind = attribute\nkey = Y\n")
+    out = tmp_path / "o.xes"
+    done = run_child("segment", "--notion", notion, "-i", source, "-o", out)
+    assert (done.returncode, done.stderr) == (0, "note: 2 trace(s)\n")
+    assert run("validate", "-i", out) == 0
+
+
+def test_validate_reports_an_element_state_without_an_element(tmp_path):
     source = tmp_path / "doc.xes"
     source.write_text('<log><trace><event><string key="concept:name" value="a"/>'
                       '<string key="uilog:ui-element-state" value="open"/></event></trace></log>')
-    assert run("validate", "-i", source) == 0
-    assert "note: trace 0, event 0: uilog:ui-element-state without uilog:ui-element; ignored\n" \
-        in capsys.readouterr().err
+    done = run_child("validate", "-i", source)
+    assert done.returncode == 2
+    assert "[StateWithoutElement] event 0: element state recorded without a UI element\n" \
+        in done.stdout
+    assert "note:" not in done.stderr
+
+
+def test_convert_writes_an_element_state_without_an_element_and_strict_refuses_it(tmp_path):
+    source = tmp_path / "doc.csv"
+    source.write_text("Activity,UI group,Current state\nx,main,open\ny,,\"[a, b]\"\n")
+    out = tmp_path / "doc.xes"
+    done = run_child("convert", "-i", source, "-o", out)
+    assert (done.returncode, done.stderr) == (0, "note: log has 2 validation finding(s)\n")
+    assert out.read_text().count('key="uilog:ui-element-state"') == 2
+    out.unlink()
+    done = run_child("convert", "--strict", "-i", source, "-o", out)
+    assert done.returncode == 2
+    assert done.stderr.count("[StateWithoutElement]") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        (None, "header: no usable column in ['Actvity', 'Timestamp']; it needs an activity "
+               "column, or an action type column and a target column"),
+        ("[columns]\naction_type = Actvity\n",
+         "mapping: must provide activity_name or action_type plus a target column"),
+    ],
+    ids=["inferred", "explicit"],
+)
+def test_a_table_without_a_usable_column_is_an_operational_error(tmp_path, mapping, message):
+    source = tmp_path / "typo.csv"
+    source.write_text("Actvity,Timestamp\nx,2024-01-01T00:00:00Z\n")
+    options = []
+    if mapping:
+        (tmp_path / "typo.ini").write_text(mapping)
+        options = ["--mapping", tmp_path / "typo.ini"]
+    done = run_child("convert", "-i", source, *options, "-o", tmp_path / "typo.xes")
+    assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
 
 
 def test_extra_columns_named_alike_are_an_operational_error(tmp_path):

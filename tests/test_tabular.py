@@ -20,6 +20,7 @@ from uilog import (
     UILog,
     UILogError,
     UnserializableValueError,
+    ViolationCode,
     coverage,
     infer_mapping,
     ingest,
@@ -170,11 +171,14 @@ class TestIngestBehavior:
         log, _ = ingest("Activity,Noise\nx,zzz\n", mapping)
         assert log.events[0].attributes == {}
 
-    def test_state_without_element_warns(self):
-        text = "Activity,UI group,Current state\nx,main,[a]\n"
+    def test_state_without_element_is_kept(self):
+        text = "Activity,UI group,Current state\nx,main,[a]\ny,,open\n"
         log, report = ingest(text)
-        assert report.warnings
+        assert report.warnings == ()
         assert log.hierarchy.ui_elements == ()
+        assert [event.current_state for event in log.events] == [["a"], "open"]
+        assert [v.event_index for v in validate(log).violations
+                if v.code == ViolationCode.STATE_WITHOUT_ELEMENT] == [0, 1]
 
     @pytest.mark.parametrize("header", ["Timestamp,Activity", '"Timestamp","Activity"'],
                              ids=["unquoted", "quoted"])
@@ -312,6 +316,15 @@ class TestInferMapping:
     def test_unusable_header(self):
         with pytest.raises(NoUsableColumnsError):
             infer_mapping(["foo", "bar"])
+
+    def test_an_unusable_header_or_mapping_says_which(self):
+        header = ("header: no usable column in ['Actvity', 'Timestamp']; it needs an activity "
+                  "column, or an action type column and a target column")
+        with pytest.raises(NoUsableColumnsError, match=f"^{re.escape(header)}$"):
+            ingest("Actvity, Timestamp\nx,2024-01-01T00:00:00Z\n")
+        mapping = "mapping: must provide activity_name or action_type plus a target column"
+        with pytest.raises(NoUsableColumnsError, match=f"^{re.escape(mapping)}$"):
+            ingest("Activity\nx\n", ColumnMapping(action_type="Activity"))
 
     def test_camel_case_and_synonyms(self):
         mapping = infer_mapping(["Timestamp", "ActionType", "Target"])

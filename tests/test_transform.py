@@ -20,11 +20,14 @@ from uilog import (
     Trace,
     TriggerNeverFiresWarning,
     UILog,
+    UILogError,
     UnknownGroupError,
     abstract,
+    ingest,
     load_case_notion,
     load_rules,
     segment,
+    split_group_path,
     validate,
 )
 from uilog.fixtures import keyword_creation_log, login_rule, raw_login_log
@@ -146,6 +149,39 @@ class TestSegment:
             ("u2/case_1", [2]),
             ("u2/case_2", [3]),
         ]
+
+    def test_composite_ids_escape_a_slash_inside_a_part(self):
+        log, _ = ingest("Activity,X,Y\na,a/b,c\nb,a,b/c\n")
+        segmented = segment(log, Composite(parts=(ByAttribute(key="X"), ByAttribute(key="Y"))))
+        assert partition_of(segmented) == [("a\\/b/c", [0]), ("a/b\\/c", [1])]
+        assert validate(segmented).ok
+        assert [split_group_path(t.id) for t in segmented.traces] == [("a/b", "c"), ("a", "b/c")]
+
+    def test_attribute_values_group_by_their_type(self):
+        values = (1, 1.0, True, 1, "x", ["x"], {"k": "v"}, ["x"])
+        events = tuple(InteractionEvent(f"e{i}", attributes={"k": v}) for i, v in enumerate(values))
+        segmented = segment(UILog(events=events), ByAttribute(key="k"))
+        assert partition_of(segmented) == [
+            ("1", [0, 3]), ("1.0", [1]), ("True", [2]), ("x", [4]), ("['x']", [5, 7]),
+            ("{'k': 'v'}", [6]),
+        ]
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (1, "1", "case attribute 'k' holds 1 (event 1) and '1' (event 2), "
+                     "which would share the trace id '1'"),
+            ([1], "[1]", "case attribute 'k' holds [1] (event 1) and '[1]' (event 2), "
+                         "which would share the trace id '[1]'"),
+        ],
+        ids=["number-and-text", "list-and-text"],
+    )
+    def test_values_that_print_alike_are_a_located_error(self, first, second, message):
+        events = tuple(InteractionEvent(f"e{i}", attributes={"k": v})
+                       for i, v in enumerate(("a", first, second, first)))
+        with pytest.raises(UILogError) as error:
+            segment(UILog(events=events), ByAttribute(key="k"))
+        assert str(error.value) == message
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):

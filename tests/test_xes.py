@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 from datetime import datetime, timezone
+from functools import partial
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -21,9 +22,12 @@ from uilog import (
     UILog,
     UILogError,
     UnserializableValueError,
+    ViolationCode,
     emit_extension_definition,
+    ingest,
     read_xes,
     validate,
+    write_table,
     write_xes,
     xes,
 )
@@ -628,17 +632,36 @@ def read_recording_warnings(document):
     return log, [str(warning.message) for warning in caught]
 
 
-def test_element_state_without_an_element_is_dropped_with_a_warning():
+def test_element_state_without_an_element_is_kept():
     log, noted = read_recording_warnings(
         '<log><trace><event><string key="concept:name" value="a"/>'
         '<string key="uilog:ui-group-path" value="g"/>'
         '<string key="uilog:ui-element-state" value="open"/></event></trace></log>'
     )
-    assert noted == [
-        "trace 0, event 0: uilog:ui-element-state without uilog:ui-element; ignored"
-    ]
-    assert log.events[0].current_state is None
+    assert noted == []
+    assert log.events[0].current_state == "open"
     assert log.events[0].target == Target(groups=("g",))
+    assert [v.code for v in validate(log).violations] == [ViolationCode.STATE_WITHOUT_ELEMENT]
+
+
+def test_an_element_state_without_an_element_survives_both_round_trips():
+    builder = HierarchyBuilder()
+    group = builder.chain(groups=("g",))
+    log = UILog(
+        events=(InteractionEvent("a", current_state="open"),
+                InteractionEvent("b", target=group, current_state=["x", "y"])),
+        hierarchy=builder.build(),
+    )
+    formats = {
+        "xes": (partial(write_xes, check=False), read_xes),
+        "csv": (write_table, lambda text: ingest(text)[0]),
+    }
+    for name, (write, read) in formats.items():
+        text = write(log)
+        back = read(text)
+        assert [event.current_state for event in back.events] == ["open", ["x", "y"]], name
+        assert [event.target for event in back.events] == [None, group], name
+        assert write(back) == text, name
 
 
 GOLDEN = {
@@ -825,7 +848,8 @@ UNKEPT_FIELDS = [
 def test_attributes_nested_on_an_unkept_field_are_warned_of(key, tag, value):
     field = f'<{tag} key="{key}" value="{value}"><string key="lang" value="en"/></{tag}>'
     element = '<string key="uilog:ui-element" value="el"><string key="kept" value="1"/></string>'
-    event = f'<event><string key="concept:name" value="x"/>{element}{field}</event>'
+    name = "" if key == "concept:name" else '<string key="concept:name" value="x"/>'
+    event = f"<event>{name}{element}{field}</event>"  # no key twice, which warns of its own
     log, noted = read_recording_warnings(f"<log><trace>{event}{event}</trace></log>")
     assert noted == [
         f"trace 0, event {i}: attributes nested on {key} are not kept; ignored" for i in (0, 1)
@@ -835,6 +859,36 @@ def test_attributes_nested_on_an_unkept_field_are_warned_of(key, tag, value):
     with pytest.raises(MalformedDocumentError, match="^trace 0, event 0: "):
         read_xes(f'<log><trace><event><{tag} key="{key}" value="{value}">'
                  f'<int key="n" value="x"/></{tag}></event></trace></log>')
+
+
+GROUP_WITH_STRAYS = (
+    '<string key="uilog:ui-group-path" value="g/h"><string key="x" value="1"/>'
+    '<container key="zzz"><string key="a" value="1"/></container>'
+    '<container key="g"><string key="a" value="2"/></container></string>'
+)
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+def test_what_an_event_does_not_keep_is_warned_of(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    repeated = '<string key="dup" value="1"/><string key="dup" value="2"/>'
+    log, noted = read_recording_warnings(events_document(GROUP_WITH_STRAYS + repeated,
+                                                         GROUP_WITH_STRAYS))
+    strays = [
+        "attribute 'x' nested on uilog:ui-group-path is not a container, so it is not kept; "
+        "ignored",
+        "attribute 'zzz' nested on uilog:ui-group-path names no group on its path, so it is "
+        "not kept; ignored",
+    ]
+    assert noted == [
+        "trace 0, event 0: duplicate event key 'dup'; keeping the last",
+        *(f"trace 0, event 0: {text}" for text in strays),
+        *(f"trace 0, event 1: {text}" for text in strays),
+    ]
+    assert log.events[0].attributes == {"dup": "2"}
+    assert log.hierarchy.resolve(Target(groups=("g",))).attributes == {"a": "2"}
+    assert log.hierarchy.resolve(log.events[1].target).attributes == {}
 
 
 @pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
