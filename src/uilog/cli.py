@@ -53,6 +53,14 @@ def _guess_format(path: str, explicit) -> str:
     )
 
 
+def _delimiter(args, path: str) -> str:
+    """The csv delimiter for ``path``: ``--delimiter`` when given, else a
+    tab for a .tsv file and a comma for any other."""
+    if args.delimiter is not None:
+        return args.delimiter
+    return "\t" if Path(path).suffix.lower() == ".tsv" else ","
+
+
 def _read_text(path: str, newline=None) -> str:
     """The UTF-8 text of ``path``. CSV input is read with ``newline=""``,
     so that a carriage return inside a quoted cell reaches the csv module
@@ -68,8 +76,8 @@ def _prepare(args) -> None:
     """Check the csv delimiter, and replace each config file path in
     ``args`` by what the file holds, so that every file is read and
     parsed once. A loader's module is imported only for a given file."""
-    delimiter = getattr(args, "delimiter", ",")
-    if delimiter != ",":  # the default is valid and needs no tabular import
+    delimiter = getattr(args, "delimiter", None)
+    if delimiter not in (None, ","):  # the defaults are valid and need no tabular import
         from . import tabular
 
         try:
@@ -110,7 +118,7 @@ def _load_log(args):
         from . import tabular
 
         text = _read_text(args.input, newline="")
-        log, report = tabular.ingest(text, args.mapping, delimiter=args.delimiter)
+        log, report = tabular.ingest(text, args.mapping, delimiter=_delimiter(args, args.input))
         for skipped in report.rows_skipped:
             print(f"note: skipped {skipped}", file=sys.stderr)
         for message in report.warnings:
@@ -145,7 +153,7 @@ def _write_log(log, args, report=None) -> int:
     else:
         from . import tabular
 
-        text = tabular.write_table(log, args.mapping, delimiter=args.delimiter)
+        text = tabular.write_table(log, args.mapping, delimiter=_delimiter(args, args.output))
     Path(args.output).write_text(text, encoding="utf-8")
     return _EXIT_OK
 
@@ -271,7 +279,7 @@ def _add_io_arguments(parser, *, needs_output: bool, report: str | None = None) 
     )
     parser.add_argument("--mapping", help="column mapping file (INI) for csv input/output")
     parser.add_argument(
-        "--delimiter", default=",", help="csv delimiter (default: comma)"
+        "--delimiter", help="csv delimiter (default: a tab for a .tsv file, else a comma)"
     )
     if report:
         parser.add_argument("--report", help=report)

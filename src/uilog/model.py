@@ -746,7 +746,8 @@ class InteractionEvent(_Record):
     its position in the log. The element state is the one the target
     element showed at this interaction; for list and dropdown elements
     the convention is a list of selectable labels. ``user`` and ``task``
-    are ids into the owning log's registries.
+    are ids into the owning log's registries. An empty target records no
+    location, so it is stored as None, as both readers read it back.
     """
 
     __slots__ = ("activity_name", "action", "target", "input_value", "current_state",
@@ -761,7 +762,7 @@ class InteractionEvent(_Record):
             raise TypeError("activity_name must be text")
         timestamp = None if timestamp is None else normalize_timestamp(timestamp)
         _Record.__init__(
-            self, activity_name, action, target,
+            self, activity_name, action, None if target is None or target.is_empty else target,
             None if input_value is None else normalize_value(input_value),
             None if current_state is None else normalize_value(current_state),
             timestamp, user, task, normalize_attributes(attributes),

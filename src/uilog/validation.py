@@ -82,8 +82,6 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
                 )
             )
             continue
-        if parent is None:
-            continue
         if id(parent) not in located:
             out.append(
                 Violation(
@@ -136,7 +134,7 @@ def _event_violations(log: UILog) -> list:
                     message="element state recorded without a UI element",
                 )
             )
-        if event.target is not None and not event.target.is_empty:
+        if event.target is not None:
             try:
                 log.hierarchy.check_target(event.target)
             except DanglingReferenceError as exc:

@@ -38,7 +38,10 @@ nested attributes of a group path, application, system, user, task or
 action type are typed once per distinct subtree and shared by every
 event that repeats it, and a document holds one :class:`Action` per
 distinct action; a subtree whose typing warned is typed again where it
-recurs, so each occurrence warns with its own location.
+recurs, so each occurrence warns with its own location. By one rule,
+a key repeated in the log, a trace, an event or a map keeps its last
+value, and attributes nested anywhere but on those six fields and the
+UI element are typed, so a malformed one fails, then ignored; both warn.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> No
         _attribute(out, 3, KEY_INPUT_VALUE, event.input_value)
     head = rest = ""
     target = event.target
-    if target is not None and not target.is_empty:
+    if target is not None:
         head, rest = contexts.get(target) or _context(target, log.hierarchy, contexts)
     out.append(head)
     if event.current_state is not None:
@@ -305,10 +308,12 @@ _EVENT_FIELD_KEYS = frozenset(
 )
 
 #: Event fields whose nested attributes recur from event to event; each
-#: distinct subtree under one of them is typed once per document.
+#: distinct subtree under one of them is typed once per document. With
+#: the UI element they are the attributes whose nested ones are kept.
 _CONTEXT_KEYS = frozenset(
     {KEY_ACTION_TYPE, KEY_UI_GROUP_PATH, KEY_APPLICATION, KEY_SYSTEM, KEY_USER, KEY_TASK}
 )
+_KEEPS_NESTED = _CONTEXT_KEYS | {KEY_UI_ELEMENT}
 
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
@@ -327,9 +332,9 @@ class _LogReader:
     tree. Only :meth:`finish` decides what needs the whole document.
 
     ``contexts`` holds each distinct context subtree typed (see
-    :meth:`_context`); ``warned`` counts the warnings typing has issued,
-    so a subtree whose typing warned is left out of it and warns again,
-    with its own location, wherever it recurs.
+    :meth:`_context`); ``warned`` counts the warnings :meth:`_warn` has
+    issued, so a subtree whose typing warned is left out of it and warns
+    again, with its own location, wherever it recurs.
     """
 
     def __init__(self, lenient_names: bool):
@@ -340,12 +345,10 @@ class _LogReader:
         self.attributes = {}
         self.events = []
         self.traces = []
-        self.untraced = False
         self.stray = None  # where the first event directly under <log> is
         self.position = 0  # of the next trace or event directly under <log>
-        # The trace element being read, its position and what it has given so far.
-        self.open = None
-        self.trace_position, self.trace_id, self.trace_attributes, self.indices = 0, None, {}, []
+        # The trace element being read, its position, its first event and its attributes.
+        self.open, self.trace_position, self.first, self.trace_attributes = None, 0, 0, {}
         self.contexts = {}  # raw context subtree -> what it types to
         self.warned = 0
 
@@ -377,39 +380,34 @@ class _LogReader:
             self._event(element, where)
         elif tag not in _STRUCTURAL_TAGS:
             key, value, _ = self._attribute(element, "log")
-            if key == KEY_UNTRACED:
-                if not isinstance(value, bool):
-                    raise MalformedDocumentError(
-                        f"log: {KEY_UNTRACED} must be a boolean, got {value!r}"
-                    )
-                self.untraced = value
-            else:
-                self.attributes[key] = value
+            if key in self.attributes:
+                self._warn("log", f"duplicate log key {key!r}; keeping the last")
+            self.attributes[key] = value
 
     def _trace(self, element: ET.Element, complete: bool) -> None:
         if element is not self.open:
             self.open, self.trace_position = element, self.position
-            self.trace_id, self.trace_attributes, self.indices = None, {}, []
+            self.first, self.trace_attributes = len(self.events), {}
             self.position += 1
         where = f"trace {self.trace_position}"
         done = len(element) if complete else len(element) - 1
         for child in element[:done]:
             tag = _local_name(child.tag)
             if tag == "event":
-                self._event(child, f"{where}, event {len(self.indices)}")
-                self.indices.append(len(self.events) - 1)
+                self._event(child, f"{where}, event {len(self.events) - self.first}")
             elif tag not in _STRUCTURAL_TAGS:
                 key, value, _ = self._attribute(child, where)
-                if key == KEY_CONCEPT_NAME:
-                    self.trace_id = str(value)
-                else:
-                    self.trace_attributes[key] = value
+                if key in self.trace_attributes:
+                    self._warn(where, f"duplicate trace key {key!r}; keeping the last")
+                self.trace_attributes[key] = value
         del element[:done]
         if not complete:
             return
         self.open = None
-        trace_id = self.trace_id or f"trace_{self.trace_position}"
-        self.traces.append(_trusted(Trace, trace_id, tuple(self.indices), self.trace_attributes))
+        trace_id = str(self.trace_attributes.pop(KEY_CONCEPT_NAME, ""))
+        events = tuple(range(self.first, len(self.events)))
+        self.traces.append(_trusted(Trace, trace_id or f"trace_{self.trace_position}", events,
+                                    self.trace_attributes))
 
     def _event(self, element: ET.Element, where: str) -> None:
         try:
@@ -423,23 +421,23 @@ class _LogReader:
         except ValueError as exc:
             raise MalformedDocumentError(f"{where}: bad timestamp {text.strip()!r}") from exc
         if truncated:
-            self.warned += 1
-            warnings.warn(
-                f"{where}: timestamp {text.strip()!r} truncated to millisecond precision",
-                stacklevel=2,
-            )
+            self._warn(where, f"timestamp {text.strip()!r} truncated to millisecond precision")
         return value
 
-    def _attribute(self, element: ET.Element, where: str, depth: int = 0):
+    def _warn(self, where: str, text: str) -> None:
+        self.warned += 1
+        warnings.warn(f"{where}: {text}")
+
+    def _attribute(self, element: ET.Element, where: str, depth: int = 0, kept=()):
         """Return (key, value, nested) for one attribute element.
 
         The value is checked and normalized here, once, as the model's
         ``normalize_value`` would: ``depth`` counts the lists and containers
         around the element, and every key must be non-empty. ``nested`` is
-        the element itself when it is an elementary value with child
-        attributes (XES allows attributes on attributes; read them with
-        :meth:`_map` where they are kept), else None; the children of
-        lists and containers are the value itself.
+        the element itself when it is an elementary value keyed in ``kept``
+        with child attributes, else None; on other values those are typed,
+        so a malformed one fails, and dropped with a warning. The children
+        of lists and containers are the value itself.
         """
         tag = _local_name(element.tag)
         key = element.get("key")
@@ -486,7 +484,12 @@ class _LogReader:
             value = self._timestamp(raw, where)
         else:
             raise MalformedDocumentError(f"{where}: unknown attribute type {tag!r}")
-        return key, value, element if len(element) else None
+        nested = element if len(element) else None
+        if nested is not None and key not in kept:
+            self._map(nested, where, depth)
+            self._warn(where, f"attributes nested on {key} are not kept; ignored")
+            return key, value, None
+        return key, value, nested
 
     def _map(self, element: ET.Element, where: str, depth: int = 0) -> dict:
         """The child attributes of ``element`` as a key -> value map, each at
@@ -495,8 +498,7 @@ class _LogReader:
         for child in element:
             key, value, _ = self._attribute(child, where, depth)
             if key in mapping:
-                self.warned += 1
-                warnings.warn(f"{where}: duplicate map key {key!r}; keeping the last")
+                self._warn(where, f"duplicate map key {key!r}; keeping the last")
             mapping[key] = value
         return mapping
 
@@ -540,20 +542,10 @@ class _LogReader:
             if isinstance(attributes, dict) and ids == groups[:len(ids)]:
                 typed[ids] = attributes
             else:
-                self.warned += 1
                 fault = "names no group on its path" if isinstance(attributes, dict) \
                     else "is not a container"
-                warnings.warn(f"{where}: attribute {path!r} nested on {KEY_UI_GROUP_PATH} "
-                              f"{fault}, so it is not kept; ignored")
-        return typed
-
-    def _field_map(self, key: str, nested: ET.Element, where: str) -> dict:
-        """The attributes nested on the event field ``key``, which is not a
-        context, typed; only the UI element keeps them, the other fields
-        warn that theirs are ignored."""
-        typed = self._map(nested, where)
-        if key != KEY_UI_ELEMENT:
-            warnings.warn(f"{where}: attributes nested on {key} are not kept; ignored")
+                self._warn(where, f"attribute {path!r} nested on {KEY_UI_GROUP_PATH} "
+                                  f"{fault}, so it is not kept; ignored")
         return typed
 
     def _read_event(self, element: ET.Element, where: str) -> InteractionEvent:
@@ -561,7 +553,7 @@ class _LogReader:
         nested_by_key = {}
         extras = {}
         for child in element:
-            key, value, nested = self._attribute(child, where)
+            key, value, nested = self._attribute(child, where, 0, _KEEPS_NESTED)
             if key in _EVENT_FIELD_KEYS:
                 fields[key] = value
                 nested_by_key[key] = nested
@@ -570,11 +562,11 @@ class _LogReader:
         if len(fields) + len(extras) < len(element):  # a key repeats; the last one is kept
             keys = [child.get("key") for child in element]
             for key in dict.fromkeys(key for key in keys if keys.count(key) > 1):
-                warnings.warn(f"{where}: duplicate event key {key!r}; keeping the last")
-        # The attributes nested on field values, each context typed once per document.
+                self._warn(where, f"duplicate event key {key!r}; keeping the last")
+        # The attributes nested on kept fields, each context typed once per document.
         nested_by_key = {
             key: self._context(key, fields[key], nested, where) if key in _CONTEXT_KEYS
-            else self._field_map(key, nested, where)
+            else self._map(nested, where)
             for key, nested in nested_by_key.items()
             if nested is not None or key == KEY_ACTION_TYPE
         }
@@ -621,7 +613,12 @@ class _LogReader:
     def finish(self) -> UILog:
         # A document written untraced holds one wrapping trace, which is
         # folded away here; otherwise its traces partition the events.
-        traced = bool(self.traces) and not self.untraced
+        untraced = self.attributes.pop(KEY_UNTRACED, False)
+        if not isinstance(untraced, bool):
+            raise MalformedDocumentError(
+                f"log: {KEY_UNTRACED} must be a boolean, got {untraced!r}"
+            )
+        traced = bool(self.traces) and not untraced
         if traced and self.stray is not None:
             # Tolerated only without traces: here no trace would cover it.
             raise MalformedDocumentError(f"{self.stray}: an event outside every trace")
@@ -644,7 +641,9 @@ def read_xes(source: str, *, lenient_names: bool = False) -> UILog:
     in an earlier event or attribute, unless that is the last one the
     parser finished before the error. Only an event directly under
     ``<log>`` beside traces is reported at the end, since
-    ``uilog:untraced`` may follow it.
+    ``uilog:untraced`` may follow it. A repeated key keeps its last value,
+    and attributes nested on other than the event's UI element and context
+    fields (see the module docstring) are typed, then ignored; both warn.
     """
     from xml.etree import ElementTree as ET  # only a command that reads XES loads the parser
 

@@ -337,6 +337,34 @@ def test_non_utf8_input_is_an_operational_error(tmp_path):
     assert str(source) in done.stderr
 
 
+def test_non_utf8_input_names_the_file(tmp_path, capsys):
+    source = tmp_path / "bad.xes"
+    source.write_bytes(b"<log>\xff</log>")
+    assert run("stats", "-i", source) == 1
+    assert capsys.readouterr().err.startswith(f"error: {source}: not UTF-8 text (")
+
+
+def test_tsv_input_is_read_with_a_tab(tmp_path):
+    source = tmp_path / "t.tsv"
+    source.write_text("Activity\tTimestamp\nopen, then save\t2024-01-01T10:00:00Z\n")
+    out = tmp_path / "t.xes"
+    assert run("convert", "-i", source, "-o", out) == 0
+    assert [event.activity_name for event in uilog.read_xes(out.read_text()).events] == [
+        "open, then save"
+    ]
+    source.write_text("Activity;Timestamp\nx;2024-01-01T10:00:00Z\n")
+    assert run("validate", "-i", source, "--delimiter", ";") == 0
+
+
+def test_tsv_output_is_written_with_a_tab(tmp_path):
+    out = tmp_path / "kc.tsv"
+    assert run("convert", "-i", KC, "-o", out) == 0
+    expected = uilog.write_table(uilog.ingest(KC.read_text())[0], delimiter="\t")
+    assert out.read_text() == expected
+    assert run("convert", "-i", out, "-o", tmp_path / "kc.csv") == 0
+    assert (tmp_path / "kc.csv").read_text() == uilog.write_table(uilog.ingest(KC.read_text())[0])
+
+
 def test_text_outside_xml_is_an_operational_error(tmp_path):
     source = tmp_path / "control.csv"
     source.write_text("Activity,Action type,Input value\ninput name,input,a\x01b\n")

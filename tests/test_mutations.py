@@ -9,9 +9,9 @@ mutated document:
   ``validate``, ``coverage``, ``profile``, both writers, reading their
   output again, and ``segment`` by an attribute, a time gap and a marker
   raise nothing but UILogError;
-- an error of the reader names its place: a line and column (or, for
-  a lone surrogate, a character position), a trace, an event, a row,
-  the header, or the log;
+- an error or a warning of the reader names its place: a line and
+  column (or, for a lone surrogate, a character position), a trace, an
+  event, a row, the header, or the log;
 - a document that reads writes the same bytes when it is written, read
   and written again in its own format;
 - ``cli.main`` on a sample of the documents returns 0, 1 or 2 and prints
@@ -56,7 +56,7 @@ MUTANTS = 6  # per seed and format
 MAX_EVENTS = 12
 CLI_EVERY = 8  # cli.main runs on every CLI_EVERY-th mutated document
 
-#: Where a reader error may say it is.
+#: Where a reader error or warning may say it is.
 PLACE = re.compile(
     r"line \d+, column \d+|\bposition \d+|\btrace \d+|\bevent \d+|\brow \d+|\bheader\b|^log:"
 )
@@ -112,14 +112,19 @@ def _located(exc) -> bool:
 def check_document(fmt, text, problems, where):
     """Append to ``problems`` what the oracle finds wrong with ``text``."""
     write, read = FORMATS[fmt]
-    try:
-        log = read(text)
-    except UILogError as exc:
-        if not _located(exc):
-            problems.append(f"{where}: unlocated {type(exc).__name__}: {exc}")
-        return
-    except Exception:
-        problems.append(f"{where}: reading raised {traceback.format_exc(limit=-2)}")
+    log = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            log = read(text)
+        except UILogError as exc:
+            if not _located(exc):
+                problems.append(f"{where}: unlocated {type(exc).__name__}: {exc}")
+        except Exception:
+            problems.append(f"{where}: reading raised {traceback.format_exc(limit=-2)}")
+    problems += [f"{where}: unlocated warning: {item.message}"
+                 for item in caught if not _located(item.message)]
+    if log is None:
         return
     steps = [
         ("validate", lambda: validate(log)),
@@ -184,7 +189,7 @@ def run(seeds) -> list:
     problems = []
     count = 0
     with tempfile.TemporaryDirectory() as name, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a reader's warnings are not faults
+        warnings.simplefilter("ignore")  # only the reader's warnings are checked
         directory = Path(name)
         (directory / "user.notion").write_text("[notion]\nkind = attribute\nkey = user\n")
         for seed in seeds:

@@ -359,6 +359,8 @@ class TestLiterals:
             parse_map_literal("{no colon}")
         with pytest.raises(BadLiteralError):
             parse_map_literal("{a: 1, a: 2}")
+        with pytest.raises(BadLiteralError, match=r"^empty key in map literal: '\{ : v\}'$"):
+            parse_map_literal("{ : v}")
         with pytest.raises(BadLiteralError):
             parse_list_literal("{a}")
 
@@ -696,6 +698,8 @@ Payload = map
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             load_mapping("[columns]\nnot_a_field = X\n")
+        with pytest.raises(BadConfigError, match=r"unknown option 'bogus' in \[options\]"):
+            load_mapping("[options]\nbogus = 1\n")
 
     def test_unusable_mapping_rejected(self):
         mapping = ColumnMapping(action_type="Action")

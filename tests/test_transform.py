@@ -95,6 +95,11 @@ class TestSegment:
         segmented = segment(log, ByAttribute(key="user"))
         assert partition_of(segmented) == [("u1", [0, 2, 4]), ("u2", [1, 3, 5])]
 
+    def test_by_task(self):
+        events = tuple(InteractionEvent(f"e{i}", task=f"t{i % 2}") for i in range(4))
+        segmented = segment(UILog(events=events, tasks={"t0": {}, "t1": {}}), ByAttribute("task"))
+        assert partition_of(segmented) == [("t0", [0, 2]), ("t1", [1, 3])]
+
     def test_by_extension_attribute(self):
         events = tuple(
             InteractionEvent(f"e{i}", attributes={"session": f"s{i // 2}"})

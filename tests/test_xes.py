@@ -444,6 +444,19 @@ NESTING_PLACES = {
 }
 
 
+def test_values_put_in_after_construction_fail_to_write():
+    log = UILog(attributes={"a": "x"})
+    log.attributes["a"] = object()
+    with pytest.raises(UnserializableValueError, match="^attribute 'a' has unsupported type object$"):
+        write_xes(log)
+    deep = "x"
+    for _ in range(33):
+        deep = [deep]
+    log.attributes["a"] = deep
+    with pytest.raises(UnserializableValueError, match="^attribute '0' nests deeper than 32$"):
+        write_xes(log)
+
+
 @pytest.mark.parametrize("kind", ["list", "container"])
 @pytest.mark.parametrize("place", list(NESTING_PLACES))
 def test_nesting_is_capped_wherever_an_attribute_sits(place, kind):
@@ -664,6 +677,14 @@ def test_an_element_state_without_an_element_survives_both_round_trips():
         assert write(back) == text, name
 
 
+def test_an_empty_target_is_no_location_through_both_formats():
+    event = InteractionEvent("a", target=Target())
+    assert event.target is None
+    log = UILog(events=(event,))
+    assert read_xes(write_xes(log)).events[0] == event
+    assert ingest(write_table(log))[0].events[0] == event
+
+
 GOLDEN = {
     "empty": UILog,
     "keyword_creation": keyword_creation_log,
@@ -859,6 +880,75 @@ def test_attributes_nested_on_an_unkept_field_are_warned_of(key, tag, value):
     with pytest.raises(MalformedDocumentError, match="^trace 0, event 0: "):
         read_xes(f'<log><trace><event><{tag} key="{key}" value="{value}">'
                  f'<int key="n" value="x"/></{tag}></event></trace></log>')
+
+
+def attribute_sets(log):
+    """What a log holds besides its events' fields: its attributes, its
+    traces and its events' attributes."""
+    traces = [(trace.id, trace.attributes) for trace in log.traces or ()]
+    return log.attributes, traces, [event.attributes for event in log.events]
+
+
+EVENT_WITH = '<event><string key="concept:name" value="e"/>{}</event>'.format
+
+# What the model has no place for, at each level: (document with "{}"
+# where the repeated or nested attribute goes, that attribute's key, the
+# warning, what reads back).
+UNKEPT = {
+    "repeated-log-key": (
+        f'<log><string key="a" value="1"/>{{}}<trace>{EVENT_WITH("")}</trace></log>', "a",
+        "log: duplicate log key 'a'; keeping the last",
+        ({"a": "v"}, [("trace_0", {})], [{}]),
+    ),
+    "repeated-trace-name": (
+        f'<log><trace><string key="concept:name" value="t"/>{{}}{EVENT_WITH("")}</trace></log>',
+        "concept:name", "trace 0: duplicate trace key 'concept:name'; keeping the last",
+        ({}, [("v", {})], [{}]),
+    ),
+    "nested-on-log-attribute": (
+        f'<log><string key="src" value="x">{{}}</string><trace>{EVENT_WITH("")}</trace></log>',
+        "k", "log: attributes nested on src are not kept; ignored",
+        ({"src": "x"}, [("trace_0", {})], [{}]),
+    ),
+    "nested-on-trace-attribute": (
+        f'<log><trace><string key="tt" value="y">{{}}</string>{EVENT_WITH("")}</trace></log>',
+        "k", "trace 0: attributes nested on tt are not kept; ignored",
+        ({}, [("trace_0", {"tt": "y"})], [{}]),
+    ),
+    "nested-on-event-extra": (
+        "<log><trace>" + EVENT_WITH('<string key="mood" value="ok">{}</string>') + "</trace></log>",
+        "k", "trace 0, event 0: attributes nested on mood are not kept; ignored",
+        ({}, [("trace_0", {})], [{"mood": "ok"}]),
+    ),
+    "nested-on-list-item": (
+        "<log><trace>"
+        + EVENT_WITH('<list key="l"><values><string key="0" value="a">{}</string></values></list>')
+        + "</trace></log>",
+        "k", "trace 0, event 0: attributes nested on 0 are not kept; ignored",
+        ({}, [("trace_0", {})], [{"l": ["a"]}]),
+    ),
+    "nested-on-map-value": (
+        "<log><trace>"
+        + EVENT_WITH('<container key="c"><string key="m" value="1">{}</string></container>')
+        + "</trace></log>",
+        "k", "trace 0, event 0: attributes nested on m are not kept; ignored",
+        ({}, [("trace_0", {})], [{"c": {"m": "1"}}]),
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize("case", list(UNKEPT))
+def test_what_no_level_keeps_warns_once_where_it_is(monkeypatch, chunk, case):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    document, key, warning, kept = UNKEPT[case]
+    log, noted = read_recording_warnings(document.format(f'<string key="{key}" value="v"/>'))
+    assert noted == [warning]
+    assert attribute_sets(log) == kept
+    where = warning.partition(":")[0]
+    with pytest.raises(MalformedDocumentError, match=f"^{where}: invalid literal"):
+        read_xes(document.format(f'<int key="{key}" value="y"/>'))
 
 
 GROUP_WITH_STRAYS = (
