@@ -41,7 +41,9 @@ distinct action; a subtree whose typing warned is typed again where it
 recurs, so each occurrence warns with its own location. By one rule,
 a key repeated in the log, a trace, an event or a map keeps its last
 value, and attributes nested anywhere but on those six fields and the
-UI element are typed, so a malformed one fails, then ignored; both warn.
+UI element, or on an occurrence of them that is not the last, are typed,
+so a malformed one fails, then ignored; both warn. A value carrying
+attributes that are ignored counts as one level of nesting.
 """
 
 from __future__ import annotations
@@ -187,8 +189,7 @@ def _context(target: Target, hierarchy, contexts: dict) -> tuple:
     rest = contexts.get(scope)
     if rest is None:
         rest = contexts[scope] = _scope(scope, hierarchy)
-    parts = contexts[target] = (head, rest)
-    return parts
+    return contexts.setdefault(target, (head, rest))
 
 
 def _scope(scope: tuple, hierarchy) -> str:
@@ -303,9 +304,7 @@ def _merge_ref(registry: dict, ref, attributes: dict) -> Optional[str]:
     return ref
 
 
-_EVENT_FIELD_KEYS = frozenset(
-    {KEY_CONCEPT_NAME, KEY_TIMESTAMP} | set(EXTENSION_KEYS)
-)
+_EVENT_FIELD_KEYS = frozenset({KEY_CONCEPT_NAME, KEY_TIMESTAMP} | set(EXTENSION_KEYS))
 
 #: Event fields whose nested attributes recur from event to event; each
 #: distinct subtree under one of them is typed once per document. With
@@ -380,6 +379,8 @@ class _LogReader:
             self._event(element, where)
         elif tag not in _STRUCTURAL_TAGS:
             key, value, _ = self._attribute(element, "log")
+            if key == KEY_UNTRACED and not isinstance(value, bool):
+                raise MalformedDocumentError(f"log: {key} must be a boolean, got {value!r}")
             if key in self.attributes:
                 self._warn("log", f"duplicate log key {key!r}; keeping the last")
             self.attributes[key] = value
@@ -432,12 +433,13 @@ class _LogReader:
         """Return (key, value, nested) for one attribute element.
 
         The value is checked and normalized here, once, as the model's
-        ``normalize_value`` would: ``depth`` counts the lists and containers
-        around the element, and every key must be non-empty. ``nested`` is
-        the element itself when it is an elementary value keyed in ``kept``
-        with child attributes, else None; on other values those are typed,
-        so a malformed one fails, and dropped with a warning. The children
-        of lists and containers are the value itself.
+        ``normalize_value`` would: ``depth`` counts the lists, containers and
+        dropped values around the element, and every key must be non-empty.
+        ``nested`` is the element itself when it is an elementary value keyed
+        in ``kept`` with child attributes, else None; on other values those
+        are typed one level deeper, as a container's would be, so a malformed
+        or too deep one fails, and dropped with a warning. The children of
+        lists and containers are the value itself.
         """
         tag = _local_name(element.tag)
         key = element.get("key")
@@ -445,20 +447,17 @@ class _LogReader:
             if key is None:
                 raise MalformedDocumentError(f"{where}: attribute element without key")
             raise MalformedDocumentError(f"{where}: attribute keys must be non-empty text, got ''")
+        if depth >= MAX_NESTING_DEPTH and (len(element) or tag == "list" or tag == "container"):
+            raise MalformedDocumentError(  # each of those nests one level
+                f"{where}: attribute nesting deeper than {MAX_NESTING_DEPTH}"
+            )
         if tag == "list" or tag == "container":
-            if depth >= MAX_NESTING_DEPTH:
-                raise MalformedDocumentError(
-                    f"{where}: attribute nesting deeper than {MAX_NESTING_DEPTH}"
-                )
             if tag == "container":
                 return key, self._map(element, where, depth + 1), None
             values = [child for child in element if _local_name(child.tag) == "values"]
             children = values[0] if values else element
-            items = [
-                self._attribute(child, where, depth + 1)[1]
-                for child in children
-                if _local_name(child.tag) != "values"
-            ]
+            items = [self._attribute(child, where, depth + 1)[1]
+                     for child in children if _local_name(child.tag) != "values"]
             return key, items, None
         raw = element.get("value")
         if raw is None:
@@ -485,8 +484,8 @@ class _LogReader:
         else:
             raise MalformedDocumentError(f"{where}: unknown attribute type {tag!r}")
         nested = element if len(element) else None
-        if nested is not None and key not in kept:
-            self._map(nested, where, depth)
+        if nested is not None and key not in kept:  # typed as one more level, then dropped
+            self._map(nested, where, depth + 1)
             self._warn(where, f"attributes nested on {key} are not kept; ignored")
             return key, value, None
         return key, value, nested
@@ -563,6 +562,11 @@ class _LogReader:
             keys = [child.get("key") for child in element]
             for key in dict.fromkeys(key for key in keys if keys.count(key) > 1):
                 self._warn(where, f"duplicate event key {key!r}; keeping the last")
+            for child in element:  # what an overwritten kept field nested is typed too
+                key = child.get("key")
+                if key in _KEEPS_NESTED and len(child) and child is not nested_by_key[key] \
+                        and _local_name(child.tag) not in ("list", "container"):
+                    self._map(child, where, -1 if key == KEY_UI_GROUP_PATH else 0)
         # The attributes nested on kept fields, each context typed once per document.
         nested_by_key = {
             key: self._context(key, fields[key], nested, where) if key in _CONTEXT_KEYS
@@ -613,12 +617,7 @@ class _LogReader:
     def finish(self) -> UILog:
         # A document written untraced holds one wrapping trace, which is
         # folded away here; otherwise its traces partition the events.
-        untraced = self.attributes.pop(KEY_UNTRACED, False)
-        if not isinstance(untraced, bool):
-            raise MalformedDocumentError(
-                f"log: {KEY_UNTRACED} must be a boolean, got {untraced!r}"
-            )
-        traced = bool(self.traces) and not untraced
+        traced = not self.attributes.pop(KEY_UNTRACED, False) and bool(self.traces)
         if traced and self.stray is not None:
             # Tolerated only without traces: here no trace would cover it.
             raise MalformedDocumentError(f"{self.stray}: an event outside every trace")
@@ -643,7 +642,8 @@ def read_xes(source: str, *, lenient_names: bool = False) -> UILog:
     ``<log>`` beside traces is reported at the end, since
     ``uilog:untraced`` may follow it. A repeated key keeps its last value,
     and attributes nested on other than the event's UI element and context
-    fields (see the module docstring) are typed, then ignored; both warn.
+    fields (see the module docstring), or on a repeat of them overwritten,
+    are typed, then ignored; both warn.
     """
     from xml.etree import ElementTree as ET  # only a command that reads XES loads the parser
 

@@ -253,9 +253,19 @@ def test_bad_values_are_located_document_errors(attribute):
             '<log><boolean key="uilog:untraced" value="yes"/></log>',
             "log: boolean attribute 'uilog:untraced' must be true, false, 1 or 0, got 'yes'",
         ),
+        (  # reported where it is read, before a later event's fault
+            '<log><string key="uilog:untraced" value="x"/><trace><event/></trace></log>',
+            "log: uilog:untraced must be a boolean, got 'x'",
+        ),
+        (
+            '<log><string key="uilog:untraced" value="x"/>'
+            '<boolean key="uilog:untraced" value="true"/></log>',
+            "log: uilog:untraced must be a boolean, got 'x'",
+        ),
     ],
     ids=["empty-trace-key", "empty-log-key", "lone-surrogate", "event-beside-traces",
-         "untraced-not-boolean", "untraced-not-xs-boolean"],
+         "untraced-not-boolean", "untraced-not-xs-boolean", "untraced-before-a-later-fault",
+         "untraced-repeated"],
 )
 def test_bad_documents_outside_events_are_document_errors(document, where):
     with pytest.raises(MalformedDocumentError, match=where):
@@ -398,6 +408,16 @@ def nested_attribute(kind, depth):
     return element, value
 
 
+def dropped_nesting(depth):
+    """Attribute "k" holding ``depth`` values, one nested on the next, whose
+    nested attributes are dropped, around the text "x"."""
+    element = '<string key="leaf" value="x"/>'
+    for level in range(depth):
+        key = "k" if level == depth - 1 else "0"
+        element = f'<string key="{key}" value="x">{element}</string>'
+    return element
+
+
 def in_event(attributes):
     return f'<string key="concept:name" value="a"/>{attributes}'
 
@@ -467,6 +487,20 @@ def test_nesting_is_capped_wherever_an_attribute_sits(place, kind):
     element, _ = nested_attribute(kind, 33)
     with pytest.raises(MalformedDocumentError, match=f"^{where}: attribute nesting deeper than 32"):
         read_xes(document.replace("{attr}", element))
+
+
+@pytest.mark.parametrize("place", list(NESTING_PLACES))
+def test_dropped_nested_attributes_count_as_nesting(place):
+    # Each value whose nested attributes are dropped is one level, as a
+    # container is, so a long chain fails where it is, not by recursion.
+    document, where, read_back = NESTING_PLACES[place]
+    log, noted = read_recording_warnings(document.replace("{attr}", dropped_nesting(32)))
+    assert read_back(log) == "x"
+    assert len(noted) == 32 and all(note.startswith(f"{where}: ") for note in noted)
+    for depth in (33, 600):
+        with pytest.raises(MalformedDocumentError,
+                           match=f"^{where}: attribute nesting deeper than 32"):
+            read_xes(document.replace("{attr}", dropped_nesting(depth)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -934,6 +968,14 @@ UNKEPT = {
         "k", "trace 0, event 0: attributes nested on m are not kept; ignored",
         ({}, [("trace_0", {})], [{"c": {"m": "1"}}]),
     ),
+    "nested-on-an-overwritten-user": (
+        "<log><trace>"
+        + EVENT_WITH('<string key="uilog:user" value="u">{}</string>'
+                     '<string key="uilog:user" value="w"/>')
+        + "</trace></log>",
+        "k", "trace 0, event 0: duplicate event key 'uilog:user'; keeping the last",
+        ({}, [("trace_0", {})], [{}]),
+    ),
 }
 
 
@@ -948,7 +990,7 @@ def test_what_no_level_keeps_warns_once_where_it_is(monkeypatch, chunk, case):
     assert attribute_sets(log) == kept
     where = warning.partition(":")[0]
     with pytest.raises(MalformedDocumentError, match=f"^{where}: invalid literal"):
-        read_xes(document.format(f'<int key="{key}" value="y"/>'))
+        read_recording_warnings(document.format(f'<int key="{key}" value="y"/>'))
 
 
 GROUP_WITH_STRAYS = (
