@@ -504,12 +504,25 @@ def ingest(
     warnings_out = []
     row_number = 0
 
+    # Recordings repeat a few list and map cells (dropdown labels, form
+    # fields), so each distinct one is parsed once per call. The first row
+    # keeps what it parsed to, which nothing changes while ingest runs, and
+    # each later row gets its own shallow copy of it; items are text. A bad
+    # literal is parsed, and warns, on each row.
+    parsed = {}  # (cell, parser) -> the list or map the first row with it got
+
     def literal(text: str, parser: str, row_number: int):
+        value = parsed.get((text, parser))
+        if value is not None:
+            return value.copy()
         try:
-            return _parse_cell(text, parser)
+            value = _parse_cell(text, parser)
         except BadLiteralError as exc:
             warnings_out.append(f"row {row_number}: {exc}; kept as text")
             return text
+        if type(value) is not str:
+            parsed[text, parser] = value
+        return value
 
     for row_number, row in rows:
         row = list(map(str.strip, row))

@@ -115,6 +115,7 @@ def _hierarchy_violations(hierarchy: UIHierarchy) -> list:
 
 def _event_violations(log: UILog) -> list:
     out = []
+    faults = {}  # id of each distinct target -> (node id, message) of its fault, or None
     for index, event in enumerate(log.events):
         if not event.activity_name:
             out.append(
@@ -135,15 +136,24 @@ def _event_violations(log: UILog) -> list:
                 )
             )
         if event.target is not None:
-            try:
-                log.hierarchy.check_target(event.target)
-            except DanglingReferenceError as exc:
+            # Events share few targets, and the log keeps each alive for the
+            # call, so each is checked once and keyed by its id.
+            key = id(event.target)
+            fault = faults.get(key, False)
+            if fault is False:  # not checked yet
+                fault = None
+                try:
+                    log.hierarchy.check_target(event.target)
+                except DanglingReferenceError as exc:
+                    fault = (exc.node_id, str(exc))
+                faults[key] = fault
+            if fault is not None:
                 out.append(
                     Violation(
                         ViolationCode.DANGLING_REFERENCE,
                         event_index=index,
-                        node_id=exc.node_id,
-                        message=str(exc),
+                        node_id=fault[0],
+                        message=fault[1],
                     )
                 )
         if event.user is not None and event.user not in log.users:
@@ -302,6 +312,7 @@ def coverage(log: UILog) -> dict:
     """
     total = len(log.events)
     counts = Counter()
+    placed = {}  # id of each distinct target -> whether it has a recorded ancestor
     for event in log.events:
         target = event.target
         if event.action is not None:
@@ -316,11 +327,16 @@ def coverage(log: UILog) -> dict:
             counts["timestamp"] += 1
         if event.current_state is not None:
             counts["current_state"] += 1
-        try:
-            node = log.hierarchy.resolve(target)
-        except (NoTargetError, DanglingReferenceError):
-            node = None
-        if node is not None and parent_of(node) is not None:
+        if target is None:
+            continue
+        has_ancestor = placed.get(id(target))  # resolved once per distinct target
+        if has_ancestor is None:
+            try:
+                node = log.hierarchy.resolve(target)
+            except (NoTargetError, DanglingReferenceError):
+                node = None
+            has_ancestor = placed[id(target)] = node is not None and parent_of(node) is not None
+        if has_ancestor:
             counts["ui_hierarchy"] += 1
     return {name: Coverage(counts[name], total) for name in _COVERED}
 

@@ -21,11 +21,15 @@ the log-level boolean ``uilog:untraced`` so the reader can undo it.
 The writer emits the document as text in one pass: each element is
 appended to one list of pieces, indented from a precomputed table and
 escaped as ElementTree escapes attribute values, and the list is joined
-once. The element of each distinct target, the group path, application
-and system elements of each distinct (system, application, group path)
-scope, and each user, task and action element are rendered once per
-document; each event writes its own element state between its element
-and the rest of its scope.
+once. The element of each distinct target object, the group path,
+application and system elements of each distinct (system, application,
+group path) scope, each user, task and action element, and the name
+and element state elements of each distinct activity name and state
+are rendered once per document; an event's state goes between its
+element and the rest of its scope. :func:`validate` checks and
+:func:`~uilog.validation.coverage` resolves each distinct target object
+once, and :func:`~uilog.tabular.ingest` parses each distinct list or map
+cell once. Each of these memos lives for one call.
 
 The reader parses incrementally (and imports ElementTree only when it
 runs, so writing loads no XML parser): it feeds the text to an ElementTree
@@ -121,6 +125,11 @@ _HEADER = (
 )
 
 
+#: The keys of event fields: the writer writes no event attribute under
+#: them, and the reader reads them as fields.
+_EVENT_FIELD_KEYS = frozenset({KEY_CONCEPT_NAME, KEY_TIMESTAMP} | set(EXTENSION_KEYS))
+
+
 def _escape(text: str, key: str) -> str:
     """``text`` as an XML attribute value, escaped as ElementTree does."""
     if _SPECIAL.search(text) is None:
@@ -179,8 +188,9 @@ def _rendered(key: str, value, nested=None) -> str:
 
 def _context(target: Target, hierarchy, contexts: dict) -> tuple:
     """The elements recording ``target`` and its nodes' attributes, kept in
-    ``contexts``: the element's, and the rest; an event's state goes between.
-    The rest is rendered once per (system, application, groups) scope."""
+    ``contexts`` by the target's id: the element's, and the rest; an event's
+    state goes between. The rest is rendered once per (system, application,
+    groups) scope."""
     head = ""
     if target.element is not None:
         element = hierarchy.lookup(target)[0]
@@ -189,7 +199,8 @@ def _context(target: Target, hierarchy, contexts: dict) -> tuple:
     rest = contexts.get(scope)
     if rest is None:
         rest = contexts[scope] = _scope(scope, hierarchy)
-    return contexts.setdefault(target, (head, rest))
+    contexts[id(target)] = head, rest
+    return head, rest
 
 
 def _scope(scope: tuple, hierarchy) -> str:
@@ -215,15 +226,26 @@ def _scope(scope: tuple, hierarchy) -> str:
     return "".join(out)
 
 
-def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> None:
-    out.append("\n    <event>")
-    _attribute(out, 3, KEY_CONCEPT_NAME, event.activity_name)
+def _event(out: list, index: int, event: InteractionEvent, log: UILog, memo: tuple) -> None:
+    """Append the element of ``event``, the log's event ``index``.
+
+    ``memo`` holds what earlier events rendered, three maps that live for
+    one :func:`write_xes` call: ``contexts`` the context parts by target
+    and action id (the log keeps each alive for the call), by scope, and
+    by (key, id) of each user and task; ``names`` the name element by
+    name; ``states`` the state element by text, or by type and ``repr``
+    for other values, which tells [1] from [True], [1.0] and ["1"].
+    """
+    contexts, names, states = memo
+    name = event.activity_name
+    text = names.get(name)
+    if text is None:
+        text = names[name] = _rendered(KEY_CONCEPT_NAME, name)
+    out.append("\n    <event>" + text)
     if event.timestamp is not None:
         _attribute(out, 3, KEY_TIMESTAMP, event.timestamp)
     action = event.action
     if action is not None:
-        # An Action holds a dict and is unhashable; the log keeps each alive
-        # for the call, so its id is its key.
         text = contexts.get(id(action))
         if text is None:
             text = contexts[id(action)] = _rendered(
@@ -235,10 +257,15 @@ def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> No
     head = rest = ""
     target = event.target
     if target is not None:
-        head, rest = contexts.get(target) or _context(target, log.hierarchy, contexts)
+        head, rest = contexts.get(id(target)) or _context(target, log.hierarchy, contexts)
     out.append(head)
-    if event.current_state is not None:
-        _attribute(out, 3, KEY_UI_ELEMENT_STATE, event.current_state)
+    state = event.current_state
+    if state is not None:
+        key = state if type(state) is str else (type(state), repr(state))
+        text = states.get(key)
+        if text is None:
+            text = states[key] = _rendered(KEY_UI_ELEMENT_STATE, state)
+        out.append(text)
     out.append(rest)
     for key, ref, registry in ((KEY_USER, event.user, log.users),
                                (KEY_TASK, event.task, log.tasks)):
@@ -248,6 +275,10 @@ def _event(out: list, event: InteractionEvent, log: UILog, contexts: dict) -> No
                 text = contexts[key, ref] = _rendered(key, ref, registry.get(ref))
             out.append(text)
     for key, value in event.attributes.items():
+        if key in _EVENT_FIELD_KEYS:
+            raise UnserializableValueError(
+                f"event {index}: attribute {key!r} has the key of an event field"
+            )
         _attribute(out, 3, key, value)
     out.append("\n    </event>")
 
@@ -260,27 +291,45 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     index that names no event still raises InvalidLogError. Output is
     deterministic for a given log: fixed key order, fixed formatting.
     Text outside the XML 1.0 character set raises
-    UnserializableValueError.
+    UnserializableValueError, as does an attribute under a key the
+    writer gives its own content, which would read back as that content:
+    an event attribute keyed ``concept:name``, ``time:timestamp`` or one
+    of the event keys of the uilog extension (``uilog:action-type``,
+    ``uilog:user`` and the others in ``EXTENSION_KEYS``), a trace
+    attribute ``concept:name``, or a log attribute ``uilog:untraced``.
+    The error names the event index, the trace id or ``log``, and the key.
+
+    Each distinct target, scope, action, user, task, activity name and
+    element state is rendered once per call and the text reused.
     """
     if check and not (report := validate(log)).ok:
         count = len(report.violations)
         raise InvalidLogError(f"log failed validation with {count} violation(s)", report=report)
+    if KEY_UNTRACED in log.attributes:
+        raise UnserializableValueError(
+            f"log: attribute {KEY_UNTRACED!r} has the key that marks an untraced log"
+        )
     out = [_HEADER]
     for key, value in log.attributes.items():
         _attribute(out, 1, key, value)
     traces = [
-        (stored.id, stored.attributes, _trace_events(log, stored)) for stored in log.traces or ()
+        (stored.id, stored.attributes, zip(stored.events, _trace_events(log, stored)))
+        for stored in log.traces or ()
     ]
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
-        traces = [("all-events", {}, log.events)]
-    contexts = {}  # rendered context parts by target, scope, user, task and action
+        traces = [("all-events", {}, enumerate(log.events))]
+    memo = ({}, {}, {})  # see _event
     for trace_id, attributes, events in traces:
+        if KEY_CONCEPT_NAME in attributes:
+            raise UnserializableValueError(
+                f"trace {trace_id!r}: attribute {KEY_CONCEPT_NAME!r} has the key of the trace id"
+            )
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
             _attribute(out, 2, key, value)
-        for event in events:
-            _event(out, event, log, contexts)
+        for index, event in events:
+            _event(out, index, event, log, memo)
         out.append("\n  </trace>")
     out.append("\n</log>\n")
     return "".join(out)
@@ -303,8 +352,6 @@ def _merge_ref(registry: dict, ref, attributes: dict) -> Optional[str]:
     registry.setdefault(ref, {}).update(attributes)
     return ref
 
-
-_EVENT_FIELD_KEYS = frozenset({KEY_CONCEPT_NAME, KEY_TIMESTAMP} | set(EXTENSION_KEYS))
 
 #: Event fields whose nested attributes recur from event to event; each
 #: distinct subtree under one of them is typed once per document. With

@@ -9,6 +9,7 @@ from uilog import (
     HierarchyBuilder,
     InteractionEvent,
     SystemNode,
+    Target,
     Trace,
     UIHierarchy,
     UILog,
@@ -203,9 +204,10 @@ def assert_equivalent(a: UILog, b: UILog) -> None:
 
 
 def rebuilt_by_constructors(log: UILog) -> UILog:
-    """``log`` with every event, action and hierarchy node passed through
-    its public constructor again, every field spelled out, which checks
-    and normalizes every value."""
+    """``log`` with every event, action, target and hierarchy node passed
+    through its public constructor again, every field spelled out, which
+    checks and normalizes every value. Each event gets its own target,
+    action, lists and maps, so no two events share one."""
     rebuilt = {}
 
     def rebuild(node):
@@ -228,13 +230,18 @@ def rebuilt_by_constructors(log: UILog) -> UILog:
     def action(a):
         return None if a is None else Action(action_type=a.action_type, attributes=a.attributes)
 
+    def target(t):
+        return None if t is None else Target(
+            element=t.element, groups=t.groups, application=t.application, system=t.system
+        )
+
     h = log.hierarchy
     hierarchy = UIHierarchy(
         *(tuple(map(rebuild, nodes)) for nodes in (h.systems, h.applications, h.ui_groups, h.ui_elements))
     )
     events = tuple(
         InteractionEvent(
-            activity_name=e.activity_name, action=action(e.action), target=e.target,
+            activity_name=e.activity_name, action=action(e.action), target=target(e.target),
             input_value=e.input_value, current_state=e.current_state, timestamp=e.timestamp,
             user=e.user, task=e.task, attributes=e.attributes,
         )

@@ -61,6 +61,18 @@ class TestConvert:
         assert "note: row 1: cells beyond the header's 2 column(s) are not kept; ignored" \
             in capsys.readouterr().err
 
+    def test_columns_named_like_event_fields_are_refused_for_xes(self, tmp_path, capsys):
+        # Written as extra attributes, they would read back as the user and
+        # the activity name.
+        source = tmp_path / "clash.csv"
+        source.write_text("Activity,User,uilog:user,concept:name\na,u1,u2,zz\n")
+        out = tmp_path / "clash.xes"
+        assert run("convert", "-i", source, "-o", out) == 1
+        assert capsys.readouterr().err == (
+            "error: event 0: attribute 'uilog:user' has the key of an event field\n"
+        )
+        assert not out.exists()
+
     def test_empty_csv(self, tmp_path):
         source = tmp_path / "empty.csv"
         source.write_text("Activity,Action type\n")

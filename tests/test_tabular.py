@@ -197,6 +197,29 @@ class TestIngestBehavior:
             "row 1: cells beyond the header's 2 column(s) are not kept; ignored",
         )
 
+    def test_rows_that_repeat_a_literal_cell_get_their_own_value(self):
+        log, _ = ingest("Activity,Input value,Current state,Tags\n"
+                        'a,{k: v},"[x, y]",[t]\nb,{k: v},"[x, y]",[t]\n')
+        first, second = log.events
+        for field in ("input_value", "current_state"):
+            assert getattr(first, field) == getattr(second, field)
+            assert getattr(first, field) is not getattr(second, field)
+        assert first.attributes["Tags"] is not second.attributes["Tags"]
+        first.current_state.append("z")
+        first.input_value["n"] = "m"
+        first.attributes["Tags"].append("u")
+        assert (second.input_value, second.current_state, second.attributes) == (
+            {"k": "v"}, ["x", "y"], {"Tags": ["t"]}
+        )
+
+    def test_a_bad_literal_warns_on_every_row_it_is_on(self):
+        log, report = ingest("Activity,Current state\na,{k}\nb,[x]\nc,{k}\n")
+        assert [e.current_state for e in log.events] == ["{k}", ["x"], "{k}"]
+        assert report.warnings == (
+            "row 1: map entry without key: 'k'; kept as text",
+            "row 3: map entry without key: 'k'; kept as text",
+        )
+
     def test_users_and_tasks_registered(self):
         text = "Activity,User,Task\nx,alice,review\n"
         log, _ = ingest(text)

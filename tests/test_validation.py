@@ -254,6 +254,24 @@ class TestValidate:
         assert codes(report) == [ViolationCode.DANGLING_REFERENCE] * 3
         assert [v.event_index for v in report.violations] == [0, 1, 2]
 
+    def test_events_sharing_a_dangling_target_are_each_reported(self):
+        target = Target(groups=("g",), element="nope")
+        log = UILog(
+            events=(
+                InteractionEvent("a", target=target),
+                InteractionEvent("b"),
+                InteractionEvent("c", target=target),
+                InteractionEvent("d", target=target),
+            ),
+            hierarchy=UIHierarchy(ui_groups=(UIGroupNode("g"),)),
+        )
+        report = validate(log)
+        assert codes(report) == [ViolationCode.DANGLING_REFERENCE] * 3
+        assert [v.event_index for v in report.violations] == [0, 2, 3]
+        assert {(v.node_id, v.message) for v in report.violations} == {
+            ("nope", "element 'nope' not found under group path 'g'")
+        }
+
     def test_out_of_order_timestamps(self):
         t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
         log = UILog(

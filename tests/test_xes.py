@@ -19,10 +19,12 @@ from uilog import (
     MissingConceptNameError,
     Target,
     Trace,
+    UIHierarchy,
     UILog,
     UILogError,
     UnserializableValueError,
     ViolationCode,
+    coverage,
     emit_extension_definition,
     ingest,
     read_xes,
@@ -511,6 +513,112 @@ def test_read_xes_builds_what_the_public_constructors_build(seed):
     assert rebuilt.events == log.events
     assert rebuilt.hierarchy == log.hierarchy
     assert write_xes(rebuilt) == write_xes(log)
+
+
+_EVENT_ELEMENT = re.compile(r"\n    <event>.*?\n    </event>", re.S)
+_PER_EVENT_CODES = {ViolationCode.MISSING_ACTIVITY_NAME, ViolationCode.STATE_WITHOUT_ELEMENT,
+                    ViolationCode.DANGLING_REFERENCE}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 299))
+def test_shared_values_write_validate_and_cover_as_unshared_ones(seed):
+    """What write_xes, validate and coverage give a log whose events share
+    targets, names and states, they give the same log rebuilt so that no
+    two events share a target, list or map, and, per event, the log of
+    that event alone, where no memo is hit. Validated and covered also
+    over a hierarchy without groups and elements, so that targets dangle."""
+    log = genlogs.random_log(random.Random(seed), max_events=60)
+    apart = genlogs.rebuilt_by_constructors(log)
+    document = write_xes(log)
+    assert write_xes(apart) == document
+    written = log.events if log.traces is None else \
+        [log.events[i] for trace in log.traces for i in trace.events]
+    assert _EVENT_ELEMENT.findall(document) == [
+        _EVENT_ELEMENT.search(write_xes(UILog(events=(event,), hierarchy=log.hierarchy,
+                                              users=log.users, tasks=log.tasks)))[0]
+        for event in written
+    ]
+    bare = UIHierarchy(log.hierarchy.systems, log.hierarchy.applications)
+    for hierarchy in (log.hierarchy, bare):
+        shared, alone = (
+            UILog(events=events, hierarchy=hierarchy, users=log.users, tasks=log.tasks,
+                  attributes=log.attributes, traces=log.traces)
+            for events in (log.events, apart.events)
+        )
+        report = validate(shared)
+        assert validate(alone) == report
+        matrix = coverage(shared)
+        assert coverage(alone) == matrix
+        singles = [UILog(events=(event,), hierarchy=hierarchy, users=log.users, tasks=log.tasks)
+                   for event in log.events]
+        assert [(v.event_index, v.code, v.node_id, v.message) for v in report.violations
+                if v.code in _PER_EVENT_CODES and v.event_index is not None] == [
+            (index, v.code, v.node_id, v.message)
+            for index, single in enumerate(singles) for v in validate(single).violations
+            if v.event_index is not None
+        ]
+        assert {name: cell.events_present for name, cell in matrix.items()} == {
+            name: sum(coverage(single)[name].events_present for single in singles)
+            for name in matrix
+        }
+
+
+def test_states_that_compare_equal_keep_their_types():
+    states = [[1], [True], [1.0], ["1"], "[1]"]
+    builder = HierarchyBuilder()
+    target = builder.chain(element="dd")
+    log = UILog(
+        events=tuple(InteractionEvent(f"e{i}", target=target, current_state=state)
+                     for i, state in enumerate(states)),
+        hierarchy=builder.build(),
+    )
+    document = write_xes(log)
+    written = [attribute_map(e)["uilog:ui-element-state"] for e in events_of(document)]
+    assert [(e.tag, [(item.tag, item.get("value")) for item in e.iter() if item.get("key") == "0"])
+            for e in written] == [
+        ("list", [("int", "1")]), ("list", [("boolean", "true")]), ("list", [("float", "1.0")]),
+        ("list", [("string", "1")]), ("string", []),
+    ]
+    assert [repr(e.current_state) for e in read_xes(document).events] == list(map(repr, states))
+
+
+class TestFieldKeysAsAttributes:
+    """An attribute under a key the writer gives its own content would
+    read back as that content, so write_xes refuses it."""
+
+    @pytest.mark.parametrize("key", sorted(xes._EVENT_FIELD_KEYS))
+    def test_event_attribute(self, key):
+        log = UILog(events=(InteractionEvent("a"), InteractionEvent("b", attributes={key: "x"})),
+                    traces=(Trace("t", (1, 0)),))
+        with pytest.raises(UnserializableValueError,
+                           match=f"^event 1: attribute {key!r} has the key of an event field$"):
+            write_xes(log)
+
+    def test_trace_attribute(self):
+        log = UILog(events=(InteractionEvent("a"),),
+                    traces=(Trace("t", (0,), {"concept:name": "u"}),))
+        with pytest.raises(UnserializableValueError,
+                           match="^trace 't': attribute 'concept:name' has the key of the trace id$"):
+            write_xes(log)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_log_attribute(self, traced):
+        log = UILog(events=(InteractionEvent("a"),), attributes={"uilog:untraced": False},
+                    traces=(Trace("t", (0,)),) if traced else None)
+        with pytest.raises(UnserializableValueError,
+                           match="^log: attribute 'uilog:untraced' has the key that marks"):
+            write_xes(log)
+
+    def test_other_keys_of_the_vocabulary_are_free(self):
+        log = UILog(events=(InteractionEvent("a", attributes={"concept:instance": 1,
+                                                              "uilog:untraced": True}),),
+                    attributes={"concept:name": "l"},
+                    traces=(Trace("t", (0,), {"uilog:user": "u"}),))
+        again = read_xes(write_xes(log))
+        assert (again.events, again.attributes, again.traces) == (
+            log.events, log.attributes, log.traces
+        )
 
 
 class TestExtensionDefinition:
