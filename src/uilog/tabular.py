@@ -639,9 +639,11 @@ def write_table(
     every field an attribute key is a synonym of, then the attribute
     keys in first-seen order. The tabular format is text-typed:
     numbers, booleans, and timestamps become their printed form. An
-    event attribute ``Trace`` whose cell is not its trace id's raises
-    UnserializableValueError, a trace index that names no event
-    InvalidLogError, and a bad ``delimiter`` BadConfigError.
+    event attribute ``Trace`` whose cell is not its trace id's, or an
+    attribute key that is padded or blank, which its header cell would
+    not read back as, raises UnserializableValueError, a trace index
+    that names no event InvalidLogError, and a bad ``delimiter``
+    BadConfigError.
     """
     _check_delimiter(delimiter)
     ts_format = mapping.timestamp_format if mapping else None
@@ -665,6 +667,9 @@ def write_table(
                 raise UnserializableValueError(
                     f"event attribute 'Trace' {own!r} is not its trace id {cell!r}"
                 )
+    for key in keys:  # ingest strips each header cell
+        if key != key.strip():
+            raise UnserializableValueError(f"event attribute key {key!r} is padded or blank")
     # Activity heads even an empty table. The column of each field a key
     # names comes first, so infer_mapping reads the field from it and the
     # key as an attribute.

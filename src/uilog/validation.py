@@ -177,51 +177,29 @@ def _event_violations(log: UILog) -> list:
     return out
 
 
-def _order_violations(log: UILog) -> list:
-    out = []
-    if log.traces is None:
-        sequences = [range(len(log.events))]
-    else:
-        sequences = [t.events for t in log.traces]
-    for sequence in sequences:
-        last = None
-        for index in sequence:
-            if not 0 <= index < len(log.events):
-                continue  # reported by the partition check
-            ts = log.events[index].timestamp
-            if ts is None:
-                continue
-            if last is not None and ts < last:
-                out.append(
+def _sequence_violations(log: UILog) -> list:
+    """Timestamps that decrease along a trace, or along the log when it has
+    no traces, then what breaks the traces' partition of the events: shared
+    trace ids, out-of-range indices, gaps and overlaps. One walk over each
+    trace finds both; an untraced log counts no coverage."""
+    events, traces, size = log.events, log.traces, len(log.events)
+    order, partition, covered = [], [], None
+    if traces is not None:
+        covered = [0] * size
+        for trace_id, count in Counter(t.id for t in traces).items():
+            if count > 1:
+                partition.append(
                     Violation(
-                        ViolationCode.OUT_OF_ORDER_TIMESTAMP,
-                        event_index=index,
-                        message="timestamp decreases along the trace",
+                        ViolationCode.DUPLICATE_ID,
+                        node_id=trace_id,
+                        message=f"{count} traces share the id {trace_id!r}",
                     )
                 )
-            last = ts
-    return out
-
-
-def _partition_violations(log: UILog) -> list:
-    if log.traces is None:
-        return []
-    out = []
-    seen_ids = Counter(t.id for t in log.traces)
-    for trace_id, count in seen_ids.items():
-        if count > 1:
-            out.append(
-                Violation(
-                    ViolationCode.DUPLICATE_ID,
-                    node_id=trace_id,
-                    message=f"{count} traces share the id {trace_id!r}",
-                )
-            )
-    covered = Counter()
-    for trace in log.traces:
-        for index in trace.events:
-            if not 0 <= index < len(log.events):
-                out.append(
+    for trace in traces if traces is not None else (None,):
+        last = None
+        for index in range(size) if trace is None else trace.events:
+            if not 0 <= index < size:
+                partition.append(
                     Violation(
                         ViolationCode.DANGLING_REFERENCE,
                         node_id=trace.id,
@@ -229,11 +207,23 @@ def _partition_violations(log: UILog) -> list:
                     )
                 )
                 continue
-            covered[index] += 1
-    for index in range(len(log.events)):
-        count = covered.get(index, 0)
+            if covered is not None:
+                covered[index] += 1
+            ts = events[index].timestamp
+            if ts is None:
+                continue
+            if last is not None and ts < last:
+                order.append(
+                    Violation(
+                        ViolationCode.OUT_OF_ORDER_TIMESTAMP,
+                        event_index=index,
+                        message="timestamp decreases along the trace",
+                    )
+                )
+            last = ts
+    for index, count in enumerate(covered or ()):
         if count == 0:
-            out.append(
+            partition.append(
                 Violation(
                     ViolationCode.PARTITION_GAP,
                     event_index=index,
@@ -241,14 +231,14 @@ def _partition_violations(log: UILog) -> list:
                 )
             )
         elif count > 1:
-            out.append(
+            partition.append(
                 Violation(
                     ViolationCode.PARTITION_OVERLAP,
                     event_index=index,
                     message=f"event is covered by {count} traces",
                 )
             )
-    return out
+    return order + partition
 
 
 def validate(log: UILog) -> ValidationReport:
@@ -259,8 +249,7 @@ def validate(log: UILog) -> ValidationReport:
     violations = (
         _hierarchy_violations(log.hierarchy)
         + _event_violations(log)
-        + _order_violations(log)
-        + _partition_violations(log)
+        + _sequence_violations(log)
     )
     return ValidationReport(
         violations=tuple(violations),

@@ -42,12 +42,15 @@ nested attributes of a group path, application, system, user, task or
 action type are typed once per distinct subtree and shared by every
 event that repeats it, and a document holds one :class:`Action` per
 distinct action; a subtree whose typing warned is typed again where it
-recurs, so each occurrence warns with its own location. By one rule,
-a key repeated in the log, a trace, an event or a map keeps its last
-value, and attributes nested anywhere but on those six fields and the
-UI element, or on an occurrence of them that is not the last, are typed,
-so a malformed one fails, then ignored; both warn. A value carrying
-attributes that are ignored counts as one level of nesting.
+recurs, so each occurrence warns with its own location. An event's
+children are read in one pass, each field's nested attributes typed
+where the field is, so faults and warnings come in document order within
+an event too. By one rule, a key repeated in the log, a trace, an event
+or a map keeps its last value and warns where it repeats, and attributes
+nested anywhere but on those six fields and the UI element, or on an
+occurrence of them that is not the last, are typed, so a malformed one
+fails, then ignored; both warn. A value carrying attributes that are
+ignored counts as one level of nesting.
 """
 
 from __future__ import annotations
@@ -242,8 +245,9 @@ def _event(out: list, index: int, event: InteractionEvent, log: UILog, memo: tup
     if text is None:
         text = names[name] = _rendered(KEY_CONCEPT_NAME, name)
     out.append("\n    <event>" + text)
-    if event.timestamp is not None:
-        _attribute(out, 3, KEY_TIMESTAMP, event.timestamp)
+    timestamp = event.timestamp
+    if timestamp is not None:
+        out.append(f'\n      <date key="{KEY_TIMESTAMP}" value="{format_timestamp(timestamp)}" />')
     action = event.action
     if action is not None:
         text = contexts.get(id(action))
@@ -428,9 +432,7 @@ class _LogReader:
             key, value, _ = self._attribute(element, "log")
             if key == KEY_UNTRACED and not isinstance(value, bool):
                 raise MalformedDocumentError(f"log: {key} must be a boolean, got {value!r}")
-            if key in self.attributes:
-                self._warn("log", f"duplicate log key {key!r}; keeping the last")
-            self.attributes[key] = value
+            self._keep(self.attributes, key, value, "log", "log")
 
     def _trace(self, element: ET.Element, complete: bool) -> None:
         if element is not self.open:
@@ -445,9 +447,7 @@ class _LogReader:
                 self._event(child, f"{where}, event {len(self.events) - self.first}")
             elif tag not in _STRUCTURAL_TAGS:
                 key, value, _ = self._attribute(child, where)
-                if key in self.trace_attributes:
-                    self._warn(where, f"duplicate trace key {key!r}; keeping the last")
-                self.trace_attributes[key] = value
+                self._keep(self.trace_attributes, key, value, where, "trace")
         del element[:done]
         if not complete:
             return
@@ -475,6 +475,13 @@ class _LogReader:
     def _warn(self, where: str, text: str) -> None:
         self.warned += 1
         warnings.warn(f"{where}: {text}")
+
+    def _keep(self, mapping: dict, key: str, value, where: str, level: str) -> None:
+        """Store ``value`` under ``key``; a repeated key keeps its last value
+        and warns where it repeats."""
+        if key in mapping:
+            self._warn(where, f"duplicate {level} key {key!r}; keeping the last")
+        mapping[key] = value
 
     def _attribute(self, element: ET.Element, where: str, depth: int = 0, kept=()):
         """Return (key, value, nested) for one attribute element.
@@ -543,9 +550,7 @@ class _LogReader:
         mapping = {}
         for child in element:
             key, value, _ = self._attribute(child, where, depth)
-            if key in mapping:
-                self._warn(where, f"duplicate map key {key!r}; keeping the last")
-            mapping[key] = value
+            self._keep(mapping, key, value, where, "map")
         return mapping
 
     def _context(self, key: str, value, nested: Optional[ET.Element], where: str):
@@ -595,32 +600,21 @@ class _LogReader:
         return typed
 
     def _read_event(self, element: ET.Element, where: str) -> InteractionEvent:
-        fields = {}
-        nested_by_key = {}
-        extras = {}
+        fields, typed, extras = {}, {}, {}
         for child in element:
             key, value, nested = self._attribute(child, where, 0, _KEEPS_NESTED)
-            if key in _EVENT_FIELD_KEYS:
-                fields[key] = value
-                nested_by_key[key] = nested
+            if key not in _EVENT_FIELD_KEYS:
+                self._keep(extras, key, value, where, "event")
+                continue
+            # What a kept field nests is typed as it is read, each context once
+            # per document; a later occurrence replaces or drops the earlier one's.
+            if nested is None and key != KEY_ACTION_TYPE:
+                typed.pop(key, None)
+            elif key == KEY_UI_ELEMENT:
+                typed[key] = self._map(nested, where)
             else:
-                extras[key] = value
-        if len(fields) + len(extras) < len(element):  # a key repeats; the last one is kept
-            keys = [child.get("key") for child in element]
-            for key in dict.fromkeys(key for key in keys if keys.count(key) > 1):
-                self._warn(where, f"duplicate event key {key!r}; keeping the last")
-            for child in element:  # what an overwritten kept field nested is typed too
-                key = child.get("key")
-                if key in _KEEPS_NESTED and len(child) and child is not nested_by_key[key] \
-                        and _local_name(child.tag) not in ("list", "container"):
-                    self._map(child, where, -1 if key == KEY_UI_GROUP_PATH else 0)
-        # The attributes nested on kept fields, each context typed once per document.
-        nested_by_key = {
-            key: self._context(key, fields[key], nested, where) if key in _CONTEXT_KEYS
-            else self._map(nested, where)
-            for key, nested in nested_by_key.items()
-            if nested is not None or key == KEY_ACTION_TYPE
-        }
+                typed[key] = self._context(key, value, nested, where)
+            self._keep(fields, key, value, where, "event")
 
         name = fields.get(KEY_CONCEPT_NAME)
         if name is None:
@@ -634,7 +628,7 @@ class _LogReader:
         if timestamp is not None and not isinstance(timestamp, datetime):
             timestamp = self._timestamp(str(timestamp), where)
 
-        action = nested_by_key.get(KEY_ACTION_TYPE)
+        action = typed.get(KEY_ACTION_TYPE)
         if action is None and KEY_ACTION_TYPE in fields:
             raise ValueError("action_type must be non-empty text")
 
@@ -650,14 +644,14 @@ class _LogReader:
                 application=str(application) if application is not None else None,
                 groups=groups,
                 element=str(element_id) if element_id is not None else None,
-                system_attributes=nested_by_key.get(KEY_SYSTEM),
-                application_attributes=nested_by_key.get(KEY_APPLICATION),
-                group_attributes=nested_by_key.get(KEY_UI_GROUP_PATH),
-                element_attributes=nested_by_key.get(KEY_UI_ELEMENT),
+                system_attributes=typed.get(KEY_SYSTEM),
+                application_attributes=typed.get(KEY_APPLICATION),
+                group_attributes=typed.get(KEY_UI_GROUP_PATH),
+                element_attributes=typed.get(KEY_UI_ELEMENT),
             )
 
-        user = _merge_ref(self.users, fields.get(KEY_USER), nested_by_key.get(KEY_USER, {}))
-        task = _merge_ref(self.tasks, fields.get(KEY_TASK), nested_by_key.get(KEY_TASK, {}))
+        user = _merge_ref(self.users, fields.get(KEY_USER), typed.get(KEY_USER, {}))
+        task = _merge_ref(self.tasks, fields.get(KEY_TASK), typed.get(KEY_TASK, {}))
         return _trusted(InteractionEvent, name, action, target, fields.get(KEY_INPUT_VALUE),
                         fields.get(KEY_UI_ELEMENT_STATE), timestamp, user, task, extras)
 
@@ -682,15 +676,16 @@ def read_xes(source: str, *, lenient_names: bool = False) -> UILog:
     concept:name loads with an empty activity name (so validation can
     report it) instead of raising MissingConceptNameError.
 
-    The document is read as it is parsed, so errors come in document
-    order: a syntax error late in a document does not pre-empt a fault
-    in an earlier event or attribute, unless that is the last one the
-    parser finished before the error. Only an event directly under
-    ``<log>`` beside traces is reported at the end, since
-    ``uilog:untraced`` may follow it. A repeated key keeps its last value,
-    and attributes nested on other than the event's UI element and context
-    fields (see the module docstring), or on a repeat of them overwritten,
-    are typed, then ignored; both warn.
+    The document is read as it is parsed, so errors and warnings come in
+    document order, within an event too: a syntax error late in a
+    document does not pre-empt a fault in an earlier event or attribute,
+    unless that is the last one the parser finished before the error.
+    Only an event directly under ``<log>`` beside traces is reported at
+    the end, since ``uilog:untraced`` may follow it. A repeated key keeps
+    its last value and warns where it repeats, and attributes nested on
+    other than the event's UI element and context fields (see the module
+    docstring), or on a repeat of them overwritten, are typed, then
+    ignored; both warn.
     """
     from xml.etree import ElementTree as ET  # only a command that reads XES loads the parser
 

@@ -398,6 +398,22 @@ def test_value_under_an_unnamed_column_is_an_operational_error(tmp_path, header)
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("key", [" k", " "], ids=["padded", "blank"])
+def test_an_attribute_key_a_header_cannot_hold_is_an_operational_error(tmp_path, key):
+    source = tmp_path / "doc.xes"
+    source.write_text(
+        '<log><trace><event><string key="concept:name" value="a"/>'
+        f'<string key="{key}" value="v"/></event></trace></log>'
+    )
+    out = tmp_path / "doc.csv"
+    done = run_child("convert", "-i", source, "-o", out)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert repr(key) in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "cell,message",
     [

@@ -527,6 +527,12 @@ class TestInverseWriter:
         with pytest.raises(UnserializableValueError, match="'Trace'"):
             write_table(log)
 
+    @pytest.mark.parametrize("key", [" k", "k\t", " "], ids=["leading", "trailing", "blank"])
+    def test_a_padded_or_blank_attribute_key_is_refused(self, key):
+        log = UILog(events=(InteractionEvent("a", attributes={"Mood": "ok", key: "v"}),))
+        with pytest.raises(UnserializableValueError, match=re.escape(repr(key))):
+            write_table(log)
+
     def test_a_trace_attribute_that_is_its_trace_id_is_written_once(self):
         log = UILog(
             events=(

@@ -1121,14 +1121,68 @@ def test_what_an_event_does_not_keep_is_warned_of(monkeypatch, chunk):
         "attribute 'zzz' nested on uilog:ui-group-path names no group on its path, so it is "
         "not kept; ignored",
     ]
-    assert noted == [
-        "trace 0, event 0: duplicate event key 'dup'; keeping the last",
+    assert noted == [  # in document order: the group path's strays, then the repeat
         *(f"trace 0, event 0: {text}" for text in strays),
+        "trace 0, event 0: duplicate event key 'dup'; keeping the last",
         *(f"trace 0, event 1: {text}" for text in strays),
     ]
     assert log.events[0].attributes == {"dup": "2"}
     assert log.hierarchy.resolve(Target(groups=("g",))).attributes == {"a": "2"}
     assert log.hierarchy.resolve(log.events[1].target).attributes == {}
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize("field", ["uilog:user", "uilog:ui-element"])
+def test_a_fault_nested_on_a_kept_field_comes_before_a_later_one(monkeypatch, chunk, field):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    body = (f'<string key="{field}" value="u"><int key="n" value="notanint"/></string>'
+            '<int key="extra" value="alsobad"/>')
+    with pytest.raises(MalformedDocumentError, match="^trace 0, event 0: .*'notanint'"):
+        read_xes(events_document(body))
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+def test_an_event_warns_in_the_order_of_its_children(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    body = (
+        '<string key="mood" value="ok"><string key="k" value="1"/></string>'
+        + USER_WITH_DUPLICATE_KEY
+        + '<string key="mood" value="again"/><date key="d" value="2024-01-01T00:00:00.0001Z"/>'
+        '<string key="mood" value="last"/>'
+    )
+    log, noted = read_recording_warnings(events_document(body))
+    assert noted == [
+        f"trace 0, event 0: {text}" for text in (
+            "attributes nested on mood are not kept; ignored",
+            "duplicate map key 'k'; keeping the last",
+            "duplicate event key 'mood'; keeping the last",
+            "timestamp '2024-01-01T00:00:00.0001Z' truncated to millisecond precision",
+            "duplicate event key 'mood'; keeping the last",
+        )
+    ]
+    assert log.events[0].attributes == {
+        "mood": "last", "d": datetime(2024, 1, 1, tzinfo=timezone.utc)
+    }
+    assert log.users == {"u": {"k": "2"}}
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+def test_an_overwritten_group_path_warns_of_its_misplaced_children(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    body = GROUP_WITH_STRAYS + '<string key="uilog:ui-group-path" value="g"/>'
+    log, noted = read_recording_warnings(events_document(body))
+    assert noted == [
+        "trace 0, event 0: attribute 'x' nested on uilog:ui-group-path is not a container, "
+        "so it is not kept; ignored",
+        "trace 0, event 0: attribute 'zzz' nested on uilog:ui-group-path names no group on "
+        "its path, so it is not kept; ignored",
+        "trace 0, event 0: duplicate event key 'uilog:ui-group-path'; keeping the last",
+    ]
+    assert log.events[0].target == Target(groups=("g",))
+    assert log.hierarchy.resolve(log.events[0].target).attributes == {}
 
 
 @pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
