@@ -9,20 +9,19 @@ raw recorders tend to print::
     {username: pren, password: dts123}
     [keyword, keywords folder]
 
-Cells are trimmed. Literal items are trimmed and stay text; a "," or ":"
-that is part of an item is written doubled. A value cell (input value,
-current state or extra attribute) between apostrophes, as in
-``' padded '``, is text taken as it stands, never read as a literal.
-An activity cell is never read as a literal either, but between
-apostrophes it is likewise its text: ``'x'`` reads as ``x``, and ``''``
-is the empty name, which is not replaced by a synthesized one.
-:func:`write_table` is the inverse writer. It wraps in apostrophes
-exactly the text that would not read back as itself: empty, padded or
-apostrophe-wrapped text, and in a value cell literal-shaped text. So
-activity names and text values round-trip exactly, and so do lists and
-maps of trimmed items. A list or map item is written as its own
-literal and reads back as that text, which writes the same cell
-again. The writer has one column layout:
+Cells are trimmed. Any cell between apostrophes, as in ``' padded '``,
+is the text between them, taken as it stands. Otherwise a value cell
+(input value, current state or extra attribute) may hold a literal,
+whose items are trimmed text with a "," or ":" that is part of an item
+written doubled; every other cell is text. An empty or ``''`` id,
+action type, user or task cell records nothing; an empty activity cell
+is synthesized, and ``''`` is the empty name. :func:`write_table` is
+the inverse writer. It wraps in apostrophes exactly the text that would
+not read back as itself: empty, padded or apostrophe-wrapped text, and
+in a value cell literal-shaped text. So names, ids, keys and text values
+round-trip exactly, and so do lists and maps of trimmed items. A list
+or map item is written as its own literal and reads back as that text,
+which writes the same cell again. The writer has one column layout:
 the canonical column of each populated field and of any field an
 attribute key is a synonym of (so the key reads back as an attribute),
 then the attribute keys in first-seen order. A traced log is written
@@ -171,27 +170,25 @@ class ColumnMapping(_Record):
     def check_usable(self) -> None:
         """Activity names must be obtainable: either directly or by
         synthesis from action type plus some target column."""
-        if self.activity_name is not None:
-            return
-        has_target = any(
-            getattr(self, name) is not None
-            for name in ("ui_element", "ui_group_path", "application", "system")
-        )
-        if self.action_type is not None and has_target:
-            return
-        raise NoUsableColumnsError(
-            "mapping: must provide activity_name or action_type plus a target column"
-        )
+        has_target = any(getattr(self, name) is not None
+                         for name in ("ui_element", "ui_group_path", "application", "system"))
+        if self.activity_name is None and (self.action_type is None or not has_target):
+            raise NoUsableColumnsError(
+                "mapping: must provide activity_name or action_type plus a target column"
+            )
 
 
 def infer_mapping(header: Iterable[str]) -> ColumnMapping:
     """Guess a ColumnMapping from header names via the synonym table.
 
-    Matching is case-insensitive and tolerant of camel case, hyphens,
-    and underscores. Unmatched columns fall to the extras policy. Raises
-    NoUsableColumnsError, naming the columns, when nothing usable matches.
+    A header cell is trimmed, and between apostrophes is the text between
+    them. Matching is case-insensitive and tolerant of camel case,
+    hyphens, and underscores. Unmatched columns fall to the extras policy.
+    Raises NoUsableColumnsError, naming the columns, when nothing usable
+    matches.
     """
-    header = [column.strip() for column in header]
+    texts = _Texts()
+    header = [texts[cell.strip()] for cell in header]
     assignments = {}
     for column in header:
         target_field = _SYNONYMS.get(_normalize_header(column))
@@ -230,7 +227,8 @@ def _entries(body: str) -> list:
 
 def _escape(text: str, separators: str) -> str:
     for separator in separators:
-        text = text.replace(separator, separator * 2)
+        if separator in text:
+            text = text.replace(separator, separator * 2)
     return text
 
 
@@ -297,51 +295,65 @@ def render_list_literal(value: Iterable) -> str:
     return "[" + ", ".join(_escape(_plain_text(item), ",") for item in value) + "]"
 
 
-# A value cell (input value, current state or extra attribute) between
-# apostrophes is text, taken as it stands; any other is read by its
-# column's parser, and "auto" reads a cell shaped like a literal as one.
-# The writer wraps exactly the text that would not read back as itself.
+# Any cell between apostrophes is the text between them, taken as it
+# stands; any other value cell is read by its column's parser, and
+# "auto" reads a cell shaped like a literal as one. The writer wraps
+# exactly the text that would not read back as itself.
 
-#: The parser of each literal shape, by the first and last character.
+#: The parser of each literal shape, by the first and last character, and
+#: of each parser a column may be given but "plain" and "auto".
 _SHAPES = {"{}": parse_map_literal, "[]": parse_list_literal}
+_PARSERS = {"map": parse_map_literal, "list": parse_list_literal}
+
+
+def _wrapped(cell: str) -> bool:
+    """Whether a trimmed cell is between apostrophes, standing for the text between."""
+    return len(cell) > 1 and cell[0] == cell[-1] == "'"
+
+
+class _Texts(dict):
+    """Trimmed cell never read as a literal → its text, read once per cell."""
+
+    def __missing__(self, cell: str) -> str:
+        text = self[cell] = cell[1:-1] if _wrapped(cell) else cell
+        return text
+
+
+class _Cells(dict):
+    """Text → its cell, escaped once: ``'text'`` where the text is empty,
+    padded, wrapped in apostrophes itself or shaped like one of ``shapes``."""
+
+    def __init__(self, shapes):
+        self.shapes = shapes
+
+    def __missing__(self, text: str) -> str:
+        wrap = (not text or text != text.strip() or _wrapped(text)
+                or text[0] + text[-1] in self.shapes)
+        cell = self[text] = f"'{text}'" if wrap else text
+        return cell
 
 
 def _parse_cell(text: str, parser: str):
     """The value of a trimmed, non-empty value cell."""
-    if len(text) > 1 and text[0] == text[-1] == "'":
+    if _wrapped(text):
         return text[1:-1]
-    if parser == "auto":
-        parse = _SHAPES.get(text[0] + text[-1])
-        return parse(text) if parse else text
-    if parser == "map":
-        return parse_map_literal(text)
-    if parser == "list":
-        return parse_list_literal(text)
-    return text
+    parse = _SHAPES.get(text[0] + text[-1]) if parser == "auto" else _PARSERS.get(parser)
+    return parse(text) if parse else text
 
 
-def _render_cell(value, ts_format, shapes) -> str:
-    """The cell of a field or attribute value. Unless ``shapes`` is None,
-    a text is written ``'text'`` when it is empty, padded, wrapped in
-    apostrophes itself or shaped like one of the literals in ``shapes``."""
-    if value is None:
-        return ""
-    if isinstance(value, str):  # most cells
-        if shapes is not None and (
-            not value
-            or value != value.strip()
-            or value[0] + value[-1] in shapes
-            or len(value) > 1 and value[0] == value[-1] == "'"
-        ):
-            return f"'{value}'"
-        return value
+def _render_cell(value, ts_format, key) -> str:
+    """The cell of a value of column ``key`` that is not text. A value of a
+    type XES cannot hold either, at any depth, raises UnserializableValueError."""
     if isinstance(value, datetime):
         return _render_timestamp(value, ts_format)
-    return _plain_text(value)
+    try:
+        return _plain_text(value)
+    except TypeError as exc:
+        raise UnserializableValueError(f"attribute {key!r} has unsupported type {exc}") from None
 
 
 def _plain_text(value) -> str:
-    """The text of a value; a list or map is its literal."""
+    """The text of a value, a list's or map's literal; TypeError names any other type."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -350,11 +362,11 @@ def _plain_text(value) -> str:
         return str(value)
     if isinstance(value, datetime):
         return _render_timestamp(value, None)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return render_list_literal(value)
     if isinstance(value, (dict, Mapping)):  # the ABC check is slow, so it comes last
         return render_map_literal(value)
-    return str(value)
+    raise TypeError(type(value).__name__)
 
 
 def _render_timestamp(value: datetime, pattern: Optional[str]) -> str:
@@ -394,8 +406,7 @@ _BOM = "\ufeff"
 def _rows(reader) -> Iterator:
     """(number, cells) per row of a csv reader, the header being row 0;
     a row the reader cannot split raises a located MalformedDocumentError."""
-    number = 0
-    while True:
+    for number in itertools.count():
         try:
             cells = next(reader)
         except StopIteration:
@@ -404,7 +415,6 @@ def _rows(reader) -> Iterator:
             where = f"row {number}" if number else "header"
             raise MalformedDocumentError(f"{where}: {exc}") from None
         yield number, cells
-        number += 1
 
 
 def _check_delimiter(delimiter) -> None:
@@ -427,16 +437,17 @@ def ingest(
     """Turn delimiter-separated text into a (UILog, IngestReport) pair.
 
     One event per data row, in row order; hierarchy nodes are created on
-    first mention. One leading byte order mark is ignored. Rows whose
-    timestamp does not parse are skipped (noise tolerance), cells whose
-    literal does not parse are kept as raw text with a warning, non-empty
-    cells beyond the header's width are dropped with a warning, and
-    activity names are synthesized from action type and target id when no
-    activity column is mapped. A row the csv module cannot split, or
-    whose group path holds an empty id, raises a MalformedDocumentError
-    naming the row; two kept extra columns of one name raise
-    MissingColumnError naming both; a bad ``delimiter`` raises
-    BadConfigError.
+    first mention. A cell is trimmed, and between apostrophes is the text
+    between them; an empty or ``''`` id, action type, user or task cell
+    records nothing. One leading byte order mark is ignored. Rows whose
+    timestamp does not parse are skipped, cells whose literal does not
+    parse are kept as text with a warning, non-empty cells beyond the
+    header's width are dropped with a warning, and activity names are
+    synthesized from action type and target id when no activity column
+    is mapped. A row the csv module cannot split, or whose group path
+    holds an empty id, raises a MalformedDocumentError naming the row;
+    two kept extra columns of one name raise MissingColumnError naming
+    both; a bad ``delimiter`` raises BadConfigError.
     """
     _check_delimiter(delimiter)
     if isinstance(source, str):
@@ -448,12 +459,14 @@ def ingest(
             lines = itertools.chain((first.removeprefix(_BOM),), lines)
     rows = _rows(csv.reader(lines, delimiter=delimiter))
     try:
-        header = [c.strip() for c in next(rows)[1]]
+        cells = next(rows)[1]
     except StopIteration:
         raise NoUsableColumnsError("input has no header row") from None
+    texts = _Texts()  # of every cell that is never read as a literal
+    header = [texts[cell.strip()] for cell in cells]
 
     if mapping is None:
-        mapping = infer_mapping(header)
+        mapping = infer_mapping(cells)
     else:
         mapping.check_usable()
 
@@ -495,10 +508,8 @@ def ingest(
     timestamp_format = mapping.timestamp_format
 
     builder = HierarchyBuilder()
-    targets: dict = {}  # (system, application, group cell, element) -> Target
+    targets: dict = {}  # (system, application, group, element cell) -> Target or None
     actions: dict = {}
-    users: dict = {}
-    tasks: dict = {}
     events = []
     skipped = []
     warnings_out = []
@@ -555,33 +566,25 @@ def ingest(
         text = row[state_at]
         current_state = literal(text, state_parser, row_number) if text else None
 
-        element = row[element_at] or None
-        group_cell = row[groups_at]
-        application = row[application_at] or None
-        system = row[system_at] or None
+        location = (row[system_at], row[application_at], row[groups_at], row[element_at])
+        target = targets.get(location, False)
+        if target is False:
+            system, application, group_path, element = (texts[cell] or None for cell in location)
+            try:
+                target = targets[location] = builder.chain(
+                    system=system, application=application,
+                    groups=split_group_path(group_path), element=element,
+                ) if system or application or group_path or element else None
+            except ValueError as exc:  # an empty group id, as in "a//b"
+                raise MalformedDocumentError(f"row {row_number}: {exc}") from None
 
-        target = None
-        if element or group_cell or application or system:
-            location = (system, application, group_cell, element)
-            target = targets.get(location)
-            if target is None:
-                try:
-                    target = targets[location] = builder.chain(
-                        system=system, application=application,
-                        groups=split_group_path(group_cell), element=element,
-                    )
-                except ValueError as exc:  # an empty group id, as in "a//b"
-                    raise MalformedDocumentError(f"row {row_number}: {exc}") from None
-
-        action_type = row[action_at] or None
+        action_type = texts[row[action_at]] or None
         name = row[name_at]
-        if len(name) > 1 and name[0] == name[-1] == "'":
-            name = name[1:-1]  # text as it stands; '' is the empty name
-        elif not name:
-            if target is None:
-                skipped.append(f"row {row_number}: no activity name and no target to name it by")
-                continue
-            name = make_activity_name(action_type, target.most_specific_id)
+        if not name and target is None:
+            skipped.append(f"row {row_number}: no activity name and no target to name it by")
+            continue
+        # A cell '' is the empty name; only an empty cell is synthesized.
+        name = texts[name] if name else make_activity_name(action_type, target.most_specific_id)
 
         action = None
         if action_type is not None:
@@ -589,12 +592,8 @@ def ingest(
                 action_type, _trusted(Action, action_type, {})
             )
 
-        user = row[user_at] or None
-        if user is not None and user not in users:
-            users[user] = {}
-        task = row[task_at] or None
-        if task is not None and task not in tasks:
-            tasks[task] = {}
+        user = texts[row[user_at]] or None
+        task = texts[row[task_at]] or None
 
         attributes = {}
         for index, column, parser in extra_columns:
@@ -609,16 +608,9 @@ def ingest(
         events.append(_trusted(InteractionEvent, name, action, target, input_value,
                                current_state, timestamp, user, task, attributes))
 
-    log = UILog(
-        events=tuple(events),
-        hierarchy=builder.build(),
-        users=users,
-        tasks=tasks,
-    )
-    report = IngestReport(
-        rows_read=row_number, rows_skipped=tuple(skipped), warnings=tuple(warnings_out)
-    )
-    return log, report
+    log = UILog(events, builder.build(), {event.user: {} for event in events if event.user},
+                {event.task: {} for event in events if event.task})
+    return log, IngestReport(row_number, tuple(skipped), tuple(warnings_out))
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +629,15 @@ def write_table(
     and each row's trace id is its last attribute, ``Trace``. The
     columns are the canonical column of every populated field and of
     every field an attribute key is a synonym of, then the attribute
-    keys in first-seen order. The tabular format is text-typed:
-    numbers, booleans, and timestamps become their printed form. An
-    event attribute ``Trace`` whose cell is not its trace id's, or an
-    attribute key that is padded or blank, which its header cell would
-    not read back as, raises UnserializableValueError, a trace index
-    that names no event InvalidLogError, and a bad ``delimiter``
-    BadConfigError.
+    keys in first-seen order. Numbers, booleans and timestamps become
+    their printed form. A text, a header's too, is wrapped in apostrophes
+    exactly where it would not read back as itself: empty, padded,
+    apostrophe-wrapped or, in a value cell, shaped like a literal. An
+    event attribute ``Trace`` whose cell is not its trace id's, or a
+    value of a type XES cannot hold either (a set, tuple, bytes or other
+    object, at any depth), raises UnserializableValueError naming the
+    key, a trace index that names no event InvalidLogError, and a bad
+    ``delimiter`` BadConfigError.
     """
     _check_delimiter(delimiter)
     ts_format = mapping.timestamp_format if mapping else None
@@ -657,19 +651,18 @@ def write_table(
     else:
         rows = [(event, event.attributes) for event in log.events]
 
+    texts, values = _Cells(()), _Cells(_SHAPES)  # the cells of text and of value columns
     keys = {}
     for event, attributes in rows:
         keys.update(attributes)
         if traced and "Trace" in event.attributes:
-            own = _render_cell(event.attributes["Trace"], ts_format, _SHAPES)
-            cell = _render_cell(attributes["Trace"], ts_format, _SHAPES)
+            own = event.attributes["Trace"]
+            own = values[own] if isinstance(own, str) else _render_cell(own, ts_format, "Trace")
+            cell = values[attributes["Trace"]]
             if own != cell:
                 raise UnserializableValueError(
                     f"event attribute 'Trace' {own!r} is not its trace id {cell!r}"
                 )
-    for key in keys:  # ingest strips each header cell
-        if key != key.strip():
-            raise UnserializableValueError(f"event attribute key {key!r} is padded or blank")
     # Activity heads even an empty table. The column of each field a key
     # names comes first, so infer_mapping reads the field from it and the
     # key as an attribute.
@@ -678,13 +671,11 @@ def write_table(
         name for name, (_, read) in _FIELDS.items()
         if name in named or any(read(event) is not None for event, _ in rows)
     ]
-    # Per column: how to read its value off an event, or the key of the
-    # row attribute it holds, and the literal shapes a text there must
-    # not take (None: the cell is raw). The activity cell is never read
-    # as a literal, so it takes only the text half of the escape.
-    escapes = {"activity_name": (), "input_value": _SHAPES, "current_state": _SHAPES}
-    readers = [(_FIELDS[name][1], None, escapes.get(name)) for name in fields]
-    readers += [(None, key, _SHAPES) for key in keys]
+    # Per column: how to read its value off an event, or None for a row
+    # attribute; its header, which is the attribute's key; and its cells.
+    cells_of = {"input_value": values, "current_state": values}
+    readers = [(_FIELDS[name][1], _FIELDS[name][0], cells_of.get(name, texts)) for name in fields]
+    readers += [(None, key, values) for key in keys]
 
     buffer = io.StringIO()
     plain = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
@@ -695,11 +686,14 @@ def write_table(
         # and the row cannot be read back; such a row is quoted in full.
         (quoted if "\r" in "".join(cells) else plain).writerow(cells)
 
-    write_row([_FIELDS[name][0] for name in fields] + list(keys))
+    write_row([texts[key] for _, key, _ in readers])
     for event, attributes in rows:
         write_row([
-            _render_cell(read(event) if read else attributes.get(key), ts_format, shapes)
-            for read, key, shapes in readers
+            "" if value is None
+            else column[value] if isinstance(value, str)
+            else _render_cell(value, ts_format, key)
+            for read, key, column in readers
+            for value in (read(event) if read else attributes.get(key),)
         ])
     return buffer.getvalue()
 
@@ -729,12 +723,9 @@ def _mapping_from_ini(parser) -> ColumnMapping:
     options = {}
     if parser.has_section("options"):
         for name, value in parser.items("options"):
-            if name == "timestamp_format":
-                options["timestamp_format"] = value.strip()
-            elif name == "extras":
-                options["extras"] = value.strip().lower()
-            else:
+            if name not in ("timestamp_format", "extras"):
                 raise ValueError(f"unknown option {name!r} in [options]")
+            options[name] = value.strip() if name == "timestamp_format" else value.strip().lower()
     parsers = {}
     if parser.has_section("parsers"):
         for column, kind in parser.items("parsers"):

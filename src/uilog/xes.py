@@ -16,7 +16,8 @@ once per document. The keys, URIs and extension declaration live in
 :mod:`uilog.extension` and are re-exported here.
 
 Logs without traces are wrapped in a single artificial trace, marked by
-the log-level boolean ``uilog:untraced`` so the reader can undo it.
+the log-level boolean ``uilog:untraced`` so the reader can undo it,
+with a warning where that drops more traces, trace ids or attributes.
 
 The writer emits the document as text in one pass: each element is
 appended to one list of pieces, indented from a precomputed table and
@@ -126,6 +127,8 @@ _HEADER = (
     f'\n  <extension name="Time" prefix="time" uri="{TIME_URI}" />'
     f'\n  <extension name="UILog" prefix="uilog" uri="{UILOG_URI}" />'
 )
+#: The id of the one trace an untraced log is written in.
+_WRAPPER_ID = "all-events"
 
 
 #: The keys of event fields: the writer writes no event attribute under
@@ -322,7 +325,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     ]
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
-        traces = [("all-events", {}, enumerate(log.events))]
+        traces = [(_WRAPPER_ID, {}, enumerate(log.events))]
     memo = ({}, {}, {})  # see _event
     for trace_id, attributes, events in traces:
         if KEY_CONCEPT_NAME in attributes:
@@ -401,6 +404,7 @@ class _LogReader:
         self.open, self.trace_position, self.first, self.trace_attributes = None, 0, 0, {}
         self.contexts = {}  # raw context subtree -> what it types to
         self.warned = 0
+        self.named = 0  # traces with attributes or an id other than _WRAPPER_ID
 
     def take(self, holder: ET.Element, complete: bool) -> None:
         """Read what the parser has finished below ``holder``, the parent of
@@ -453,6 +457,7 @@ class _LogReader:
             return
         self.open = None
         trace_id = str(self.trace_attributes.pop(KEY_CONCEPT_NAME, ""))
+        self.named += trace_id not in ("", _WRAPPER_ID) or bool(self.trace_attributes)
         events = tuple(range(self.first, len(self.events)))
         self.traces.append(_trusted(Trace, trace_id or f"trace_{self.trace_position}", events,
                                     self.trace_attributes))
@@ -658,7 +663,11 @@ class _LogReader:
     def finish(self) -> UILog:
         # A document written untraced holds one wrapping trace, which is
         # folded away here; otherwise its traces partition the events.
-        traced = not self.attributes.pop(KEY_UNTRACED, False) and bool(self.traces)
+        untraced = self.attributes.pop(KEY_UNTRACED, False)
+        if untraced and (len(self.traces) > 1 or self.named):
+            self._warn("log", f"{KEY_UNTRACED} is true, so its {len(self.traces)} trace(s) are "
+                              "folded into one untraced log, without their ids and attributes")
+        traced = not untraced and bool(self.traces)
         if traced and self.stray is not None:
             # Tolerated only without traces: here no trace would cover it.
             raise MalformedDocumentError(f"{self.stray}: an event outside every trace")

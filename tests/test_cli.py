@@ -399,7 +399,7 @@ def test_value_under_an_unnamed_column_is_an_operational_error(tmp_path, header)
 
 
 @pytest.mark.parametrize("key", [" k", " "], ids=["padded", "blank"])
-def test_an_attribute_key_a_header_cannot_hold_is_an_operational_error(tmp_path, key):
+def test_a_padded_or_blank_attribute_key_converts_to_csv_and_back(tmp_path, key):
     source = tmp_path / "doc.xes"
     source.write_text(
         '<log><trace><event><string key="concept:name" value="a"/>'
@@ -407,11 +407,31 @@ def test_an_attribute_key_a_header_cannot_hold_is_an_operational_error(tmp_path,
     )
     out = tmp_path / "doc.csv"
     done = run_child("convert", "-i", source, "-o", out)
-    assert done.returncode == 1
-    assert done.stderr.startswith("error:")
-    assert repr(key) in done.stderr
-    assert "Traceback" not in done.stderr
-    assert not out.exists()
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out.read_text() == f"Activity,'{key}',Trace\na,v,trace_0\n"
+    again = tmp_path / "again.csv"
+    done = run_child("convert", "-i", out, "-o", again)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_padded_blank_and_wrapped_ids_and_keys_convert_xes_to_csv_and_back(tmp_path):
+    builder = uilog.HierarchyBuilder()
+    target = builder.chain(system=" ", application="'app'", groups=(" g", "''"), element="e ")
+    log = uilog.UILog(
+        events=(uilog.InteractionEvent(
+            "' a '", action=uilog.Action(" click"), target=target, user="'u'", task="\t",
+            attributes={" k": "v", " ": "[x]", "'k'": "' "},
+        ),),
+        hierarchy=builder.build(), users={"'u'": {}}, tasks={"\t": {}},
+    )
+    first = tmp_path / "first.xes"
+    first.write_text(uilog.write_xes(log), encoding="utf-8")
+    table, again = tmp_path / "log.csv", tmp_path / "again.xes"
+    for source, out in ((first, table), (table, again)):
+        done = run_child("convert", "-i", source, "-o", out)
+        assert (done.returncode, done.stderr) == (0, "")
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -472,6 +492,22 @@ def test_xes_reader_warnings_are_notes(tmp_path, attribute, noted):
     assert done.returncode == 0
     assert ("note: trace 0, event 0:" in done.stderr) is noted
     assert "UserWarning" not in done.stderr
+
+
+def test_validate_notes_the_traces_an_untraced_document_folds(tmp_path):
+    source = tmp_path / "doc.xes"
+    event = '<event><string key="concept:name" value="{}"/></event>'
+    source.write_text(
+        '<log><boolean key="uilog:untraced" value="true"/>'
+        f'<trace><string key="concept:name" value="t1"/>{event.format("a")}</trace>'
+        f'<trace><string key="concept:name" value="t2"/>{event.format("b")}</trace></log>'
+    )
+    done = run_child("validate", "-i", source)
+    assert done.returncode == 0
+    assert done.stderr == (
+        "note: log: uilog:untraced is true, so its 2 trace(s) are folded into one untraced "
+        "log, without their ids and attributes\n"
+    )
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])

@@ -3,13 +3,16 @@ import io
 import random
 import re
 from datetime import datetime, timezone
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uilog import (
+    Action,
     BadConfigError,
     BadLiteralError,
+    HierarchyBuilder,
     InteractionEvent,
     InvalidLogError,
     MalformedDocumentError,
@@ -528,10 +531,14 @@ class TestInverseWriter:
             write_table(log)
 
     @pytest.mark.parametrize("key", [" k", "k\t", " "], ids=["leading", "trailing", "blank"])
-    def test_a_padded_or_blank_attribute_key_is_refused(self, key):
+    def test_a_padded_or_blank_attribute_key_round_trips(self, key):
         log = UILog(events=(InteractionEvent("a", attributes={"Mood": "ok", key: "v"}),))
-        with pytest.raises(UnserializableValueError, match=re.escape(repr(key))):
-            write_table(log)
+        emitted = write_table(log)
+        assert next(csv.reader(io.StringIO(emitted))) == ["Activity", "Mood", f"'{key}'"]
+        again, report = ingest(emitted)
+        assert report.rows_skipped == report.warnings == ()
+        assert again.events == log.events
+        assert write_table(again) == emitted
 
     def test_a_trace_attribute_that_is_its_trace_id_is_written_once(self):
         log = UILog(
@@ -609,6 +616,61 @@ class TestInverseWriter:
         assert report.rows_skipped == ()
         assert [e.activity_name for e in log.events] == ["x", "", "[a]"]
 
+    def test_ids_and_headers_between_apostrophes_are_their_text(self):
+        text = "' Activity',UI element,'Action type',User,' k '\n'a',' e','[x]','''',v\n"
+        log, report = ingest(text)
+        assert report.rows_skipped == report.warnings == ()
+        event = log.events[0]
+        assert (event.activity_name, event.target.element, event.action.action_type) == (
+            "a", " e", "[x]"
+        )
+        assert (event.user, log.users, event.attributes) == ("''", {"''": {}}, {" k ": "v"})
+
+    def test_a_wrapped_empty_id_is_not_recorded(self):
+        text = "Activity,UI element,UI group,Action type,User,Task\na,'',g,'','',''\n,'',g,,,\n"
+        log, report = ingest(text)
+        assert report.rows_skipped == report.warnings == ()
+        assert [e.target for e in log.events] == [Target(groups=("g",))] * 2
+        assert [(e.action, e.user, e.task) for e in log.events] == [(None, None, None)] * 2
+        assert log.events[1].activity_name == "none g"
+        assert (log.users, log.tasks) == ({}, {})
+
+    def test_a_row_whose_target_cells_are_all_wrapped_empty_has_no_target(self):
+        log, report = ingest("Activity,UI element,System\na,'',''\n,'',''\n")
+        assert [e.target for e in log.events] == [None]
+        assert report.rows_skipped == ("row 2: no activity name and no target to name it by",)
+
+
+def _holding(value):
+    """An untraced log whose one event holds ``value`` under the key ``k``,
+    put there after construction, which would refuse it."""
+    event = InteractionEvent("a", attributes={"k": "v"})
+    event.attributes["k"] = value
+    return UILog(events=(event,))
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [({1, 2}, "set"), ((1, 2), "tuple"), (b"x", "bytes"), (object(), "object"),
+     ([1, {2}], "set"), ({"m": (1,)}, "tuple"), ({"m": [b"x"]}, "bytes")],
+    ids=["set", "tuple", "bytes", "object", "set-in-list", "tuple-in-map", "bytes-in-both"],
+)
+@pytest.mark.parametrize("write", [write_table, partial(write_xes, check=False)],
+                         ids=["csv", "xes"])
+def test_both_writers_refuse_a_value_xes_cannot_hold(write, value, kind):
+    with pytest.raises(UnserializableValueError, match=f"has unsupported type {kind}$"):
+        write(_holding(value))
+
+
+@pytest.mark.parametrize("value", [{1}, [(1,)], {"m": b"x"}], ids=["top", "in-list", "in-map"])
+def test_write_table_names_the_key_of_a_value_xes_cannot_hold(value):
+    with pytest.raises(UnserializableValueError, match="^attribute 'k' has unsupported type"):
+        write_table(_holding(value))
+    event = InteractionEvent("a", input_value=["x"])
+    event.input_value.append(value)
+    with pytest.raises(UnserializableValueError, match="^attribute 'Input value' has "):
+        write_table(UILog(events=(event,)))
+
 
 # Text a value may hold: any but NUL and lone surrogates, drawn often from
 # the characters that csv, the cell trim, the literal parsers and the
@@ -617,6 +679,35 @@ _TEXT = st.one_of(
     st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")),
     st.text(alphabet=" \t\r\n'\"[]{},:ab", max_size=8),
 )
+# Non-empty text: any id, action type or attribute key the model admits.
+_ID = _TEXT.filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ID, st.lists(_ID, min_size=1, max_size=3), _ID, _ID, _ID, _ID, _ID, _ID)
+def test_ids_and_keys_round_trip_through_csv(element, groups, application, system, action_type,
+                                             user, task, key):
+    builder = HierarchyBuilder()
+    target = builder.chain(system=system, application=application, groups=groups,
+                           element=element)
+    group = builder.chain(system=system, application=application, groups=groups)
+    log = UILog(
+        events=(
+            InteractionEvent("a", action=Action(action_type), target=target, user=user,
+                             task=task, attributes={key: "v"}),
+            InteractionEvent("b", target=group),
+        ),
+        hierarchy=builder.build(), users={user: {}}, tasks={task: {}},
+    )
+    written = write_table(log)
+    again, report = ingest(written)
+    assert report.rows_skipped == report.warnings == ()
+    assert again.events == log.events
+    assert again.hierarchy == log.hierarchy
+    assert (again.users, again.tasks) == (log.users, log.tasks)
+    assert write_table(again) == written
+
+
 # The item domain of TestLiterals' round trips.
 _ITEM = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1

@@ -863,6 +863,53 @@ def test_log_attributes_and_untraced_flag_may_follow_the_traces(monkeypatch, chu
     assert log.traces == (None if untraced else (Trace(id="t", events=(0, 1)),))
 
 
+# Untraced documents whose fold drops what write_xes does not write, and
+# how many traces each holds.
+FOLDS_DROPPING = {
+    "two-traces": (
+        '<trace><string key="concept:name" value="t1"/><string key="mood" value="ok"/>'
+        f'{EVENT.format("a")}</trace>'
+        f'<trace><string key="concept:name" value="t2"/>{EVENT.format("b")}</trace>', 2,
+    ),
+    "unnamed-traces": (f"<trace>{EVENT.format('a')}</trace><trace>{EVENT.format('b')}</trace>", 2),
+    "other-id": (f'<trace><string key="concept:name" value="t1"/>{EVENT.format("a")}'
+                 f'{EVENT.format("b")}</trace>', 1),
+    "trace-attribute": ('<trace><string key="concept:name" value="all-events"/>'
+                        f'<int key="n" value="1"/>{EVENT.format("a")}{EVENT.format("b")}</trace>',
+                        1),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize("case", list(FOLDS_DROPPING))
+def test_folding_traces_an_untraced_log_did_not_write_warns(monkeypatch, chunk, case):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    traces, count = FOLDS_DROPPING[case]
+    log, noted = read_recording_warnings(
+        f'<log><boolean key="uilog:untraced" value="true"/>{traces}</log>'
+    )
+    assert [event.activity_name for event in log.events] == ["a", "b"]
+    assert log.traces is None
+    assert log.attributes == {}
+    assert noted == [
+        f"log: uilog:untraced is true, so its {count} trace(s) are folded into one untraced "
+        "log, without their ids and attributes"
+    ]
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["7", "default"])
+@pytest.mark.parametrize("events", [0, 1, 3])
+def test_an_untraced_log_as_written_folds_without_a_warning(monkeypatch, chunk, events):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    log = UILog(events=tuple(InteractionEvent(f"e{i}") for i in range(events)))
+    again, noted = read_recording_warnings(write_xes(log))
+    assert noted == []
+    assert again.events == log.events
+    assert again.traces is None
+
+
 def big_traced_document(events=1500):
     log = UILog(
         events=tuple(InteractionEvent(f"step {i}") for i in range(events)),
