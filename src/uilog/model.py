@@ -69,8 +69,10 @@ def normalize_timestamp(value: datetime) -> datetime:
 
 
 def format_timestamp(value: datetime) -> str:
-    """ISO 8601 text of a timestamp in UTC, to the millisecond."""
-    return value.astimezone(timezone.utc).isoformat(timespec="milliseconds")
+    """ISO 8601 text of a timestamp in UTC, to the millisecond; naive time is UTC."""
+    if value.tzinfo is None:
+        value = value.replace(tzinfo=timezone.utc)
+    return value.astimezone(timezone.utc).isoformat("T", "milliseconds")
 
 
 # ISO 8601 calendar date, optionally followed by a time of day (after any
@@ -123,8 +125,8 @@ def normalize_value(value: AttributeValue, _depth: int = 0) -> AttributeValue:
 
     Timestamps are normalized to UTC milliseconds, tuples become lists,
     and arbitrary mappings become plain dicts. Raises TypeError for
-    unsupported types and ValueError for out-of-range integers, empty map
-    keys, or nesting deeper than MAX_NESTING_DEPTH.
+    unsupported types and ValueError for out-of-range integers, map keys
+    that are not non-empty text, or nesting deeper than MAX_NESTING_DEPTH.
     """
     if isinstance(value, bool):
         return value
@@ -136,37 +138,32 @@ def normalize_value(value: AttributeValue, _depth: int = 0) -> AttributeValue:
         return value
     if isinstance(value, datetime):
         return normalize_timestamp(value)
-    if isinstance(value, (list, tuple)):
-        if _depth + 1 > MAX_NESTING_DEPTH:
+    if isinstance(value, (list, tuple, Mapping)):
+        if _depth >= MAX_NESTING_DEPTH:
             raise ValueError(f"attribute nesting deeper than {MAX_NESTING_DEPTH}")
+        if isinstance(value, Mapping):
+            return normalize_attributes(value, _depth + 1)
         return [normalize_value(item, _depth + 1) for item in value]
-    if isinstance(value, Mapping):
-        if _depth + 1 > MAX_NESTING_DEPTH:
-            raise ValueError(f"attribute nesting deeper than {MAX_NESTING_DEPTH}")
-        out = {}
-        for key, item in value.items():
-            if not isinstance(key, str) or not key:
-                raise ValueError(f"map keys must be non-empty text, got {key!r}")
-            out[key] = normalize_value(item, _depth + 1)
-        return out
     raise TypeError(f"unsupported attribute value type: {type(value).__name__}")
 
 
-def normalize_attributes(attributes: Optional[Mapping]) -> dict:
-    """Normalize an attribute set (key → value), rejecting empty keys."""
+def normalize_attributes(attributes: Optional[Mapping], _depth: int = 0) -> dict:
+    """Normalize an attribute set (key → value), or a map ``_depth`` deep."""
     if not attributes:
         return {}
     out = {}
     for key, value in attributes.items():
-        if not isinstance(key, str) or not key:
-            raise ValueError(f"attribute keys must be non-empty text, got {key!r}")
-        out[key] = normalize_value(value)
+        _check_id(key, "attribute keys")
+        out[key] = normalize_value(value, _depth)
     return out
 
 
-def _check_id(node_id) -> None:
-    if not isinstance(node_id, str) or not node_id:
-        raise ValueError(f"id must be non-empty text, got {node_id!r}")
+def _check_id(value, what: str = "id", error: type = ValueError) -> str:
+    """``value`` if it is non-empty text, as ids, action types and attribute
+    keys must be, else ``error`` naming it; both writers check keys by this."""
+    if not isinstance(value, str) or not value:
+        raise error(f"{what} must be non-empty text, got {value!r}")
+    return value
 
 
 class _Record:
@@ -732,8 +729,7 @@ class Action(_Record):
     __slots__ = ("action_type", "attributes")
 
     def __init__(self, action_type: str, attributes: Optional[Mapping] = None):
-        if not isinstance(action_type, str) or not action_type:
-            raise ValueError("action_type must be non-empty text")
+        _check_id(action_type, "action_type")
         _Record.__init__(self, action_type, normalize_attributes(attributes))
 
 

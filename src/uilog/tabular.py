@@ -41,7 +41,7 @@ import csv
 import io
 import itertools
 import re
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
@@ -53,11 +53,13 @@ from .errors import (
     UnserializableValueError,
 )
 from .model import (
+    MAX_NESTING_DEPTH,
     Action,
     HierarchyBuilder,
     InteractionEvent,
     UILog,
     _Record,
+    _check_id,
     _trace_events,
     _trusted,
     format_timestamp,
@@ -280,21 +282,6 @@ def parse_list_literal(text: str) -> list:
     return [_unescaped(tokens, ",") for tokens in _entries(inner)]
 
 
-def render_map_literal(value: Mapping) -> str:
-    entries = []
-    for key, item in value.items():
-        entries.append(
-            f"{_escape(_plain_text(key), ',:')}: {_escape(_plain_text(item), ',:')}"
-        )
-    return "{" + ", ".join(entries) + "}"
-
-
-def render_list_literal(value: Iterable) -> str:
-    # The flat grammar cannot tell [] from [""]: items are trimmed, so a
-    # lone empty item reads back as the empty list.
-    return "[" + ", ".join(_escape(_plain_text(item), ",") for item in value) + "]"
-
-
 # Any cell between apostrophes is the text between them, taken as it
 # stands; any other value cell is read by its column's parser, and
 # "auto" reads a cell shaped like a literal as one. The writer wraps
@@ -329,8 +316,16 @@ class _Cells(dict):
     def __missing__(self, text: str) -> str:
         wrap = (not text or text != text.strip() or _wrapped(text)
                 or text[0] + text[-1] in self.shapes)
-        cell = self[text] = f"'{text}'" if wrap else text
+        cell = self[text] = _fitting(f"'{text}'" if wrap else text)
         return cell
+
+
+class _Keys(dict):
+    """Map key → its text in a literal, checked and escaped once."""
+
+    def __missing__(self, name) -> str:
+        self[name] = _escape(_check_id(name, "attribute keys", UnserializableValueError), ",:")
+        return self[name]
 
 
 def _parse_cell(text: str, parser: str):
@@ -341,19 +336,10 @@ def _parse_cell(text: str, parser: str):
     return parse(text) if parse else text
 
 
-def _render_cell(value, ts_format, key) -> str:
-    """The cell of a value of column ``key`` that is not text. A value of a
-    type XES cannot hold either, at any depth, raises UnserializableValueError."""
-    if isinstance(value, datetime):
-        return _render_timestamp(value, ts_format)
-    try:
-        return _plain_text(value)
-    except TypeError as exc:
-        raise UnserializableValueError(f"attribute {key!r} has unsupported type {exc}") from None
-
-
-def _plain_text(value) -> str:
-    """The text of a value, a list's or map's literal; TypeError names any other type."""
+def _plain_text(value, key, keys: _Keys, depth: int = 0, ts_format: Optional[str] = None) -> str:
+    """The text of a value of column ``key``, ``depth`` lists and maps deep, its map keys
+    rendered by ``keys`` and a timestamp by ``ts_format`` if given, read in UTC as the
+    model reads it. What :func:`write_table` refuses raises UnserializableValueError."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -361,18 +347,31 @@ def _plain_text(value) -> str:
     if isinstance(value, (int, float)):  # many values; they skip the slow ABC check
         return str(value)
     if isinstance(value, datetime):
-        return _render_timestamp(value, None)
+        if ts_format:
+            return normalize_timestamp(value).strftime(ts_format)
+        return format_timestamp(value)
+    if not isinstance(value, (list, dict, Mapping)):  # the ABC check is slow, so it comes last
+        kind = type(value).__name__
+        raise UnserializableValueError(f"attribute {key!r} has unsupported type {kind}")
+    if depth >= MAX_NESTING_DEPTH:
+        raise UnserializableValueError(f"attribute {key!r} nests deeper than {MAX_NESTING_DEPTH}")
+    depth, texts = depth + 1, []
     if isinstance(value, list):
-        return render_list_literal(value)
-    if isinstance(value, (dict, Mapping)):  # the ABC check is slow, so it comes last
-        return render_map_literal(value)
-    raise TypeError(type(value).__name__)
+        # The flat grammar cannot tell [] from [""]: items are trimmed, so a
+        # lone empty item reads back as the empty list.
+        for item in value:
+            texts.append(_escape(_plain_text(item, key, keys, depth), ","))
+        return _fitting("[" + ", ".join(texts) + "]")
+    for name, item in value.items():
+        texts.append(f"{keys[name]}: {_escape(_plain_text(item, key, keys, depth), ',:')}")
+    return _fitting("{" + ", ".join(texts) + "}")
 
 
-def _render_timestamp(value: datetime, pattern: Optional[str]) -> str:
-    if pattern:
-        return value.astimezone(timezone.utc).strftime(pattern)
-    return format_timestamp(value)
+def _fitting(text: str) -> str:
+    """``text``, if csv reads a field that long; nesting doubles a literal's separators."""
+    if len(text) > csv.field_size_limit():
+        raise UnserializableValueError(f"a cell of {len(text)} characters is too long for csv")
+    return text
 
 
 def _parse_row_timestamp(text: str, pattern: Optional[str]):
@@ -629,15 +628,17 @@ def write_table(
     and each row's trace id is its last attribute, ``Trace``. The
     columns are the canonical column of every populated field and of
     every field an attribute key is a synonym of, then the attribute
-    keys in first-seen order. Numbers, booleans and timestamps become
-    their printed form. A text, a header's too, is wrapped in apostrophes
-    exactly where it would not read back as itself: empty, padded,
-    apostrophe-wrapped or, in a value cell, shaped like a literal. An
-    event attribute ``Trace`` whose cell is not its trace id's, or a
-    value of a type XES cannot hold either (a set, tuple, bytes or other
-    object, at any depth), raises UnserializableValueError naming the
-    key, a trace index that names no event InvalidLogError, and a bad
-    ``delimiter`` BadConfigError.
+    keys in first-seen order. Numbers, booleans and timestamps (a naive
+    one as UTC, as the model reads it) become their printed form. A
+    text, a header's too, is wrapped in apostrophes exactly where it
+    would not read back as itself: empty, padded, apostrophe-wrapped or,
+    in a value cell, shaped like a literal. A key that is not non-empty
+    text, nesting deeper than MAX_NESTING_DEPTH or a type XES cannot
+    hold (a set, tuple, bytes or other object), at any depth, or an event
+    attribute ``Trace`` whose cell is not its trace id's raises
+    UnserializableValueError naming the key, and so does a cell longer
+    than the csv module reads; a trace index that names no event raises
+    InvalidLogError, and a bad ``delimiter`` BadConfigError.
     """
     _check_delimiter(delimiter)
     ts_format = mapping.timestamp_format if mapping else None
@@ -652,17 +653,21 @@ def write_table(
         rows = [(event, event.attributes) for event in log.events]
 
     texts, values = _Cells(()), _Cells(_SHAPES)  # the cells of text and of value columns
+    map_keys = _Keys()  # the text of each map key inside a literal
     keys = {}
     for event, attributes in rows:
         keys.update(attributes)
         if traced and "Trace" in event.attributes:
             own = event.attributes["Trace"]
-            own = values[own] if isinstance(own, str) else _render_cell(own, ts_format, "Trace")
+            own = (values[own] if isinstance(own, str)
+                   else _plain_text(own, "Trace", map_keys, 0, ts_format))
             cell = values[attributes["Trace"]]
             if own != cell:
                 raise UnserializableValueError(
                     f"event attribute 'Trace' {own!r} is not its trace id {cell!r}"
                 )
+    for key in keys:
+        _check_id(key, "attribute keys", UnserializableValueError)
     # Activity heads even an empty table. The column of each field a key
     # names comes first, so infer_mapping reads the field from it and the
     # key as an attribute.
@@ -691,7 +696,7 @@ def write_table(
         write_row([
             "" if value is None
             else column[value] if isinstance(value, str)
-            else _render_cell(value, ts_format, key)
+            else _plain_text(value, key, map_keys, 0, ts_format)
             for read, key, column in readers
             for value in (read(event) if read else attributes.get(key),)
         ])
@@ -714,12 +719,13 @@ def load_mapping(text: str) -> ColumnMapping:
 
 
 def _mapping_from_ini(parser) -> ColumnMapping:
+    texts = _Texts()  # a column is named as its header cell reads
     assignments = {}
     if parser.has_section("columns"):
         for name, column in parser.items("columns"):
             if name not in _FIELDS:
                 raise ValueError(f"unknown model field {name!r} in [columns]")
-            assignments[name] = column.strip()
+            assignments[name] = texts[column.strip()]
     options = {}
     if parser.has_section("options"):
         for name, value in parser.items("options"):
@@ -729,5 +735,5 @@ def _mapping_from_ini(parser) -> ColumnMapping:
     parsers = {}
     if parser.has_section("parsers"):
         for column, kind in parser.items("parsers"):
-            parsers[column] = kind.strip().lower()
+            parsers[texts[column.strip()]] = kind.strip().lower()
     return ColumnMapping(**assignments, **options, value_parsers=parsers)

@@ -147,11 +147,13 @@ def _escape(text: str, key: str) -> str:
             .replace("\t", "&#09;"))
 
 
-def _attribute(out: list, depth: int, key: str, value, nested=None, nesting: int = 0) -> None:
+def _attribute(out: list, keys: dict, depth: int, key: str, value, nested=None, nesting=0):
     """Append one attribute element; a string value carries ``nested`` attributes."""
     if nesting > MAX_NESTING_DEPTH:
         raise UnserializableValueError(f"attribute {key!r} nests deeper than {MAX_NESTING_DEPTH}")
-    pad, name, children = _INDENT[depth], _escape(key, key), None
+    pad, name, children = _INDENT[depth], keys.get(key), None
+    if name is None:
+        name = keys[key] = _escape(_check_id(key, "attribute keys", UnserializableValueError), key)
     if isinstance(value, str):
         tag, text, children = "string", _escape(value, key), nested
     elif isinstance(value, list):
@@ -160,11 +162,13 @@ def _attribute(out: list, depth: int, key: str, value, nested=None, nesting: int
             return out.append(f'{pad}<list key="{name}">{inner}<values />{pad}</list>')
         out.append(f'{pad}<list key="{name}">{inner}<values>')
         for position, item in enumerate(value):
-            _attribute(out, depth + 2, str(position), item, None, nesting + 1)
+            _attribute(out, keys, depth + 2, str(position), item, None, nesting + 1)
         return out.append(f"{inner}</values>{pad}</list>")
     elif isinstance(value, bool):
         tag, text = "boolean", "true" if value else "false"
     elif isinstance(value, int):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise UnserializableValueError(f"attribute {key!r} is out of 64-bit range: {value}")
         tag, text = "int", str(value)
     elif isinstance(value, float):
         tag, text = "float", repr(value)
@@ -181,18 +185,18 @@ def _attribute(out: list, depth: int, key: str, value, nested=None, nesting: int
         return out.append(head + " />")
     out.append(head + ">")
     for child_key, item in children.items():
-        _attribute(out, depth + 1, child_key, item, None, nesting)
+        _attribute(out, keys, depth + 1, child_key, item, None, nesting)
     out.append(f"{pad}</{tag}>")
 
 
-def _rendered(key: str, value, nested=None) -> str:
+def _rendered(keys: dict, key: str, value, nested=None) -> str:
     """One event-level attribute element as text."""
     out = []
-    _attribute(out, 3, key, value, nested)
+    _attribute(out, keys, 3, key, value, nested)
     return "".join(out)
 
 
-def _context(target: Target, hierarchy, contexts: dict) -> tuple:
+def _context(target: Target, hierarchy, contexts: dict, keys: dict) -> tuple:
     """The elements recording ``target`` and its nodes' attributes, kept in
     ``contexts`` by the target's id: the element's, and the rest; an event's
     state goes between. The rest is rendered once per (system, application,
@@ -200,16 +204,16 @@ def _context(target: Target, hierarchy, contexts: dict) -> tuple:
     head = ""
     if target.element is not None:
         element = hierarchy.lookup(target)[0]
-        head = _rendered(KEY_UI_ELEMENT, target.element, element and element.attributes)
+        head = _rendered(keys, KEY_UI_ELEMENT, target.element, element and element.attributes)
     scope = (target.system, target.application, target.groups)
     rest = contexts.get(scope)
     if rest is None:
-        rest = contexts[scope] = _scope(scope, hierarchy)
+        rest = contexts[scope] = _scope(scope, hierarchy, keys)
     contexts[id(target)] = head, rest
     return head, rest
 
 
-def _scope(scope: tuple, hierarchy) -> str:
+def _scope(scope: tuple, hierarchy, keys: dict) -> str:
     """The group path, application and system elements of (system,
     application, groups)."""
     system, application, groups = scope
@@ -221,32 +225,33 @@ def _scope(scope: tuple, hierarchy) -> str:
             group = hierarchy.lookup(prefix)[1]
             if group is not None and group.attributes:
                 nested[join_group_path(prefix.groups)] = group.attributes
-        _attribute(out, 3, KEY_UI_GROUP_PATH, join_group_path(groups), nested, -1)
+        _attribute(out, keys, 3, KEY_UI_GROUP_PATH, join_group_path(groups), nested, -1)
     _, _, application_node, system_node = hierarchy.lookup(
         Target(application=application, system=system)
     )
     for key, recorded, node in ((KEY_APPLICATION, application, application_node),
                                 (KEY_SYSTEM, system, system_node)):
         if recorded is not None:
-            _attribute(out, 3, key, recorded, node and node.attributes)
+            _attribute(out, keys, 3, key, recorded, node and node.attributes)
     return "".join(out)
 
 
 def _event(out: list, index: int, event: InteractionEvent, log: UILog, memo: tuple) -> None:
     """Append the element of ``event``, the log's event ``index``.
 
-    ``memo`` holds what earlier events rendered, three maps that live for
-    one :func:`write_xes` call: ``contexts`` the context parts by target
-    and action id (the log keeps each alive for the call), by scope, and
-    by (key, id) of each user and task; ``names`` the name element by
-    name; ``states`` the state element by text, or by type and ``repr``
-    for other values, which tells [1] from [True], [1.0] and ["1"].
+    ``memo`` holds what earlier events rendered, four maps that live for
+    one :func:`write_xes` call: ``keys`` each attribute key, checked and
+    escaped; ``contexts`` the context parts by target and action id (the
+    log keeps each alive for the call), by scope, and by (key, id) of each
+    user and task; ``names`` the name element by name; ``states`` the
+    state element by text, or by type and ``repr`` for other values, which
+    tells [1] from [True], [1.0] and ["1"].
     """
-    contexts, names, states = memo
+    keys, contexts, names, states = memo
     name = event.activity_name
     text = names.get(name)
     if text is None:
-        text = names[name] = _rendered(KEY_CONCEPT_NAME, name)
+        text = names[name] = _rendered(keys, KEY_CONCEPT_NAME, name)
     out.append("\n    <event>" + text)
     timestamp = event.timestamp
     if timestamp is not None:
@@ -256,22 +261,22 @@ def _event(out: list, index: int, event: InteractionEvent, log: UILog, memo: tup
         text = contexts.get(id(action))
         if text is None:
             text = contexts[id(action)] = _rendered(
-                KEY_ACTION_TYPE, action.action_type, action.attributes
+                keys, KEY_ACTION_TYPE, action.action_type, action.attributes
             )
         out.append(text)
     if event.input_value is not None:
-        _attribute(out, 3, KEY_INPUT_VALUE, event.input_value)
+        _attribute(out, keys, 3, KEY_INPUT_VALUE, event.input_value)
     head = rest = ""
     target = event.target
     if target is not None:
-        head, rest = contexts.get(id(target)) or _context(target, log.hierarchy, contexts)
+        head, rest = contexts.get(id(target)) or _context(target, log.hierarchy, contexts, keys)
     out.append(head)
     state = event.current_state
     if state is not None:
         key = state if type(state) is str else (type(state), repr(state))
         text = states.get(key)
         if text is None:
-            text = states[key] = _rendered(KEY_UI_ELEMENT_STATE, state)
+            text = states[key] = _rendered(keys, KEY_UI_ELEMENT_STATE, state)
         out.append(text)
     out.append(rest)
     for key, ref, registry in ((KEY_USER, event.user, log.users),
@@ -279,14 +284,14 @@ def _event(out: list, index: int, event: InteractionEvent, log: UILog, memo: tup
         if ref is not None:
             text = contexts.get((key, ref))
             if text is None:
-                text = contexts[key, ref] = _rendered(key, ref, registry.get(ref))
+                text = contexts[key, ref] = _rendered(keys, key, ref, registry.get(ref))
             out.append(text)
     for key, value in event.attributes.items():
         if key in _EVENT_FIELD_KEYS:
             raise UnserializableValueError(
                 f"event {index}: attribute {key!r} has the key of an event field"
             )
-        _attribute(out, 3, key, value)
+        _attribute(out, keys, 3, key, value)
     out.append("\n    </event>")
 
 
@@ -296,15 +301,18 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     With ``check`` (the default) the log must validate cleanly;
     InvalidLogError carries the report otherwise; without it, a trace
     index that names no event still raises InvalidLogError. Output is
-    deterministic for a given log: fixed key order, fixed formatting.
-    Text outside the XML 1.0 character set raises
-    UnserializableValueError, as does an attribute under a key the
-    writer gives its own content, which would read back as that content:
-    an event attribute keyed ``concept:name``, ``time:timestamp`` or one
-    of the event keys of the uilog extension (``uilog:action-type``,
-    ``uilog:user`` and the others in ``EXTENSION_KEYS``), a trace
-    attribute ``concept:name``, or a log attribute ``uilog:untraced``.
-    The error names the event index, the trace id or ``log``, and the key.
+    deterministic for a given log: fixed key order, fixed formatting. A
+    naive datetime is written as UTC, as the model reads it. What the
+    model and the reader refuse raises UnserializableValueError naming
+    the key: a key that is not non-empty text, nesting deeper than
+    MAX_NESTING_DEPTH, an integer outside 64 bits, text outside XML 1.0.
+    So does a key the writer gives its own content, which would read
+    back as that content: an event attribute keyed ``concept:name``,
+    ``time:timestamp`` or one of the event keys of the uilog extension
+    (``uilog:action-type``, ``uilog:user`` and the others in
+    ``EXTENSION_KEYS``), a trace attribute ``concept:name``, or a log
+    attribute ``uilog:untraced``; that error names the event index, the
+    trace id or ``log`` too.
 
     Each distinct target, scope, action, user, task, activity name and
     element state is rendered once per call and the text reused.
@@ -317,8 +325,9 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
             f"log: attribute {KEY_UNTRACED!r} has the key that marks an untraced log"
         )
     out = [_HEADER]
+    memo = (keys := {}, {}, {}, {})  # see _event
     for key, value in log.attributes.items():
-        _attribute(out, 1, key, value)
+        _attribute(out, keys, 1, key, value)
     traces = [
         (stored.id, stored.attributes, zip(stored.events, _trace_events(log, stored)))
         for stored in log.traces or ()
@@ -326,7 +335,6 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     if log.traces is None and log.events:
         out.append(f'\n  <boolean key="{KEY_UNTRACED}" value="true" />')
         traces = [(_WRAPPER_ID, {}, enumerate(log.events))]
-    memo = ({}, {}, {})  # see _event
     for trace_id, attributes, events in traces:
         if KEY_CONCEPT_NAME in attributes:
             raise UnserializableValueError(
@@ -334,7 +342,7 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
             )
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
-            _attribute(out, 2, key, value)
+            _attribute(out, keys, 2, key, value)
         for index, event in events:
             _event(out, index, event, log, memo)
         out.append("\n  </trace>")

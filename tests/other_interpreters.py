@@ -37,7 +37,7 @@ TIER_1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cac
 SCRIPTS = (
     "tests/test_xes_golden.py", "tests/test_tabular_timestamps.py", "tests/test_tabular_roundtrip.py",
     "tests/test_records.py", "tests/test_transform_runs.py", "tests/test_builder.py",
-    "tests/test_mutations.py",
+    "tests/test_mutations.py", "tests/test_writer_law.py",
 )
 
 

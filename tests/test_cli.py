@@ -459,6 +459,12 @@ def test_bad_delimiter_is_an_operational_error(tmp_path, delimiter):
     assert "Traceback" not in done.stderr
 
 
+def test_bad_delimiter_names_the_option_in_process(tmp_path, capsys):
+    assert run("convert", "-i", KC, "--delimiter", '"', "-o", tmp_path / "kc.xes") == 1
+    assert capsys.readouterr().err.startswith("error: --delimiter must be one character")
+    assert not (tmp_path / "kc.xes").exists()
+
+
 def test_xes_boolean_outside_xs_boolean_is_an_operational_error(tmp_path):
     source = tmp_path / "doc.xes"
     source.write_text(

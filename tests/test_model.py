@@ -2,6 +2,7 @@ import contextlib
 import copy
 import pickle
 import random
+import re
 import signal
 from datetime import datetime, timedelta, timezone
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 
 from uilog import (
     AbstractionRule,
+    Action,
     CycleError,
     DanglingReferenceError,
     HierarchyBuilder,
@@ -286,6 +288,14 @@ class TestBuilder:
         assert h.resolve(first).attributes == {"z": 4}
 
 
+def _maps(depth: int):
+    """"leaf" inside ``depth`` maps, each keyed "k"."""
+    value = "leaf"
+    for _ in range(depth):
+        value = {"k": value}
+    return value
+
+
 class TestValues:
     def test_timestamps_truncate_to_milliseconds(self):
         ts = datetime(2024, 1, 1, 10, 0, 0, 123456, tzinfo=timezone.utc)
@@ -340,6 +350,27 @@ class TestValues:
     def test_bad_event_state_raises(self):
         with pytest.raises(TypeError):
             InteractionEvent("x", current_state={1, 2})
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: normalize_timestamp("x"), TypeError, "expected datetime, got str"),
+        (lambda: InteractionEvent("a", attributes={"m": _maps(32)}), None, None),
+        (lambda: InteractionEvent("a", attributes={"m": _maps(33)}), ValueError,
+         "attribute nesting deeper than 32"),
+        (lambda: InteractionEvent("a", attributes={"": 1}), ValueError,
+         "attribute keys must be non-empty text, got ''"),
+        (lambda: InteractionEvent("a", attributes={"m": {5: 1}}), ValueError,
+         "attribute keys must be non-empty text, got 5"),
+        (lambda: level_of(object()), TypeError, "not a hierarchy node: object"),
+        (lambda: Action(""), ValueError, "action_type must be non-empty text"),
+        (lambda: InteractionEvent(5), TypeError, "activity_name must be text"),
+    ], ids=["timestamp-not-datetime", "map-32-deep", "map-33-deep", "empty-key", "int-map-key",
+            "level-of-non-node", "empty-action-type", "int-activity-name"])
+    def test_each_guard_refuses_what_the_model_cannot_hold(self, call, error, message):
+        if error is None:
+            call()
+            return
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            call()
 
     def test_registry_ids_and_attributes_are_checked(self):
         with pytest.raises(ValueError):

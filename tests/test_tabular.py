@@ -37,10 +37,10 @@ from uilog.fixtures import keyword_creation_csv, raw_login_csv
 from uilog.tabular import (
     _SYNONYMS,
     ColumnMapping,
+    _Keys,
+    _plain_text,
     parse_list_literal,
     parse_map_literal,
-    render_list_literal,
-    render_map_literal,
 )
 
 import genlogs
@@ -402,7 +402,7 @@ class TestLiterals:
         )
     )
     def test_map_round_trip(self, value):
-        assert parse_map_literal(render_map_literal(value)) == value
+        assert parse_map_literal(_plain_text(value, "k", _Keys())) == value
 
     @given(
         st.lists(
@@ -413,10 +413,10 @@ class TestLiterals:
         )
     )
     def test_list_round_trip(self, value):
-        assert parse_list_literal(render_list_literal(value)) == value
+        assert parse_list_literal(_plain_text(value, "k", _Keys())) == value
 
     def test_lone_empty_item_is_out_of_grammar(self):
-        assert parse_list_literal(render_list_literal([""])) == []
+        assert parse_list_literal(_plain_text([""], "k", _Keys())) == []
 
     @pytest.mark.parametrize("value, cell, read", [
         (  # map in map
@@ -781,14 +781,9 @@ def test_nested_values_write_back_as_they_were_written(value):
     assert report.rows_skipped == report.warnings == ()
     assert write_table(again) == emitted
 
-    def as_read(item):
-        if isinstance(item, list):
-            return render_list_literal(item)
-        return render_map_literal(item) if isinstance(item, dict) else item
-
     read = (
-        [as_read(item) for item in value] if isinstance(value, list)
-        else {key: as_read(item) for key, item in value.items()}
+        [_plain_text(item, "k", _Keys()) for item in value] if isinstance(value, list)
+        else {key: _plain_text(item, "k", _Keys()) for key, item in value.items()}
     )
     first, second, third = again.events
     assert [first.input_value, second.current_state, third.attributes["Remark"]] == [read] * 3
@@ -814,6 +809,17 @@ Payload = map
         assert mapping.timestamp_format == "%Y-%m-%d %H:%M"
         assert mapping.extras == "ignore"
         assert mapping.value_parsers == {"Payload": "map"}
+
+    def test_a_column_is_named_as_its_header_cell_reads(self):
+        # The header cells ' x' and ' y' read as " x" and " y"; so do the
+        # mapping's column names, and ' y' keeps its cell [b] as text.
+        mapping = load_mapping(
+            "[columns]\nactivity_name = Activity\nui_element = ' x'\n[parsers]\n' y' = plain\n"
+        )
+        log, _ = ingest("' x',Activity,' y'\ne,a,[b]\n", mapping)
+        assert (mapping.ui_element, mapping.value_parsers) == (" x", {" y": "plain"})
+        assert log.events[0].target.element == "e"
+        assert log.events[0].attributes == {" y": "[b]"}
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):

@@ -519,3 +519,10 @@ threshold = 30s
     def test_rules_without_collect(self):
         (rule,) = load_rules("[rule:r]\ngroup = g\ntrigger = t\nname = A_X\n")
         assert rule.collect is None and rule.drop_noise is True
+
+
+def test_a_composite_needs_a_part_and_segment_a_case_notion():
+    with pytest.raises(ValueError, match="^composite notion needs at least one part$"):
+        Composite(())
+    with pytest.raises(TypeError, match="^not a case notion: object$"):
+        segment(UILog(events=(InteractionEvent("a"),)), object())
