@@ -36,6 +36,7 @@ from .errors import (
     DanglingReferenceError,
     InvalidLogError,
     NoTargetError,
+    UnserializableValueError,
 )
 
 #: Maximum nesting depth of list/map attribute values.
@@ -68,11 +69,17 @@ def normalize_timestamp(value: datetime) -> datetime:
     return value.replace(microsecond=value.microsecond - value.microsecond % 1000)
 
 
-def format_timestamp(value: datetime) -> str:
-    """ISO 8601 text of a timestamp in UTC, to the millisecond; naive time is UTC."""
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=timezone.utc)
-    return value.astimezone(timezone.utc).isoformat("T", "milliseconds")
+def format_timestamp(value: datetime, key, pattern: Optional[str] = None) -> str:
+    """Attribute ``key``'s time as normalize_timestamp reads it, in ISO 8601 or by the strftime
+    ``pattern``; outside the datetime range in UTC it raises UnserializableValueError."""
+    if value.tzinfo is not timezone.utc or pattern:  # what the model made is UTC already
+        try:
+            value = normalize_timestamp(value)
+        except ValueError as exc:
+            raise UnserializableValueError(f"attribute {key!r}: {exc}") from None
+        if pattern:
+            return value.strftime(pattern)
+    return value.isoformat("T", "milliseconds")
 
 
 # ISO 8601 calendar date, optionally followed by a time of day (after any
@@ -86,13 +93,11 @@ _ISO_TIMESTAMP = re.compile(
 )
 
 # Exactly what format_timestamp writes.
-_CANONICAL_TIMESTAMP = re.compile(
-    r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}\+00:00", re.ASCII
-)
+_CANONICAL_TIMESTAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}\+00:00", re.ASCII)
 
 
-def parse_timestamp(text: str) -> tuple:
-    """Parse ISO 8601 text into (normalized timestamp, truncated?).
+def parse_timestamp(text: str, pattern: Optional[str] = None) -> tuple:
+    """Parse ISO 8601 text, or by the strptime ``pattern``, into (timestamp, truncated?).
 
     "Z" denotes UTC and text without an offset is taken as UTC; fractions
     may have any length, and ``truncated`` says the text was more precise
@@ -101,6 +106,9 @@ def parse_timestamp(text: str) -> tuple:
     the same texts; text :func:`format_timestamp` wrote is already in that
     form and goes there directly. Raises ValueError for anything else.
     """
+    if pattern:
+        parsed = datetime.strptime(text, pattern)
+        return normalize_timestamp(parsed), parsed.microsecond % 1000 != 0
     if _CANONICAL_TIMESTAMP.fullmatch(text):
         try:
             return datetime.fromisoformat(text), False  # in UTC, to the millisecond

@@ -66,7 +66,6 @@ from .model import (
     join_group_path,
     load_ini,
     make_activity_name,
-    normalize_timestamp,
     parse_timestamp,
     split_group_path,
 )
@@ -347,9 +346,7 @@ def _plain_text(value, key, keys: _Keys, depth: int = 0, ts_format: Optional[str
     if isinstance(value, (int, float)):  # many values; they skip the slow ABC check
         return str(value)
     if isinstance(value, datetime):
-        if ts_format:
-            return normalize_timestamp(value).strftime(ts_format)
-        return format_timestamp(value)
+        return format_timestamp(value, key, ts_format)
     if not isinstance(value, (list, dict, Mapping)):  # the ABC check is slow, so it comes last
         kind = type(value).__name__
         raise UnserializableValueError(f"attribute {key!r} has unsupported type {kind}")
@@ -372,14 +369,6 @@ def _fitting(text: str) -> str:
     if len(text) > csv.field_size_limit():
         raise UnserializableValueError(f"a cell of {len(text)} characters is too long for csv")
     return text
-
-
-def _parse_row_timestamp(text: str, pattern: Optional[str]):
-    """(timestamp, truncated?); truncated means sub-millisecond input."""
-    if not pattern:
-        return parse_timestamp(text)
-    parsed = datetime.strptime(text, pattern)
-    return normalize_timestamp(parsed), parsed.microsecond % 1000 != 0
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +540,7 @@ def ingest(
         raw_ts = row[timestamp_at]
         if raw_ts:
             try:
-                timestamp, truncated = _parse_row_timestamp(raw_ts, timestamp_format)
+                timestamp, truncated = parse_timestamp(raw_ts, timestamp_format)
             except ValueError:
                 skipped.append(f"row {row_number}: bad timestamp {raw_ts!r}")
                 continue
@@ -624,20 +613,21 @@ def write_table(
 ) -> str:
     """Render a log back to delimiter-separated text.
 
-    One row per event; a traced log writes its events trace by trace,
-    and each row's trace id is its last attribute, ``Trace``. The
-    columns are the canonical column of every populated field and of
-    every field an attribute key is a synonym of, then the attribute
-    keys in first-seen order. Numbers, booleans and timestamps (a naive
-    one as UTC, as the model reads it) become their printed form. A
-    text, a header's too, is wrapped in apostrophes exactly where it
-    would not read back as itself: empty, padded, apostrophe-wrapped or,
-    in a value cell, shaped like a literal. A key that is not non-empty
-    text, nesting deeper than MAX_NESTING_DEPTH or a type XES cannot
-    hold (a set, tuple, bytes or other object), at any depth, or an event
-    attribute ``Trace`` whose cell is not its trace id's raises
-    UnserializableValueError naming the key, and so does a cell longer
-    than the csv module reads; a trace index that names no event raises
+    One row per event; a traced log writes its events trace by trace, and
+    each row's trace id is its last attribute, ``Trace``. The columns are
+    the canonical column of every populated field and of every field an
+    attribute key is a synonym of, then the attribute keys in first-seen
+    order. Numbers, booleans and times (by ``model.format_timestamp`` and
+    the mapping's ``timestamp_format``, a naive time as UTC) become their
+    printed form. A text, a header's too, is wrapped in apostrophes exactly
+    where it would not read back as itself: empty, padded,
+    apostrophe-wrapped or, in a value cell, shaped like a literal. A key
+    that is not non-empty text, nesting deeper than MAX_NESTING_DEPTH, a
+    type XES cannot hold (a set, tuple, bytes or other object) or a time
+    outside the datetime range in UTC, at any depth, or an event attribute
+    ``Trace`` whose cell is not its trace id's raises
+    UnserializableValueError naming the key, and so does a cell longer than
+    the csv module reads; a trace index that names no event raises
     InvalidLogError, and a bad ``delimiter`` BadConfigError.
     """
     _check_delimiter(delimiter)

@@ -173,7 +173,7 @@ def _attribute(out: list, keys: dict, depth: int, key: str, value, nested=None, 
     elif isinstance(value, float):
         tag, text = "float", repr(value)
     elif isinstance(value, datetime):
-        tag, text = "date", format_timestamp(value)
+        tag, text = "date", format_timestamp(value, key)
     elif isinstance(value, (dict, Mapping)):
         tag, text, children, nesting = "container", None, value, nesting + 1
     else:
@@ -255,7 +255,8 @@ def _event(out: list, index: int, event: InteractionEvent, log: UILog, memo: tup
     out.append("\n    <event>" + text)
     timestamp = event.timestamp
     if timestamp is not None:
-        out.append(f'\n      <date key="{KEY_TIMESTAMP}" value="{format_timestamp(timestamp)}" />')
+        text = format_timestamp(timestamp, KEY_TIMESTAMP)
+        out.append(f'\n      <date key="{KEY_TIMESTAMP}" value="{text}" />')
     action = event.action
     if action is not None:
         text = contexts.get(id(action))
@@ -302,10 +303,11 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     InvalidLogError carries the report otherwise; without it, a trace
     index that names no event still raises InvalidLogError. Output is
     deterministic for a given log: fixed key order, fixed formatting. A
-    naive datetime is written as UTC, as the model reads it. What the
-    model and the reader refuse raises UnserializableValueError naming
-    the key: a key that is not non-empty text, nesting deeper than
-    MAX_NESTING_DEPTH, an integer outside 64 bits, text outside XML 1.0.
+    time is written by ``model.format_timestamp``, a naive one as UTC, as
+    the model reads it. What the model and the reader refuse raises
+    UnserializableValueError naming the key: a key that is not non-empty
+    text, nesting deeper than MAX_NESTING_DEPTH, an integer outside 64
+    bits, a time outside the datetime range in UTC, text outside XML 1.0.
     So does a key the writer gives its own content, which would read
     back as that content: an event attribute keyed ``concept:name``,
     ``time:timestamp`` or one of the event keys of the uilog extension
@@ -482,7 +484,7 @@ class _LogReader:
         except ValueError as exc:
             raise MalformedDocumentError(f"{where}: bad timestamp {text.strip()!r}") from exc
         if truncated:
-            self._warn(where, f"timestamp {text.strip()!r} truncated to millisecond precision")
+            self._warn(where, f"timestamp {text.strip()!r} truncated to milliseconds")
         return value
 
     def _warn(self, where: str, text: str) -> None:

@@ -293,6 +293,18 @@ def test_no_color_environment_variable(tmp_path, capsys, monkeypatch):
     assert "\x1b[" not in capsys.readouterr().out
 
 
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_a_terminal_gets_the_verdict_in_color(monkeypatch):
+    monkeypatch.delenv("UILOG_NO_COLOR", raising=False)
+    monkeypatch.setattr(sys, "stdout", Terminal())
+    assert run("validate", "-i", KC) == 0
+    assert sys.stdout.getvalue().startswith("\x1b[32m")
+
+
 BAD_CONFIGS = {
     "rules-empty-trigger": (
         "abstract", "--rules", "[rule:r]\ngroup = login\ntrigger =\nname = A_Login\n"
@@ -307,6 +319,7 @@ BAD_CONFIGS = {
     "notion-threshold-beyond-timedelta": (
         "segment", "--notion", "[notion]\nkind = time_gap\nthreshold = 1e12d\n"
     ),
+    "notion-no-markers": ("segment", "--notion", "[notion]\nkind = marker\nmarkers =\n"),
     "mapping-unknown-field": ("convert", "--mapping", "[columns]\nnope = X\n"),
 }
 

@@ -23,6 +23,7 @@ from uilog import (
     UIHierarchy,
     UILog,
     UILogError,
+    UnserializableValueError,
     abstract,
     join_group_path,
     level_of,
@@ -309,8 +310,8 @@ class TestValues:
         lambda minutes: timezone(timedelta(minutes=minutes)))))
     def test_written_timestamps_parse_as_the_general_path_parses_them(self, moment):
         try:
-            text = format_timestamp(moment)
-        except OverflowError:  # outside the datetime range in UTC
+            text = format_timestamp(moment, "t")
+        except UnserializableValueError:  # outside the datetime range in UTC
             assume(False)
         # Surrounding space is not the written form, so it takes the general path.
         general = parse_timestamp(f" {text} ")

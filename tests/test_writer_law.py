@@ -5,10 +5,13 @@ attribute map is changed after construction: the log's, a trace's, an
 event's, that of the node an event's target resolves to, or that of an
 event's user. It gets one value of ``EDGES``: a key that is not
 non-empty text, a map holding such a key, an integer outside 64 bits,
-lists and maps 32, 33 and 3000 deep, or a naive datetime while the local
-time zone is Asia/Tokyo. Each writer must then either return text that
-its own reader reads without error or raise UnserializableValueError,
-and never raise anything else. What ``write_xes`` writes must read back
+lists and maps 32, 33 and 3000 deep, a naive datetime while the local
+time zone is Asia/Tokyo, or an aware datetime just below or just above
+the datetime range in UTC. Each writer must then either return text
+that its own reader reads without error or raise
+UnserializableValueError, and never raise anything else;
+``write_table`` is checked twice, with and without a mapping's
+``timestamp_format``. What ``write_xes`` writes must read back
 equal to the edited log with the edited value passed through
 ``normalize_value``. Where a writer writes the edited map, the outcome
 must be the one ``EDGES`` states; ``write_table`` writes event
@@ -23,10 +26,10 @@ import random
 import time
 import warnings
 from collections import Counter
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 from uilog import UnserializableValueError, normalize_value
-from uilog.tabular import ingest, write_table
+from uilog.tabular import ColumnMapping, ingest, write_table
 from uilog.xes import read_xes, write_xes
 
 import genlogs
@@ -46,6 +49,10 @@ def nested(kind: type, depth: int):
 
 NAIVE = datetime(2024, 1, 1, 10, 0)
 NAIVE_WRITTEN = "2024-01-01T10:00:00.000+00:00"
+PATTERN = "%Y-%m-%d %H:%M:%S.%f%z"
+NAIVE_WRITTEN_BY_PATTERN = "2024-01-01 10:00:00.000000+0000"
+BELOW_UTC = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+ABOVE_UTC = datetime(9999, 12, 31, 23, 59, tzinfo=timezone(timedelta(hours=-1)))
 
 #: Edge name -> (key, value, what the refusal of write_xes and of
 #: write_table says, or None where the writer writes the value).
@@ -68,7 +75,15 @@ EDGES = {
     "map 3000": ("edge", nested(dict, 3000), "attribute 'k' nests deeper than 32",
                  "attribute 'edge' nests deeper than 32"),
     "naive datetime": ("edge", NAIVE, None, None),
+    "below UTC": ("edge", BELOW_UTC, "attribute 'edge': 0001-01-01T00:00:00+01:00 is outside",
+                  "attribute 'edge': 0001-01-01T00:00:00+01:00 is outside"),
+    "above UTC": ("edge", ABOVE_UTC, "attribute 'edge': 9999-12-31T23:59:00-01:00 is outside",
+                  "attribute 'edge': 9999-12-31T23:59:00-01:00 is outside"),
 }
+
+
+def write_table_by_pattern(log) -> str:
+    return write_table(log, ColumnMapping(timestamp_format=PATTERN))
 
 
 def edited_map(log, seed: int, place: str):
@@ -133,14 +148,17 @@ def check(seed: int, place: str, edge: str, problems: list) -> bool:
     mapping[key] = value
     where = f"seed {seed}, {place} map, {edge}"
 
-    text = write(write_table, log, table_refusal if place == "event" else None, where, problems)
-    if text is not None:
+    for writer, written in ((write_table, NAIVE_WRITTEN),
+                            (write_table_by_pattern, NAIVE_WRITTEN_BY_PATTERN)):
+        text = write(writer, log, table_refusal if place == "event" else None, where, problems)
+        if text is None:
+            continue
         try:
             ingest(text)
         except Exception as exc:
             problems.append(f"{where}: ingest raised {type(exc).__name__}: {exc}")
-        if edge == "naive datetime" and place == "event" and NAIVE_WRITTEN not in text:
-            problems.append(f"{where}: write_table did not write {NAIVE_WRITTEN}")
+        if edge == "naive datetime" and place == "event" and written not in text:
+            problems.append(f"{where}: {writer.__name__} did not write {written}")
 
     text = write(write_xes, log, xes_refusal, where, problems)
     if text is not None:

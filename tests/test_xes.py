@@ -1038,8 +1038,8 @@ def test_repeated_context_warns_at_every_occurrence(monkeypatch, chunk):
     assert noted == [
         "trace 0, event 0: duplicate map key 'k'; keeping the last",
         "trace 0, event 1: duplicate map key 'k'; keeping the last",
-        f"trace 0, event 2: timestamp {date} truncated to millisecond precision",
-        f"trace 0, event 3: timestamp {date} truncated to millisecond precision",
+        f"trace 0, event 2: timestamp {date} truncated to milliseconds",
+        f"trace 0, event 3: timestamp {date} truncated to milliseconds",
     ]
     assert log.users == {"u": {"k": "2"}}
     group = log.hierarchy.resolve(log.events[3].target)
@@ -1205,7 +1205,7 @@ def test_an_event_warns_in_the_order_of_its_children(monkeypatch, chunk):
             "attributes nested on mood are not kept; ignored",
             "duplicate map key 'k'; keeping the last",
             "duplicate event key 'mood'; keeping the last",
-            "timestamp '2024-01-01T00:00:00.0001Z' truncated to millisecond precision",
+            "timestamp '2024-01-01T00:00:00.0001Z' truncated to milliseconds",
             "duplicate event key 'mood'; keeping the last",
         )
     ]
