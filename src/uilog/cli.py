@@ -153,7 +153,7 @@ def _write_log(log, args, report=None) -> int:
     else:
         from . import tabular
 
-        text = tabular.write_table(log, args.mapping, delimiter=_delimiter(args, args.output))
+        text = tabular.write_table(log, delimiter=_delimiter(args, args.output))
     Path(args.output).write_text(text, encoding="utf-8")
     return _EXIT_OK
 
@@ -277,7 +277,7 @@ def _add_io_arguments(parser, *, needs_output: bool, report: str | None = None) 
     parser.add_argument(
         "--format", choices=("csv", "xes"), help="input format (default: by suffix)"
     )
-    parser.add_argument("--mapping", help="column mapping file (INI) for csv input/output")
+    parser.add_argument("--mapping", help="column mapping file (INI) for csv input")
     parser.add_argument(
         "--delimiter", help="csv delimiter (default: a tab for a .tsv file, else a comma)"
     )

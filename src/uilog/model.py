@@ -69,16 +69,14 @@ def normalize_timestamp(value: datetime) -> datetime:
     return value.replace(microsecond=value.microsecond - value.microsecond % 1000)
 
 
-def format_timestamp(value: datetime, key, pattern: Optional[str] = None) -> str:
-    """Attribute ``key``'s time as normalize_timestamp reads it, in ISO 8601 or by the strftime
-    ``pattern``; outside the datetime range in UTC it raises UnserializableValueError."""
-    if value.tzinfo is not timezone.utc or pattern:  # what the model made is UTC already
+def format_timestamp(value: datetime, key) -> str:
+    """Attribute ``key``'s time as normalize_timestamp reads it, in ISO 8601 to the millisecond,
+    the one form both writers write; outside the datetime range in UTC, UnserializableValueError."""
+    if value.tzinfo is not timezone.utc:  # what the model made is UTC already
         try:
             value = normalize_timestamp(value)
         except ValueError as exc:
             raise UnserializableValueError(f"attribute {key!r}: {exc}") from None
-        if pattern:
-            return value.strftime(pattern)
     return value.isoformat("T", "milliseconds")
 
 

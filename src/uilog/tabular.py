@@ -16,7 +16,8 @@ whose items are trimmed text with a "," or ":" that is part of an item
 written doubled; every other cell is text. An empty or ``''`` id,
 action type, user or task cell records nothing; an empty activity cell
 is synthesized, and ``''`` is the empty name. :func:`write_table` is
-the inverse writer. It wraps in apostrophes exactly the text that would
+the inverse writer, in one dialect that :func:`ingest` reads with no
+mapping. It wraps in apostrophes exactly the text that would
 not read back as itself: empty, padded or apostrophe-wrapped text, and
 in a value cell literal-shaped text. So names, ids, keys and text values
 round-trip exactly, and so do lists and maps of trimmed items. A list
@@ -30,9 +31,10 @@ trace by trace, and each row's trace id is its last attribute,
 attribute. Each column is read by its position.
 
 Timestamps are optional throughout: many recorders omit them and rely
-on row order, which the model supports. One byte order mark (U+FEFF) at
-the start of the input, as spreadsheet "CSV UTF-8" exports write it, is
-ignored.
+on row order, which the model supports. A mapping's ``timestamp_format``
+is read only by :func:`ingest`; the writer writes ISO 8601. One byte
+order mark (U+FEFF) at the start of the input, as spreadsheet "CSV
+UTF-8" exports write it, is ignored.
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ def _normalize_header(name: str) -> str:
 
 
 class ColumnMapping(_Record):
-    """Which source column feeds which model field.
+    """Which column of a recording being read feeds which model field.
 
+    Only :func:`ingest` reads a mapping. ``timestamp_format`` is a
+    strptime pattern for timestamp cells, which are otherwise ISO 8601.
     ``value_parsers`` forces how a column's cells are read ("plain",
     "map", "list", or the default "auto", which sniffs the literal
     braces). ``extras`` says what happens to unmapped columns: "keep"
@@ -335,10 +339,10 @@ def _parse_cell(text: str, parser: str):
     return parse(text) if parse else text
 
 
-def _plain_text(value, key, keys: _Keys, depth: int = 0, ts_format: Optional[str] = None) -> str:
+def _plain_text(value, key, keys: _Keys, depth: int = 0) -> str:
     """The text of a value of column ``key``, ``depth`` lists and maps deep, its map keys
-    rendered by ``keys`` and a timestamp by ``ts_format`` if given, read in UTC as the
-    model reads it. What :func:`write_table` refuses raises UnserializableValueError."""
+    rendered by ``keys`` and a time in ISO 8601 by ``model.format_timestamp``. What
+    :func:`write_table` refuses raises UnserializableValueError."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -346,7 +350,7 @@ def _plain_text(value, key, keys: _Keys, depth: int = 0, ts_format: Optional[str
     if isinstance(value, (int, float)):  # many values; they skip the slow ABC check
         return str(value)
     if isinstance(value, datetime):
-        return format_timestamp(value, key, ts_format)
+        return format_timestamp(value, key)
     if not isinstance(value, (list, dict, Mapping)):  # the ABC check is slow, so it comes last
         kind = type(value).__name__
         raise UnserializableValueError(f"attribute {key!r} has unsupported type {kind}")
@@ -605,21 +609,16 @@ def ingest(
 # Inverse writer
 
 
-def write_table(
-    log: UILog,
-    mapping: Optional[ColumnMapping] = None,
-    *,
-    delimiter: str = ",",
-) -> str:
-    """Render a log back to delimiter-separated text.
+def write_table(log: UILog, *, delimiter: str = ",") -> str:
+    """Render a log back to delimiter-separated text that :func:`ingest` reads with no mapping.
 
     One row per event; a traced log writes its events trace by trace, and
     each row's trace id is its last attribute, ``Trace``. The columns are
     the canonical column of every populated field and of every field an
     attribute key is a synonym of, then the attribute keys in first-seen
-    order. Numbers, booleans and times (by ``model.format_timestamp`` and
-    the mapping's ``timestamp_format``, a naive time as UTC) become their
-    printed form. A text, a header's too, is wrapped in apostrophes exactly
+    order. Numbers, booleans and times (in ISO 8601 to the millisecond by
+    ``model.format_timestamp``, a naive time as UTC) become their printed
+    form. A text, a header's too, is wrapped in apostrophes exactly
     where it would not read back as itself: empty, padded,
     apostrophe-wrapped or, in a value cell, shaped like a literal. A key
     that is not non-empty text, nesting deeper than MAX_NESTING_DEPTH, a
@@ -631,7 +630,6 @@ def write_table(
     InvalidLogError, and a bad ``delimiter`` BadConfigError.
     """
     _check_delimiter(delimiter)
-    ts_format = mapping.timestamp_format if mapping else None
     traced = log.traces is not None
     if traced:
         rows = [
@@ -650,7 +648,7 @@ def write_table(
         if traced and "Trace" in event.attributes:
             own = event.attributes["Trace"]
             own = (values[own] if isinstance(own, str)
-                   else _plain_text(own, "Trace", map_keys, 0, ts_format))
+                   else _plain_text(own, "Trace", map_keys))
             cell = values[attributes["Trace"]]
             if own != cell:
                 raise UnserializableValueError(
@@ -686,7 +684,7 @@ def write_table(
         write_row([
             "" if value is None
             else column[value] if isinstance(value, str)
-            else _plain_text(value, key, map_keys, 0, ts_format)
+            else _plain_text(value, key, map_keys)
             for read, key, column in readers
             for value in (read(event) if read else attributes.get(key),)
         ])

@@ -146,24 +146,21 @@ def _partition(log: UILog, indices: Sequence[int], notion) -> list:
                 f"(first indices: {missing[:5]})",
                 event_indices=missing,
             )
-        # Keyed by type as well as id: 1 and "1" are two cases, so one id
-        # would name both.
+        # Each id holds the type of its values: 1 and "1" are two cases,
+        # which one id would name.
         groups: dict = {}
         for i in indices:
             value = _case_value(events[i], notion.key)
             trace_id = value if isinstance(value, str) else repr(value)
-            groups.setdefault((type(value), trace_id), (trace_id, []))[1].append(i)
-        firsts: dict = {}
-        for trace_id, run in groups.values():
-            other = firsts.setdefault(trace_id, run[0])
-            if other != run[0]:
+            kind, run = groups.setdefault(trace_id, (type(value), []))
+            if kind is not type(value):
                 raise UILogError(
                     f"case attribute {notion.key!r} holds "
-                    f"{_case_value(events[other], notion.key)!r} (event {other}) and "
-                    f"{_case_value(events[run[0]], notion.key)!r} (event {run[0]}), "
-                    f"which would share the trace id {trace_id!r}"
+                    f"{_case_value(events[run[0]], notion.key)!r} (event {run[0]}) and "
+                    f"{value!r} (event {i}), which would share the trace id {trace_id!r}"
                 )
-        return list(groups.values())
+            run.append(i)
+        return [(trace_id, run) for trace_id, (_, run) in groups.items()]
     if isinstance(notion, ByTimeGap):
         missing = [i for i in indices if events[i].timestamp is None]
         if missing:

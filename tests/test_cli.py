@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,30 @@ def test_mapping_file_is_read_once_for_csv_to_csv(tmp_path, monkeypatch):
     assert run("convert", "-i", KC, "--mapping", mapping, "-o", out) == 0
     assert calls == ["mapping"]
     assert len(out.read_text().splitlines()) == 21
+
+
+def test_a_table_written_with_a_mapping_converts_again_without_one(tmp_path, capsys):
+    source, mapping = tmp_path / "rec.csv", tmp_path / "m.ini"
+    source.write_text("Activity,Timestamp\nopen,01.02.2024 10:30:59\nsave,01.02.2024 10:31:05\n")
+    mapping.write_text("[columns]\nactivity_name = Activity\ntimestamp = Timestamp\n"
+                       "[options]\ntimestamp_format = %d.%m.%Y %H:%M:%S\n")
+    assert run("convert", "-i", source, "--mapping", mapping, "-o", tmp_path / "out.csv") == 0
+    assert run("convert", "-i", tmp_path / "out.csv", "-o", tmp_path / "out.xes") == 0
+    assert run("convert", "-i", source, "--mapping", mapping, "-o", tmp_path / "direct.xes") == 0
+    assert "skipped" not in capsys.readouterr().err
+    assert (tmp_path / "out.xes").read_bytes() == (tmp_path / "direct.xes").read_bytes()
+
+
+def test_a_mapping_given_for_xes_input_is_checked_and_changes_nothing(tmp_path):
+    log = uilog.UILog(events=(uilog.InteractionEvent("a", timestamp=datetime(2024, 2, 1, 10, 30)),))
+    source, mapping, bad = tmp_path / "a.xes", tmp_path / "m.ini", tmp_path / "bad.ini"
+    source.write_text(uilog.write_xes(log))
+    mapping.write_text("[options]\ntimestamp_format = %d.%m.%Y %H:%M:%S\n")
+    bad.write_text("[columns]\nnope = X\n")
+    assert run("convert", "-i", source, "--mapping", mapping, "-o", tmp_path / "mapped.csv") == 0
+    assert run("convert", "-i", source, "-o", tmp_path / "plain.csv") == 0
+    assert (tmp_path / "mapped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert run("convert", "-i", source, "--mapping", bad, "-o", tmp_path / "bad.csv") == 1
 
 
 def test_non_utf8_input_is_an_operational_error(tmp_path):

@@ -2,8 +2,10 @@
 
 Seeded ``genlogs.random_log`` logs are written as XES and as CSV, and
 each document is given one to three random edits: a span deleted,
-duplicated or copied elsewhere, or one character replaced. For every
-mutated document:
+duplicated or copied elsewhere, one character replaced, or one whole
+XES event or CSV row moved to another element or line boundary, such as
+directly under ``<log>`` or after a ``</trace>``. For every mutated
+document:
 
 - reading it (``read_xes(..., lenient_names=True)`` or ``ingest``),
   ``validate``, ``coverage``, ``profile``, both writers, reading their
@@ -64,6 +66,11 @@ PLACE = re.compile(
 #: Characters a replacement draws from besides the document's own.
 ODD = '<>&"\'/=,;:{}[]\\\n\r\t \x00\xe9\ufeff\ud800#'
 
+#: A whole XES event, its indent and line end included, and the element
+#: boundaries a moved one may go to: before a trace, event or log tag.
+EVENT = re.compile(r"^[ \t]*<event>.*?</event>\n", re.M | re.S)
+BOUNDARY = re.compile(r"^(?=[ \t]*</?(?:trace|event|log)>)", re.M)
+
 
 def _read_csv(text):
     return ingest(text)[0]
@@ -90,8 +97,10 @@ def mutate(rng, text):
             continue
         start = rng.randrange(len(text))
         end = min(len(text), start + rng.choice((1, 2, 5, 20, 80)))
-        edit = rng.choice(("delete", "duplicate", "copy", "replace"))
-        if edit == "delete":
+        edit = rng.choice(("delete", "duplicate", "copy", "replace", "move"))
+        if edit == "move":
+            text = _move(rng, text)
+        elif edit == "delete":
             text = text[:start] + text[end:]
         elif edit == "duplicate":
             text = text[:end] + text[start:end] + text[end:]
@@ -103,6 +112,20 @@ def mutate(rng, text):
             text = text[:start] + char + text[start + 1:]
         names.append(edit)
     return text, names
+
+
+def _move(rng, text):
+    """``text`` with one whole XES event moved to another element boundary,
+    or, in a document without one, a line (a CSV row) moved to another line."""
+    units = [m.span() for m in EVENT.finditer(text)]
+    places = BOUNDARY if units else re.compile("^", re.M)
+    units = units or [m.span() for m in re.finditer(r"^.*\n", text, re.M)]
+    if not units:
+        return text
+    start, end = rng.choice(units)
+    rest = text[:start] + text[end:]
+    at = rng.choice([m.start() for m in places.finditer(rest)] or [0])
+    return rest[:at] + text[start:end] + rest[at:]
 
 
 def _located(exc) -> bool:

@@ -188,6 +188,14 @@ class TestSegment:
             segment(UILog(events=events), ByAttribute(key="k"))
         assert str(error.value) == message
 
+    def test_of_two_collisions_the_one_whose_second_case_comes_first_is_named(self):
+        events = tuple(InteractionEvent(f"e{i}", attributes={"k": v})
+                       for i, v in enumerate(("1", "2", 2, 1)))
+        with pytest.raises(UILogError) as error:
+            segment(UILog(events=events), ByAttribute(key="k"))
+        assert str(error.value) == ("case attribute 'k' holds '2' (event 1) and 2 (event 2), "
+                                    "which would share the trace id '2'")
+
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             ByTimeGap(threshold=0)

@@ -9,10 +9,9 @@ lists and maps 32, 33 and 3000 deep, a naive datetime while the local
 time zone is Asia/Tokyo, or an aware datetime just below or just above
 the datetime range in UTC. Each writer must then either return text
 that its own reader reads without error or raise
-UnserializableValueError, and never raise anything else;
-``write_table`` is checked twice, with and without a mapping's
-``timestamp_format``. What ``write_xes`` writes must read back
-equal to the edited log with the edited value passed through
+UnserializableValueError, and never raise anything else. What
+``write_xes`` writes must read back equal to the edited log with the
+edited value passed through
 ``normalize_value``. Where a writer writes the edited map, the outcome
 must be the one ``EDGES`` states; ``write_table`` writes event
 attributes only, so it must write a log edited elsewhere. The module
@@ -29,7 +28,7 @@ from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 from uilog import UnserializableValueError, normalize_value
-from uilog.tabular import ColumnMapping, ingest, write_table
+from uilog.tabular import ingest, write_table
 from uilog.xes import read_xes, write_xes
 
 import genlogs
@@ -49,8 +48,6 @@ def nested(kind: type, depth: int):
 
 NAIVE = datetime(2024, 1, 1, 10, 0)
 NAIVE_WRITTEN = "2024-01-01T10:00:00.000+00:00"
-PATTERN = "%Y-%m-%d %H:%M:%S.%f%z"
-NAIVE_WRITTEN_BY_PATTERN = "2024-01-01 10:00:00.000000+0000"
 BELOW_UTC = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
 ABOVE_UTC = datetime(9999, 12, 31, 23, 59, tzinfo=timezone(timedelta(hours=-1)))
 
@@ -80,10 +77,6 @@ EDGES = {
     "above UTC": ("edge", ABOVE_UTC, "attribute 'edge': 9999-12-31T23:59:00-01:00 is outside",
                   "attribute 'edge': 9999-12-31T23:59:00-01:00 is outside"),
 }
-
-
-def write_table_by_pattern(log) -> str:
-    return write_table(log, ColumnMapping(timestamp_format=PATTERN))
 
 
 def edited_map(log, seed: int, place: str):
@@ -148,17 +141,14 @@ def check(seed: int, place: str, edge: str, problems: list) -> bool:
     mapping[key] = value
     where = f"seed {seed}, {place} map, {edge}"
 
-    for writer, written in ((write_table, NAIVE_WRITTEN),
-                            (write_table_by_pattern, NAIVE_WRITTEN_BY_PATTERN)):
-        text = write(writer, log, table_refusal if place == "event" else None, where, problems)
-        if text is None:
-            continue
+    text = write(write_table, log, table_refusal if place == "event" else None, where, problems)
+    if text is not None:
         try:
             ingest(text)
         except Exception as exc:
             problems.append(f"{where}: ingest raised {type(exc).__name__}: {exc}")
-        if edge == "naive datetime" and place == "event" and written not in text:
-            problems.append(f"{where}: {writer.__name__} did not write {written}")
+        if edge == "naive datetime" and place == "event" and NAIVE_WRITTEN not in text:
+            problems.append(f"{where}: write_table did not write {NAIVE_WRITTEN}")
 
     text = write(write_xes, log, xes_refusal, where, problems)
     if text is not None:
