@@ -3,32 +3,35 @@
 Raw recordings usually arrive as one CSV row per interaction. A
 :class:`ColumnMapping` says which column feeds which model field; when no
 mapping is given, :func:`infer_mapping` matches header names against a
-synonym table. Cells may carry flat map and list literals in the shape
-raw recorders tend to print::
+synonym table. Cells may carry map and list literals in the shape raw
+recorders tend to print::
 
     {username: pren, password: dts123}
     [keyword, keywords folder]
 
 Cells are trimmed. Any cell between apostrophes, as in ``' padded '``,
 is the text between them, taken as it stands. Otherwise a value cell
-(input value, current state or extra attribute) may hold a literal,
-whose items are trimmed text with a "," or ":" that is part of an item
-written doubled; every other cell is text. An empty or ``''`` id,
-action type, user or task cell records nothing; an empty activity cell
-is synthesized, and ``''`` is the empty name. :func:`write_table` is
-the inverse writer, in one dialect that :func:`ingest` reads with no
-mapping. It wraps in apostrophes exactly the text that would
-not read back as itself: empty, padded or apostrophe-wrapped text, and
-in a value cell literal-shaped text. So names, ids, keys and text values
-round-trip exactly, and so do lists and maps of trimmed items. A list
-or map item is written as its own literal and reads back as that text,
-which writes the same cell again. The writer has one column layout:
-the canonical column of each populated field and of any field an
-attribute key is a synonym of (so the key reads back as an attribute),
-then the attribute keys in first-seen order. A traced log is written
-trace by trace, and each row's trace id is its last attribute,
-``Trace``, escaped like any value cell, so it reads back as that
-attribute. Each column is read by its position.
+(input value, current state or extra attribute) may hold a literal;
+every other cell is text. A literal's item is a list or map where it
+opens with "[" or "{" (a key never does), nesting up to
+MAX_NESTING_DEPTH levels; text between apostrophes, ``''`` standing for
+one; or any other run, trimmed, up to a ",", its literal's closer or,
+for a key, ":". An empty or ``''`` id, action type, user or task cell
+records nothing; an empty activity cell is synthesized, and ``''`` is
+the empty name. :func:`write_table` is the inverse writer, in one
+dialect that :func:`ingest` reads with no mapping. It quotes exactly
+the text that would not read back as itself: a cell that is empty,
+padded, between apostrophes or, in a value cell, literal-shaped, and a
+literal's text item or key that is empty or padded or holds one of
+``' [ ] { } , :``. So names, ids, keys and text values round-trip, and
+so do lists and maps of text at any depth, in cells as long as their
+text. The writer has one column layout: the canonical column of each
+populated field and of any field an attribute key is a synonym of (so
+the key reads back as an attribute), then the attribute keys in
+first-seen order. A traced log is written trace by trace, and each
+row's trace id is its last attribute, ``Trace``, escaped like any value
+cell, so it reads back as that attribute. Each column is read by its
+position.
 
 Timestamps are optional throughout: many recorders omit them and rely
 on row order, which the model supports. A mapping's ``timestamp_format``
@@ -214,81 +217,73 @@ def infer_mapping(header: Iterable[str]) -> ColumnMapping:
 # Cell literals
 
 
-#: One token of a literal's body: a doubled "," or ":", which stands for
-#: the character itself, a lone separator, or a run of other characters.
-_TOKEN = re.compile(r",,|::|[,:]|[^,:]+")
+#: An item's run up to what ends it: a "," or the closer of its literal, ":" after a key.
+_RUNS = {"]": re.compile(r"[^,\]]*"), "}": re.compile(r"[^,}]*"), ":": re.compile(r"[^,:}]*"),
+         "": re.compile(r"(?s).*")}  # the whole text, around the outermost literal
+_QUOTED = re.compile(r"'([^']*(?:''[^']*)*)'")
+#: What a text item or map key holds that makes the writer quote it.
+_RESERVED = re.compile(r"['\[\]{},:]")
 
 
-def _entries(body: str) -> list:
-    """The tokens of each entry of a literal's body, split on lone commas."""
-    entries = [[]]
-    for token in _TOKEN.findall(body):
-        if token == ",":
-            entries.append([])
-        else:
-            entries[-1].append(token)
-    return entries
+def _item(text: str, at: int, ends: str, depth: int) -> tuple:
+    """The item at ``text[at]``, inside ``depth`` literals, and the index of
+    the "," or of ``ends`` (see ``_RUNS``) that ends it."""
+    run = _RUNS[ends].match(text, at).group()
+    item = run.strip()
+    if not item or item[0] not in "'[{" or item[0] != "'" and ends == ":":
+        return item, at + len(run)
+    at += len(run) - len(run.lstrip())
+    if item[0] == "'":
+        quoted = _QUOTED.match(text, at)
+        if quoted is None:
+            raise BadLiteralError(f"unclosed apostrophe in {text!r}")
+        item, at = quoted.group(1).replace("''", "'"), quoted.end()
+    else:
+        if depth >= MAX_NESTING_DEPTH:
+            raise BadLiteralError(f"literal nests deeper than {MAX_NESTING_DEPTH}")
+        closer = "]" if item[0] == "[" else "}"
+        item = [] if closer == "]" else {}
+        end = _RUNS[closer].match(text, at + 1).end()
+        if text[end:end + 1] == closer and not text[at + 1:end].strip():
+            at = end  # [], [ ] or {}
+        while text[at:at + 1] != closer:
+            if at == len(text):
+                raise BadLiteralError(f"unclosed literal: {text!r}")
+            if closer == "]":
+                value, at = _item(text, at + 1, closer, depth + 1)
+                item.append(value)
+                continue
+            key, at = _item(text, at + 1, ":", depth + 1)
+            if text[at:at + 1] != ":":
+                raise BadLiteralError(f"map entry without key: {key!r}")
+            if not key:
+                raise BadLiteralError(f"empty key in map literal: {text!r}")
+            if key in item:
+                raise BadLiteralError(f"duplicate key {key!r} in map literal")
+            item[key], at = _item(text, at + 1, closer, depth + 1)
+        at += 1
+    run = _RUNS[ends].match(text, at).group()
+    if run.strip():
+        raise BadLiteralError(f"text after an item: {run.strip()!r}")
+    return item, at + len(run)
 
 
-def _escape(text: str, separators: str) -> str:
-    for separator in separators:
-        if separator in text:
-            text = text.replace(separator, separator * 2)
-    return text
-
-
-def _unescaped(tokens: list, separators: str) -> str:
-    """The trimmed text of an entry's tokens, each doubled separator in
-    ``separators`` read as one; undoubling the joined text left to right
-    pairs every run of a separator as the tokenizer did."""
-    text = "".join(tokens)
-    for separator in separators:
-        text = text.replace(separator * 2, separator)
-    return text.strip()
+def _parsed(text: str, shape: str, kind: str):
+    body = text.strip()
+    if body[:1] + body[-1:] != shape:
+        raise BadLiteralError(f"not a {kind} literal: {text!r}")
+    return _item(body, 0, "", 0)[0]
 
 
 def parse_map_literal(text: str) -> dict:
-    """Parse "{k: v, k: v}" into a map of text values.
-
-    Keys and values are trimmed; a literal "," or ":" inside them is
-    written doubled.
-    """
-    body = text.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise BadLiteralError(f"not a map literal: {text!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return {}
-    out = {}
-    for tokens in _entries(inner):
-        if ":" not in tokens:
-            raise BadLiteralError(f"map entry without key: {''.join(tokens).strip()!r}")
-        colon = tokens.index(":")
-        key = _unescaped(tokens[:colon], ",:")
-        value = _unescaped(tokens[colon + 1 :], ",:")
-        if not key:
-            raise BadLiteralError(f"empty key in map literal: {text!r}")
-        if key in out:
-            raise BadLiteralError(f"duplicate key {key!r} in map literal")
-        out[key] = value
-    return out
+    """Parse "{k: v, k: v}" into a map, read as the module docstring says."""
+    return _parsed(text, "{}", "map")
 
 
 def parse_list_literal(text: str) -> list:
-    """Parse "[v, v]" into a list of text values."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise BadLiteralError(f"not a list literal: {text!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return []
-    return [_unescaped(tokens, ",") for tokens in _entries(inner)]
+    """Parse "[v, v]" into a list, read as the module docstring says."""
+    return _parsed(text, "[]", "list")
 
-
-# Any cell between apostrophes is the text between them, taken as it
-# stands; any other value cell is read by its column's parser, and
-# "auto" reads a cell shaped like a literal as one. The writer wraps
-# exactly the text that would not read back as itself.
 
 #: The parser of each literal shape, by the first and last character, and
 #: of each parser a column may be given but "plain" and "auto".
@@ -323,12 +318,14 @@ class _Cells(dict):
         return cell
 
 
-class _Keys(dict):
-    """Map key → its text in a literal, checked and escaped once."""
+class _Items(dict):
+    """Text → its item or map key in a literal, quoted once: bare where it
+    reads back as itself, else between apostrophes with each ``'`` doubled."""
 
-    def __missing__(self, name) -> str:
-        self[name] = _escape(_check_id(name, "attribute keys", UnserializableValueError), ",:")
-        return self[name]
+    def __missing__(self, text: str) -> str:
+        bare = text and text == text.strip() and not _RESERVED.search(text)
+        item = self[text] = text if bare else "'" + text.replace("'", "''") + "'"
+        return item
 
 
 def _parse_cell(text: str, parser: str):
@@ -339,18 +336,20 @@ def _parse_cell(text: str, parser: str):
     return parse(text) if parse else text
 
 
-def _plain_text(value, key, keys: _Keys, depth: int = 0) -> str:
-    """The text of a value of column ``key``, ``depth`` lists and maps deep, its map keys
-    rendered by ``keys`` and a time in ISO 8601 by ``model.format_timestamp``. What
-    :func:`write_table` refuses raises UnserializableValueError."""
+def _plain_text(value, key, items: _Items, depth: int = 0) -> str:
+    """The text of a value of column ``key``, ``depth`` lists and maps deep: a list or
+    map as its literal, a text item or map key quoted by ``items`` and a time in ISO
+    8601 by ``model.format_timestamp``. What :func:`write_table` refuses raises
+    UnserializableValueError."""
     if isinstance(value, str):
-        return value
+        return items[value] if depth else value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):  # many values; they skip the slow ABC check
         return str(value)
     if isinstance(value, datetime):
-        return format_timestamp(value, key)
+        text = format_timestamp(value, key)
+        return items[text] if depth else text
     if not isinstance(value, (list, dict, Mapping)):  # the ABC check is slow, so it comes last
         kind = type(value).__name__
         raise UnserializableValueError(f"attribute {key!r} has unsupported type {kind}")
@@ -358,18 +357,17 @@ def _plain_text(value, key, keys: _Keys, depth: int = 0) -> str:
         raise UnserializableValueError(f"attribute {key!r} nests deeper than {MAX_NESTING_DEPTH}")
     depth, texts = depth + 1, []
     if isinstance(value, list):
-        # The flat grammar cannot tell [] from [""]: items are trimmed, so a
-        # lone empty item reads back as the empty list.
         for item in value:
-            texts.append(_escape(_plain_text(item, key, keys, depth), ","))
+            texts.append(_plain_text(item, key, items, depth))
         return _fitting("[" + ", ".join(texts) + "]")
     for name, item in value.items():
-        texts.append(f"{keys[name]}: {_escape(_plain_text(item, key, keys, depth), ',:')}")
+        name = items[_check_id(name, "attribute keys", UnserializableValueError)]
+        texts.append(f"{name}: {_plain_text(item, key, items, depth)}")
     return _fitting("{" + ", ".join(texts) + "}")
 
 
 def _fitting(text: str) -> str:
-    """``text``, if csv reads a field that long; nesting doubles a literal's separators."""
+    """``text``, if csv reads a field that long: a long text, or a literal holding one."""
     if len(text) > csv.field_size_limit():
         raise UnserializableValueError(f"a cell of {len(text)} characters is too long for csv")
     return text
@@ -507,12 +505,13 @@ def ingest(
     warnings_out = []
     row_number = 0
 
-    # Recordings repeat a few list and map cells (dropdown labels, form
-    # fields), so each distinct one is parsed once per call. The first row
-    # keeps what it parsed to, which nothing changes while ingest runs, and
-    # each later row gets its own shallow copy of it; items are text. A bad
-    # literal is parsed, and warns, on each row.
-    parsed = {}  # (cell, parser) -> the list or map the first row with it got
+    # Recordings repeat a few flat list and map cells (dropdown labels,
+    # form fields), so each distinct one is parsed once per call. The first
+    # row keeps what it parsed to, which nothing changes while ingest runs,
+    # and each later row gets its own shallow copy of it. A literal with a
+    # list or map inside, whose rows would share it, and a bad literal,
+    # which warns, are parsed on each row.
+    parsed = {}  # (cell, parser) -> the flat list or map the first row with it got
 
     def literal(text: str, parser: str, row_number: int):
         value = parsed.get((text, parser))
@@ -523,7 +522,8 @@ def ingest(
         except BadLiteralError as exc:
             warnings_out.append(f"row {row_number}: {exc}; kept as text")
             return text
-        if type(value) is not str:
+        items = value.values() if type(value) is dict else value
+        if type(value) is not str and all(type(item) is str for item in items):
             parsed[text, parser] = value
         return value
 
@@ -618,9 +618,9 @@ def write_table(log: UILog, *, delimiter: str = ",") -> str:
     attribute key is a synonym of, then the attribute keys in first-seen
     order. Numbers, booleans and times (in ISO 8601 to the millisecond by
     ``model.format_timestamp``, a naive time as UTC) become their printed
-    form. A text, a header's too, is wrapped in apostrophes exactly
-    where it would not read back as itself: empty, padded,
-    apostrophe-wrapped or, in a value cell, shaped like a literal. A key
+    form, and lists and maps their literals. A text, a header's too, and
+    a literal's text item or key are quoted as the module docstring says,
+    exactly where they would not read back as themselves. A key
     that is not non-empty text, nesting deeper than MAX_NESTING_DEPTH, a
     type XES cannot hold (a set, tuple, bytes or other object) or a time
     outside the datetime range in UTC, at any depth, or an event attribute
@@ -641,14 +641,14 @@ def write_table(log: UILog, *, delimiter: str = ",") -> str:
         rows = [(event, event.attributes) for event in log.events]
 
     texts, values = _Cells(()), _Cells(_SHAPES)  # the cells of text and of value columns
-    map_keys = _Keys()  # the text of each map key inside a literal
+    items = _Items()  # the text of each text item and map key inside a literal
     keys = {}
     for event, attributes in rows:
         keys.update(attributes)
         if traced and "Trace" in event.attributes:
             own = event.attributes["Trace"]
             own = (values[own] if isinstance(own, str)
-                   else _plain_text(own, "Trace", map_keys))
+                   else _plain_text(own, "Trace", items))
             cell = values[attributes["Trace"]]
             if own != cell:
                 raise UnserializableValueError(
@@ -684,7 +684,7 @@ def write_table(log: UILog, *, delimiter: str = ",") -> str:
         write_row([
             "" if value is None
             else column[value] if isinstance(value, str)
-            else _plain_text(value, key, map_keys)
+            else _plain_text(value, key, items)
             for read, key, column in readers
             for value in (read(event) if read else attributes.get(key),)
         ])

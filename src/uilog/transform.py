@@ -58,8 +58,8 @@ class ByAttribute(_Record):
     its repr; events with equal values of one type group together even
     when they do not touch, so 1, 1.0, True and "1" are four cases. Two
     cases whose values print alike, as 1 and "1" do, raise UILogError. A
-    value of empty text counts as missing, as ``ingest`` never keeps an
-    empty cell.
+    value of empty text counts as missing, as a trace id must be non-empty
+    text.
     """
 
     __slots__ = ("key",)

@@ -90,6 +90,21 @@ class TestConvert:
         assert run("convert", "-i", middle, "-o", second) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_a_container_in_a_container_comes_back_through_csv(self, tmp_path):
+        source, table, back = tmp_path / "in.xes", tmp_path / "in.csv", tmp_path / "back.xes"
+        source.write_text(
+            '<log><event><string key="concept:name" value="a"/>'
+            '<container key="viewport"><string key="top" value="41"/>'
+            '<container key="scroll"><string key="x" value="0.7"/></container></container>'
+            "</event></log>"
+        )
+        assert run("convert", "-i", source, "-o", table) == 0
+        assert table.read_text() == 'Activity,viewport\na,"{top: 41, scroll: {x: 0.7}}"\n'
+        assert run("convert", "-i", table, "-o", back) == 0
+        assert uilog.read_xes(back.read_text()).events[0].attributes == {
+            "viewport": {"top": "41", "scroll": {"x": "0.7"}}
+        }
+
     def test_nameless_event_is_a_finding_on_convert(self, tmp_path, capsys):
         source = tmp_path / "bad.xes"
         source.write_text(

@@ -28,16 +28,18 @@ from uilog import (
     infer_mapping,
     ingest,
     load_mapping,
+    normalize_value,
     read_xes,
     validate,
     write_table,
     write_xes,
 )
 from uilog.fixtures import keyword_creation_csv, raw_login_csv
+from uilog.model import MAX_NESTING_DEPTH
 from uilog.tabular import (
     _SYNONYMS,
     ColumnMapping,
-    _Keys,
+    _Items,
     _plain_text,
     parse_list_literal,
     parse_map_literal,
@@ -201,18 +203,20 @@ class TestIngestBehavior:
         )
 
     def test_rows_that_repeat_a_literal_cell_get_their_own_value(self):
-        log, _ = ingest("Activity,Input value,Current state,Tags\n"
-                        'a,{k: v},"[x, y]",[t]\nb,{k: v},"[x, y]",[t]\n')
+        row = ',{k: v},"[x, y]",[t],"{a: [1, 2]}"\n'
+        log, _ = ingest(f"Activity,Input value,Current state,Tags,Nested\na{row}b{row}")
         first, second = log.events
         for field in ("input_value", "current_state"):
             assert getattr(first, field) == getattr(second, field)
             assert getattr(first, field) is not getattr(second, field)
         assert first.attributes["Tags"] is not second.attributes["Tags"]
+        assert first.attributes["Nested"]["a"] is not second.attributes["Nested"]["a"]
         first.current_state.append("z")
         first.input_value["n"] = "m"
         first.attributes["Tags"].append("u")
+        first.attributes["Nested"]["a"].append("3")
         assert (second.input_value, second.current_state, second.attributes) == (
-            {"k": "v"}, ["x", "y"], {"Tags": ["t"]}
+            {"k": "v"}, ["x", "y"], {"Tags": ["t"], "Nested": {"a": ["1", "2"]}}
         )
 
     def test_a_bad_literal_warns_on_every_row_it_is_on(self):
@@ -293,7 +297,7 @@ class TestIngestBehavior:
 # mixing digits and letters with the characters that csv, the literal
 # parsers and the group path codec treat specially.
 _HEADERS = st.sampled_from(sorted(_SYNONYMS) + ["", " ", "Noise", "Screen width"])
-_CELLS = st.text(alphabet=',:[]{}"/\\\r\n0123456789abcXYZ', max_size=10)
+_CELLS = st.text(alphabet=',:[]{}"\' /\\\r\n0123456789abcXYZ', max_size=10)
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,9 +308,13 @@ _CELLS = st.text(alphabet=',:[]{}"/\\\r\n0123456789abcXYZ', max_size=10)
 def test_ingest_raises_only_uilog_errors(header, rows):
     text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
     try:
-        ingest(text)
+        log, _ = ingest(text)
     except UILogError:
-        pass
+        return
+    for event in log.events:
+        for value in (event.input_value, event.current_state, *event.attributes.values()):
+            if value is not None:
+                normalize_value(value)
 
 
 @pytest.mark.parametrize("text", [keyword_creation_csv(), raw_login_csv()], ids=["keyword", "login"])
@@ -376,9 +384,19 @@ class TestLiterals:
         assert parse_map_literal("{}") == {}
         assert parse_list_literal("[]") == []
 
-    def test_doubled_delimiters_escape(self):
-        assert parse_map_literal("{a:: b: c,, d}") == {"a: b": "c, d"}
-        assert parse_list_literal("[a,, b, c]") == ["a, b", "c"]
+    def test_quoted_items_are_their_text(self):
+        assert parse_map_literal("{'a: b': 'c, d', 'it''s': '', k: ' v '}") == {
+            "a: b": "c, d", "it's": "", "k": " v "
+        }
+        assert parse_list_literal("['[x]', it's, '{y}' , '''']") == ["[x]", "it's", "{y}", "'"]
+        # A doubled separator is no escape: it ends an empty item.
+        assert parse_list_literal("[a,, b]") == ["a", "", "b"]
+
+    def test_items_that_open_a_literal_nest(self):
+        assert parse_map_literal("{k: {x: 1}, l: [[], [a, {}]]}") == {
+            "k": {"x": "1"}, "l": [[], ["a", {}]]
+        }
+        assert parse_map_literal("{[a]: b}") == {"[a]": "b"}  # a key is always text
 
     def test_bad_literals(self):
         with pytest.raises(BadLiteralError):
@@ -389,6 +407,18 @@ class TestLiterals:
             parse_map_literal("{ : v}")
         with pytest.raises(BadLiteralError):
             parse_list_literal("{a}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[Open [recent], Save]", "text after an item: ', Save]'"),
+        ("['a' b]", "text after an item: 'b'"),
+        ("['a, b]", "unclosed apostrophe in \"['a, b]\""),
+        ("[a, [b]", "unclosed literal: '[a, [b]'"),
+        ("{k: {x}}", "map entry without key: 'x'"),
+    ], ids=["closer-in-a-bare-item", "text-after-a-quote", "unclosed-apostrophe",
+            "unclosed-literal", "entry-without-key"])
+    def test_malformed_nesting_or_quoting_is_a_bad_literal(self, text, message):
+        with pytest.raises(BadLiteralError, match=f"^{re.escape(message)}$"):
+            parse_list_literal(text) if text[0] == "[" else parse_map_literal(text)
 
     @given(
         st.dictionaries(
@@ -402,7 +432,7 @@ class TestLiterals:
         )
     )
     def test_map_round_trip(self, value):
-        assert parse_map_literal(_plain_text(value, "k", _Keys())) == value
+        assert parse_map_literal(_plain_text(value, "k", _Items())) == value
 
     @given(
         st.lists(
@@ -413,26 +443,28 @@ class TestLiterals:
         )
     )
     def test_list_round_trip(self, value):
-        assert parse_list_literal(_plain_text(value, "k", _Keys())) == value
+        assert parse_list_literal(_plain_text(value, "k", _Items())) == value
 
-    def test_lone_empty_item_is_out_of_grammar(self):
-        assert parse_list_literal(_plain_text([""], "k", _Keys())) == []
+    def test_a_lone_empty_item_reads_back(self):
+        assert _plain_text([""], "k", _Items()) == "['']"
+        assert parse_list_literal("['']") == [""]
+        assert parse_list_literal("[ ]") == []
 
     @pytest.mark.parametrize("value, cell, read", [
         (  # map in map
             {"top": 41, "scroll": {"x": 0.734, "y": 0.635}},
-            "{top: 41, scroll: {x:: 0.734,, y:: 0.635}}",
-            {"top": "41", "scroll": "{x: 0.734, y: 0.635}"},
+            "{top: 41, scroll: {x: 0.734, y: 0.635}}",
+            {"top": "41", "scroll": {"x": "0.734", "y": "0.635"}},
         ),
         (  # list in map
             {"picked": ["a", "b, c"], "none": []},
-            "{picked: [a,, b,,,, c], none: []}",
-            {"picked": "[a, b,, c]", "none": "[]"},
+            "{picked: [a, 'b, c'], none: []}",
+            {"picked": ["a", "b, c"], "none": []},
         ),
         (  # map in list
             [{"k": "v:w", "on": True}, "x"],
-            "[{k: v::w,, on: true}, x]",
-            ["{k: v::w, on: true}", "x"],
+            "[{k: 'v:w', on: true}, x]",
+            [{"k": "v:w", "on": "true"}, "x"],
         ),
     ])
     def test_nested_items_are_written_as_literals(self, value, cell, read):
@@ -704,13 +736,6 @@ def test_ids_and_keys_round_trip_through_csv(element, groups, application, syste
     assert write_table(again) == written
 
 
-# The item domain of TestLiterals' round trips.
-_ITEM = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1
-).map(str.strip).filter(bool)
-_MAP_VALUE = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc"))).map(str.strip)
-
-
 def values_through_csv(value):
     """``value`` read back from a written table as an input value, as a
     current state and as an extra attribute."""
@@ -741,31 +766,43 @@ def test_activity_names_round_trip_through_csv(name):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(
-    st.lists(_ITEM, max_size=6), st.dictionaries(_ITEM, _MAP_VALUE, max_size=5)
-))
+@given(st.one_of(st.lists(_TEXT, max_size=6), st.dictionaries(_ID, _TEXT, max_size=5)))
 def test_list_and_map_values_round_trip_through_csv(value):
     assert values_through_csv(value) == [value] * 3
 
 
-# Values with lists and maps inside, whose innermost text may be padded
-# or empty: a nested item is text once read back, but reads and writes
-# back as the same cell.
+# Lists and maps of any text nested up to MAX_NESTING_DEPTH levels: a
+# small nested value, wrapped in lists and maps with text beside it.
 _NESTED = st.recursive(
-    st.one_of(
-        st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc"))),
-        st.integers(-(2**63), 2**63 - 1), st.booleans(),
-    ),
-    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_ITEM, inner, max_size=3)),
+    _TEXT, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                   st.dictionaries(_ID, inner, max_size=3)),
     max_leaves=10,
 ).filter(lambda value: isinstance(value, (list, dict)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(
-    st.lists(st.one_of(_ITEM, _NESTED), max_size=4),
-    st.dictionaries(_ITEM, st.one_of(_MAP_VALUE, _NESTED), max_size=4),
-))
+def _depth(value) -> int:
+    """How many lists and maps deep ``value`` nests."""
+    if not isinstance(value, (list, dict)):
+        return 0
+    return 1 + max(map(_depth, value.values() if isinstance(value, dict) else value), default=0)
+
+
+@st.composite
+def _deep_values(draw):
+    value = draw(_NESTED)
+    for _ in range(draw(st.integers(0, MAX_NESTING_DEPTH - _depth(value)))):
+        if draw(st.booleans()):
+            beside = draw(st.lists(_TEXT, max_size=2))
+            beside.insert(draw(st.integers(0, len(beside))), value)
+        else:
+            beside = draw(st.dictionaries(_ID, _TEXT, max_size=2))
+            beside[draw(_ID)] = value
+        value = beside
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_deep_values())
 def test_nested_values_write_back_as_they_were_written(value):
     log = UILog(events=(
         InteractionEvent("a", input_value=value),
@@ -776,13 +813,34 @@ def test_nested_values_write_back_as_they_were_written(value):
     again, report = ingest(emitted)
     assert report.rows_skipped == report.warnings == ()
     assert write_table(again) == emitted
-
-    read = (
-        [_plain_text(item, "k", _Keys()) for item in value] if isinstance(value, list)
-        else {key: _plain_text(item, "k", _Keys()) for key, item in value.items()}
-    )
     first, second, third = again.events
-    assert [first.input_value, second.current_state, third.attributes["Remark"]] == [read] * 3
+    assert [first.input_value, second.current_state, third.attributes["Remark"]] == [value] * 3
+
+
+@pytest.mark.parametrize("depth", [32, 33, 5000])
+@pytest.mark.parametrize("kind", [list, dict])
+def test_a_cell_nests_as_deep_as_the_model_allows_and_deeper_is_text(kind, depth):
+    opener, closer = ("[", "]") if kind is list else ("{k: ", "}")
+    cell = opener * depth + "x" + closer * depth
+    text = f"Activity,Input value,Remark\na,{cell},{cell}\n"
+    log, report = ingest(text)
+    event = log.events[0]
+    if depth <= MAX_NESTING_DEPTH:
+        value = "x"
+        for _ in range(depth):
+            value = [value] if kind is list else {"k": value}
+        assert report.warnings == ()
+        assert (event.input_value, event.attributes) == (value, {"Remark": value})
+        assert len(cell) < 1024
+        assert write_table(log) == text
+    else:
+        assert report.warnings == (f"row 1: literal nests deeper than {MAX_NESTING_DEPTH}; "
+                                   "kept as text",) * 2
+        assert (event.input_value, event.attributes) == (cell, {"Remark": cell})
+    for value in (event.input_value, event.attributes["Remark"]):
+        assert normalize_value(value) == value
+    assert read_xes(write_xes(log)).events == log.events
+    assert ingest(write_table(log))[0].events == log.events
 
 
 class TestMappingFiles:
