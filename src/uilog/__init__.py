@@ -1,4 +1,4 @@
-"""uilog: a data model and toolkit for user-interaction logs.
+"""uilog, a data model and toolkit for user-interaction logs.
 
 The package covers the full preprocessing path of low-level UI
 recordings: a typed in-memory model with a four-level UI composition

@@ -1,10 +1,10 @@
 """The XES vocabulary of UI logs: extension URIs, attribute keys and the
-declaration of the "uilog" extension.
+declaration of the "uilog" extension, read off one table of every key
+uilog writes under its prefix with the XES types it is declared in.
 
-Reading and writing XES (:mod:`uilog.xes`) take their keys from here,
-and ``uilog extension`` prints the declaration. This module imports
-nothing, so a command that only needs the vocabulary loads neither the
-model nor an XML parser.
+Reading and writing XES (:mod:`uilog.xes`) and :func:`uilog.transform.abstract`
+take their keys from here. This module imports nothing, so a command that
+only needs the vocabulary loads neither the model nor an XML parser.
 """
 
 CONCEPT_URI = "http://www.xes-standard.org/concept.xesext"
@@ -23,47 +23,42 @@ KEY_APPLICATION = "uilog:application"
 KEY_SYSTEM = "uilog:system"
 KEY_USER = "uilog:user"
 KEY_TASK = "uilog:task"
+KEY_ABSTRACTED = "uilog:abstracted"
 KEY_UNTRACED = "uilog:untraced"
 
-#: The event-level vocabulary of the uilog extension, in canonical order.
-EXTENSION_KEYS = (
-    KEY_ACTION_TYPE,
-    KEY_INPUT_VALUE,
-    KEY_UI_ELEMENT,
-    KEY_UI_ELEMENT_STATE,
-    KEY_UI_GROUP_PATH,
-    KEY_APPLICATION,
-    KEY_SYSTEM,
-    KEY_USER,
-    KEY_TASK,
-)
+_TEXT = ("string",)
+_ANY = ("string", "int", "float", "boolean", "date", "list", "container")
 
-# Canonical extension declaration. Keys that admit more than one XES type
-# (input values may be plain strings or maps; element states are often
-# lists) are declared once per admitted type.
-_EXTENSION_DEFINITION = """<?xml version="1.0" encoding="UTF-8"?>
-<xesextension name="UILog" prefix="uilog" uri="http://www.xes-standard.org/uilog.xesext">
-  <log>
-    <boolean key="untraced"/>
-  </log>
-  <trace/>
-  <event>
-    <string key="action-type"/>
-    <string key="input-value"/>
-    <container key="input-value"/>
-    <string key="ui-element"/>
-    <string key="ui-element-state"/>
-    <list key="ui-element-state"/>
-    <string key="ui-group-path"/>
-    <string key="application"/>
-    <string key="system"/>
-    <string key="user"/>
-    <string key="task"/>
-  </event>
-</xesextension>
-"""
+#: Every key uilog writes under its prefix, by level and in canonical order,
+#: with the XES types it is declared in: the event fields, the marker of an
+#: event that :func:`uilog.transform.abstract` made and that of an untraced log.
+_VOCABULARY = {
+    "log": {KEY_UNTRACED: ("boolean",)},
+    "trace": {},
+    "event": {
+        KEY_ACTION_TYPE: _TEXT,
+        KEY_INPUT_VALUE: _ANY,
+        KEY_UI_ELEMENT: _TEXT,
+        KEY_UI_ELEMENT_STATE: _ANY,
+        KEY_UI_GROUP_PATH: _TEXT,
+        KEY_APPLICATION: _TEXT,
+        KEY_SYSTEM: _TEXT,
+        KEY_USER: _TEXT,
+        KEY_TASK: _TEXT,
+        KEY_ABSTRACTED: ("boolean",),
+    },
+}
+
+#: The event fields of the uilog extension, in canonical order.
+EXTENSION_KEYS = tuple(key for key in _VOCABULARY["event"] if key != KEY_ABSTRACTED)
 
 
 def emit_extension_definition() -> str:
     """The uilog XES extension declaration; byte-stable across runs."""
-    return _EXTENSION_DEFINITION
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<xesextension name="UILog" prefix="uilog" uri="{UILOG_URI}">']
+    for level, keys in _VOCABULARY.items():
+        declared = [f'    <{kind} key="{key.partition(":")[2]}"/>'
+                    for key, kinds in keys.items() for kind in kinds]
+        lines += [f"  <{level}>", *declared, f"  </{level}>"] if declared else [f"  <{level}/>"]
+    return "\n".join(lines + ["</xesextension>", ""])

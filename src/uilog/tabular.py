@@ -314,7 +314,7 @@ class _Cells(dict):
     def __missing__(self, text: str) -> str:
         wrap = (not text or text != text.strip() or _wrapped(text)
                 or text[0] + text[-1] in self.shapes)
-        cell = self[text] = _fitting(f"'{text}'" if wrap else text)
+        cell = self[text] = f"'{text}'" if wrap else text
         return cell
 
 
@@ -359,18 +359,11 @@ def _plain_text(value, key, items: _Items, depth: int = 0) -> str:
     if isinstance(value, list):
         for item in value:
             texts.append(_plain_text(item, key, items, depth))
-        return _fitting("[" + ", ".join(texts) + "]")
+        return "[" + ", ".join(texts) + "]"
     for name, item in value.items():
         name = items[_check_id(name, "attribute keys", UnserializableValueError)]
         texts.append(f"{name}: {_plain_text(item, key, items, depth)}")
-    return _fitting("{" + ", ".join(texts) + "}")
-
-
-def _fitting(text: str) -> str:
-    """``text``, if csv reads a field that long: a long text, or a literal holding one."""
-    if len(text) > csv.field_size_limit():
-        raise UnserializableValueError(f"a cell of {len(text)} characters is too long for csv")
-    return text
+    return "{" + ", ".join(texts) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +619,9 @@ def write_table(log: UILog, *, delimiter: str = ",") -> str:
     outside the datetime range in UTC, at any depth, or an event attribute
     ``Trace`` whose cell is not its trace id's raises
     UnserializableValueError naming the key, and so does a cell longer than
-    the csv module reads; a trace index that names no event raises
-    InvalidLogError, and a bad ``delimiter`` BadConfigError.
+    the csv module reads, naming its column's header; a trace index that
+    names no event raises InvalidLogError, and a bad ``delimiter``
+    BadConfigError.
     """
     _check_delimiter(delimiter)
     traced = log.traces is not None
@@ -673,11 +667,19 @@ def write_table(log: UILog, *, delimiter: str = ",") -> str:
     buffer = io.StringIO()
     plain = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     quoted = csv.writer(buffer, delimiter=delimiter, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    limit = csv.field_size_limit()
 
     def write_row(cells):
+        text = "".join(cells)
+        if len(text) > limit:  # a cell may be longer than csv reads
+            for (_, key, _), cell in zip(readers, cells):
+                if len(cell) > limit:
+                    raise UnserializableValueError(
+                        f"column {key!r}: a cell of {len(cell)} characters is too long for csv"
+                    )
         # Before Python 3.13, csv leaves a field with a lone "\r" unquoted,
         # and the row cannot be read back; such a row is quoted in full.
-        (quoted if "\r" in "".join(cells) else plain).writerow(cells)
+        (quoted if "\r" in text else plain).writerow(cells)
 
     write_row([texts[key] for _, key, _ in readers])
     for event, attributes in rows:

@@ -28,6 +28,7 @@ from .errors import (
     UILogError,
     UnknownGroupError,
 )
+from .extension import KEY_ABSTRACTED
 from .model import (
     Action,
     InteractionEvent,
@@ -43,7 +44,7 @@ from .model import (
 
 #: Marker attribute carried by events produced by :func:`abstract`, so a
 #: second application never re-matches them as raw in-group runs.
-ABSTRACTED_KEY = "uilog:abstracted"
+ABSTRACTED_KEY = KEY_ABSTRACTED
 
 
 # ---------------------------------------------------------------------------

@@ -276,15 +276,14 @@ def test_criterion_7_extension_output_is_byte_identical_across_runs():
     assert keys == [
         "untraced",
         "action-type",
-        "input-value",
-        "input-value",
+        *["input-value"] * 7,
         "ui-element",
-        "ui-element-state",
-        "ui-element-state",
+        *["ui-element-state"] * 7,
         "ui-group-path",
         "application",
         "system",
         "user",
         "task",
+        "abstracted",
     ]  # fixed order, stable vocabulary
     done(7, "extension stability")

@@ -605,6 +605,28 @@ class TestInverseWriter:
         ]
         assert write_table(again) == emitted
 
+    def test_a_trace_attribute_that_is_not_text_is_checked_by_its_cell(self):
+        event = InteractionEvent("a", attributes={"Trace": 5})
+        log = UILog(events=(event,), traces=(Trace(id="t1", events=(0,)),))
+        with pytest.raises(UnserializableValueError,
+                           match=re.escape("event attribute 'Trace' '5' is not its trace id 't1'")):
+            write_table(log)
+        log = UILog(events=(event,), traces=(Trace(id="5", events=(0,)),))
+        assert write_table(log) == "Activity,Trace\na,5\n"
+
+    @pytest.mark.parametrize("attributes, column, length", [
+        ({"note": "x" * 200000}, "'note'", 200000),
+        ({"note": ["x" * 200000]}, "'note'", 200002),
+        ({"k" * 200000: "v"}, repr("k" * 200000), 200000),
+    ], ids=["text", "list literal", "header"])
+    def test_a_cell_too_long_for_csv_names_its_column(self, attributes, column, length):
+        log = UILog(events=(InteractionEvent("a", attributes=attributes),))
+        with pytest.raises(UnserializableValueError) as raised:
+            write_table(log)
+        assert str(raised.value) == (
+            f"column {column}: a cell of {length} characters is too long for csv"
+        )
+
     @pytest.mark.parametrize("names, indices", [("ab", (-1, 0)), ("a", (3,))])
     @pytest.mark.parametrize("write", [write_table, write_xes], ids=["csv", "xes"])
     def test_a_trace_index_out_of_range_is_an_invalid_log(self, write, names, indices):

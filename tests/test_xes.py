@@ -627,6 +627,7 @@ class TestExtensionDefinition:
         assert first == emit_extension_definition()
         root = ET.fromstring(first)
         assert root.get("prefix") == "uilog"
+        assert [level.tag for level in root] == ["log", "trace", "event"]
         event_keys = {child.get("key") for child in root.find("event")}
         assert event_keys == {
             "action-type",
@@ -638,15 +639,19 @@ class TestExtensionDefinition:
             "system",
             "user",
             "task",
+            "abstracted",
         }
+        assert [(c.tag, c.get("key")) for c in root.find("log")] == [("boolean", "untraced")]
 
     def test_multi_typed_keys(self):
         root = ET.fromstring(emit_extension_definition())
         types = {}
         for child in root.find("event"):
-            types.setdefault(child.get("key"), set()).add(child.tag)
-        assert types["input-value"] == {"string", "container"}
-        assert types["ui-element-state"] == {"string", "list"}
+            types.setdefault(child.get("key"), []).append(child.tag)
+        every = ["string", "int", "float", "boolean", "date", "list", "container"]
+        assert types["input-value"] == every
+        assert types["ui-element-state"] == every
+        assert types["abstracted"] == ["boolean"]
 
 
 class TestRoundTrip:
