@@ -49,6 +49,13 @@ _VOCABULARY = {
     },
 }
 
+
+def _allows(level: str, key: str, kind: str) -> bool:
+    """Whether an attribute ``key`` of XES type ``kind`` may be written at
+    ``level``: one under the uilog prefix must be declared there in that type."""
+    return not key.startswith("uilog:") or kind in _VOCABULARY[level].get(key, ())
+
+
 #: The event fields of the uilog extension, in canonical order.
 EXTENSION_KEYS = tuple(key for key in _VOCABULARY["event"] if key != KEY_ABSTRACTED)
 

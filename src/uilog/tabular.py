@@ -18,8 +18,11 @@ MAX_NESTING_DEPTH levels; text between apostrophes, ``''`` standing for
 one; or any other run, trimmed, up to a ",", its literal's closer or,
 for a key, ":". An empty or ``''`` id, action type, user or task cell
 records nothing; an empty activity cell is synthesized, and ``''`` is
-the empty name. :func:`write_table` is the inverse writer, in one
-dialect that :func:`ingest` reads with no mapping. It quotes exactly
+the empty name. A ``uilog:abstracted`` cell ``true`` or ``false`` is
+that boolean, as the uilog extension declares the marker, so a log
+``abstract`` made converts to XES from a table too.
+:func:`write_table` is the inverse writer, in one dialect that
+:func:`ingest` reads with no mapping. It quotes exactly
 the text that would not read back as itself: a cell that is empty,
 padded, between apostrophes or, in a value cell, literal-shaped, and a
 literal's text item or key that is empty or padded or holds one of
@@ -57,6 +60,7 @@ from .errors import (
     NoUsableColumnsError,
     UnserializableValueError,
 )
+from .extension import KEY_ABSTRACTED
 from .model import (
     MAX_NESTING_DEPTH,
     Action,
@@ -289,6 +293,11 @@ def parse_list_literal(text: str) -> list:
 #: of each parser a column may be given but "plain" and "auto".
 _SHAPES = {"{}": parse_map_literal, "[]": parse_list_literal}
 _PARSERS = {"map": parse_map_literal, "list": parse_list_literal}
+
+
+#: The cells of the event marker ``uilog:abstracted``, which the uilog
+#: extension declares as a boolean, as :func:`write_table` writes them.
+_MARKS = {"true": True, "false": False}
 
 
 def _wrapped(cell: str) -> bool:
@@ -588,7 +597,8 @@ def ingest(
                     raise MissingColumnError(
                         f"row {row_number}: column {index + 1} holds {text!r} but has no name"
                     )
-                attributes[column] = literal(text, parser, row_number)
+                value = literal(text, parser, row_number)
+                attributes[column] = _MARKS.get(text, value) if column == KEY_ABSTRACTED else value
 
         events.append(_trusted(InteractionEvent, name, action, target, input_value,
                                current_state, timestamp, user, task, attributes))

@@ -27,19 +27,18 @@ application and system elements of each distinct (system, application,
 group path) scope, each user, task and action element, and the name
 and element state elements of each distinct activity name and state
 are rendered once per document; an event's state goes between its
-element and the rest of its scope. :func:`validate` checks and
-:func:`~uilog.validation.coverage` resolves each distinct target object
-once, and :func:`~uilog.tabular.ingest` parses each distinct list or map
-cell once. Each of these memos lives for one call.
+element and the rest of its scope.
 
-The reader parses incrementally (and imports ElementTree only when it
-runs, so writing loads no XML parser): it feeds the text to an ElementTree
-parser in 64 KiB slices and, after each slice, reads the children of
-``<log>`` and of the open ``<trace>`` that the parser has finished and
-deletes them from the tree, so the tree holds about one slice of the
-document rather than all of it. It checks and normalizes each value
-where it types it, so the model is built without a second pass. The
-nested attributes of a group path, application, system, user, task or
+The reader has three layers, and imports ElementTree only when it runs,
+so writing loads no XML parser. :func:`_finished` feeds the text to the
+parser in 64 KiB slices and yields, in document order, what the parser
+has finished of ``<log>`` and of each ``<trace>``, deleting it from the
+tree, so the tree holds about one slice of the document. :class:`_LogReader`
+types attributes, checking and normalizing each value where it types it,
+and builds events, so the model is built without a second pass.
+:func:`read_xes` is one loop over :func:`_finished` that keeps the log
+and trace attributes, the trace ids and the events under ``<log>``.
+The nested attributes of a group path, application, system, user, task or
 action type are typed once per distinct subtree and shared by every
 event that repeats it, and a document holds one :class:`Action` per
 distinct action; a subtree whose typing warned is typed again where it
@@ -51,7 +50,10 @@ or a map keeps its last value and warns where it repeats, and attributes
 nested anywhere but on those six fields and the UI element, or on an
 occurrence of them that is not the last, are typed, so a malformed one
 fails, then ignored; both warn. A value carrying attributes that are
-ignored counts as one level of nesting.
+ignored counts as one level of nesting. What else the model does not
+hold warns too: a ``<global>``, a ``<classifier>``, the declaration of
+an extension other than concept, time and uilog, and an ``<id>``
+attribute, read as text.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ from .extension import (  # re-exported: the XES vocabulary is public here too
     UILOG_URI,
     emit_extension_definition,
 )
+from .extension import _allows
 from .model import (
     Action,
     HierarchyBuilder,
@@ -120,13 +123,14 @@ _INDENT = tuple("\n" + "  " * depth for depth in range(2 * MAX_NESTING_DEPTH + 8
 _SPECIAL = re.compile('[\x00-\x1f"&<>\ud800-\udfff\ufffe\uffff]')
 _NOT_XML_CHAR = re.compile('[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]')
 
+#: (name, prefix, URI) of each extension the writer declares.
+_EXTENSIONS = (("Concept", "concept", CONCEPT_URI), ("Time", "time", TIME_URI),
+               ("UILog", "uilog", UILOG_URI))
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<log xes.version="1849-2016" xes.features="nested-attributes">'
-    f'\n  <extension name="Concept" prefix="concept" uri="{CONCEPT_URI}" />'
-    f'\n  <extension name="Time" prefix="time" uri="{TIME_URI}" />'
-    f'\n  <extension name="UILog" prefix="uilog" uri="{UILOG_URI}" />'
-)
+) + "".join(f'\n  <extension name="{name}" prefix="{prefix}" uri="{uri}" />'
+            for name, prefix, uri in _EXTENSIONS)
 #: The id of the one trace an untraced log is written in.
 _WRAPPER_ID = "all-events"
 
@@ -147,8 +151,9 @@ def _escape(text: str, key: str) -> str:
             .replace("\t", "&#09;"))
 
 
-def _attribute(out: list, keys: dict, depth: int, key: str, value, nested=None, nesting=0):
-    """Append one attribute element; a string value carries ``nested`` attributes."""
+def _attribute(out: list, keys: dict, depth: int, key: str, value, nested=None, nesting=0) -> str:
+    """Append one attribute element and return its XES type; a string value
+    carries ``nested`` attributes."""
     if nesting > MAX_NESTING_DEPTH:
         raise UnserializableValueError(f"attribute {key!r} nests deeper than {MAX_NESTING_DEPTH}")
     pad, name, children = _INDENT[depth], keys.get(key), None
@@ -159,11 +164,13 @@ def _attribute(out: list, keys: dict, depth: int, key: str, value, nested=None, 
     elif isinstance(value, list):
         inner = _INDENT[depth + 1]
         if not value:
-            return out.append(f'{pad}<list key="{name}">{inner}<values />{pad}</list>')
+            out.append(f'{pad}<list key="{name}">{inner}<values />{pad}</list>')
+            return "list"
         out.append(f'{pad}<list key="{name}">{inner}<values>')
         for position, item in enumerate(value):
             _attribute(out, keys, depth + 2, str(position), item, None, nesting + 1)
-        return out.append(f"{inner}</values>{pad}</list>")
+        out.append(f"{inner}</values>{pad}</list>")
+        return "list"
     elif isinstance(value, bool):
         tag, text = "boolean", "true" if value else "false"
     elif isinstance(value, int):
@@ -182,11 +189,19 @@ def _attribute(out: list, keys: dict, depth: int, key: str, value, nested=None, 
         )
     head = f'{pad}<{tag} key="{name}"' + ("" if text is None else f' value="{text}"')
     if not children:
-        return out.append(head + " />")
+        out.append(head + " />")
+        return tag
     out.append(head + ">")
     for child_key, item in children.items():
         _attribute(out, keys, depth + 1, child_key, item, None, nesting)
     out.append(f"{pad}</{tag}>")
+    return tag
+
+
+def _undeclared(place: str, key: str, kind: str, level: str) -> UnserializableValueError:
+    """The refusal of a ``level`` attribute that the uilog extension does not allow."""
+    return UnserializableValueError(f"{place}: attribute {key!r} of type {kind} is not declared "
+                                    f"by the uilog extension at {level} level")
 
 
 def _rendered(keys: dict, key: str, value, nested=None) -> str:
@@ -292,7 +307,10 @@ def _event(out: list, index: int, event: InteractionEvent, log: UILog, memo: tup
             raise UnserializableValueError(
                 f"event {index}: attribute {key!r} has the key of an event field"
             )
-        _attribute(out, keys, 3, key, value)
+        kind = _attribute(out, keys, 3, key, value)
+        # ":" first: most keys have none, and a call per attribute shows in write_xes's time.
+        if ":" in key and not _allows("event", key, kind):
+            raise _undeclared(f"event {index}", key, kind, "event")
     out.append("\n    </event>")
 
 
@@ -313,8 +331,10 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     ``time:timestamp`` or one of the event keys of the uilog extension
     (``uilog:action-type``, ``uilog:user`` and the others in
     ``EXTENSION_KEYS``), a trace attribute ``concept:name``, or a log
-    attribute ``uilog:untraced``; that error names the event index, the
-    trace id or ``log`` too.
+    attribute ``uilog:untraced``; and a log, trace or event attribute
+    under a ``uilog:`` key that the extension does not declare at that
+    level in the value's XES type. Those errors name the event index,
+    the trace id or ``log`` too.
 
     Each distinct target, scope, action, user, task, activity name and
     element state is rendered once per call and the text reused.
@@ -329,7 +349,9 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
     out = [_HEADER]
     memo = (keys := {}, {}, {}, {})  # see _event
     for key, value in log.attributes.items():
-        _attribute(out, keys, 1, key, value)
+        kind = _attribute(out, keys, 1, key, value)
+        if not _allows("log", key, kind):
+            raise _undeclared("log", key, kind, "log")
     traces = [
         (stored.id, stored.attributes, zip(stored.events, _trace_events(log, stored)))
         for stored in log.traces or ()
@@ -344,7 +366,9 @@ def write_xes(log: UILog, *, check: bool = True) -> str:
             )
         out.append("\n  <trace>")
         for key, value in ((KEY_CONCEPT_NAME, trace_id), *attributes.items()):
-            _attribute(out, keys, 2, key, value)
+            kind = _attribute(out, keys, 2, key, value)
+            if not _allows("trace", key, kind):
+                raise _undeclared(f"trace {trace_id!r}", key, kind, "trace")
         for index, event in events:
             _event(out, index, event, log, memo)
         out.append("\n  </trace>")
@@ -381,18 +405,15 @@ _KEEPS_NESTED = _CONTEXT_KEYS | {KEY_UI_ELEMENT}
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 _STRUCTURAL_TAGS = frozenset({"extension", "global", "classifier"})
+#: The prefixes of the extensions write_xes declares; other declarations warn.
+_WRITTEN_PREFIXES = frozenset(prefix for _, prefix, _ in _EXTENSIONS)
 
 #: Characters of the document fed to the parser at a time.
 _CHUNK = 64 * 1024
 
 
 class _LogReader:
-    """What one :func:`read_xes` call has read of its document so far.
-
-    :meth:`take` reads, in document order, the children of ``<log>`` that
-    the parser has finished, and of the last one, when it is a trace
-    still open, its finished children; it deletes what it read from the
-    tree. Only :meth:`finish` decides what needs the whole document.
+    """What one :func:`read_xes` call has typed: its events, hierarchy and registries.
 
     ``contexts`` holds each distinct context subtree typed (see
     :meth:`_context`); ``warned`` counts the warnings :meth:`_warn` has
@@ -405,72 +426,9 @@ class _LogReader:
         self.builder = HierarchyBuilder()
         self.users: dict = {}
         self.tasks: dict = {}
-        self.attributes = {}
         self.events = []
-        self.traces = []
-        self.stray = None  # where the first event directly under <log> is
-        self.position = 0  # of the next trace or event directly under <log>
-        # The trace element being read, its position, its first event and its attributes.
-        self.open, self.trace_position, self.first, self.trace_attributes = None, 0, 0, {}
         self.contexts = {}  # raw context subtree -> what it types to
         self.warned = 0
-        self.named = 0  # traces with attributes or an id other than _WRAPPER_ID
-
-    def take(self, holder: ET.Element, complete: bool) -> None:
-        """Read what the parser has finished below ``holder``, the parent of
-        ``<log>``; with ``complete`` the parser has finished the document."""
-        if not len(holder):
-            return
-        log = holder[0]
-        if _local_name(log.tag) != "log":
-            raise MalformedDocumentError(
-                f"log: expected <log> as the document element, found <{_local_name(log.tag)}>"
-            )
-        done = len(log) if complete else len(log) - 1  # the last child may still be open
-        for child in log[:done]:
-            self._child(child)
-        del log[:done]
-        if not complete and len(log) and _local_name(log[0].tag) == "trace":
-            self._trace(log[0], False)
-
-    def _child(self, element: ET.Element) -> None:
-        tag = _local_name(element.tag)
-        if tag == "trace":
-            self._trace(element, True)
-        elif tag == "event":
-            where = f"log event {len(self.events)}"
-            self.stray = self.stray or where
-            self.position += 1
-            self._event(element, where)
-        elif tag not in _STRUCTURAL_TAGS:
-            key, value, _ = self._attribute(element, "log")
-            if key == KEY_UNTRACED and not isinstance(value, bool):
-                raise MalformedDocumentError(f"log: {key} must be a boolean, got {value!r}")
-            self._keep(self.attributes, key, value, "log", "log")
-
-    def _trace(self, element: ET.Element, complete: bool) -> None:
-        if element is not self.open:
-            self.open, self.trace_position = element, self.position
-            self.first, self.trace_attributes = len(self.events), {}
-            self.position += 1
-        where = f"trace {self.trace_position}"
-        done = len(element) if complete else len(element) - 1
-        for child in element[:done]:
-            tag = _local_name(child.tag)
-            if tag == "event":
-                self._event(child, f"{where}, event {len(self.events) - self.first}")
-            elif tag not in _STRUCTURAL_TAGS:
-                key, value, _ = self._attribute(child, where)
-                self._keep(self.trace_attributes, key, value, where, "trace")
-        del element[:done]
-        if not complete:
-            return
-        self.open = None
-        trace_id = str(self.trace_attributes.pop(KEY_CONCEPT_NAME, ""))
-        self.named += trace_id not in ("", _WRAPPER_ID) or bool(self.trace_attributes)
-        events = tuple(range(self.first, len(self.events)))
-        self.traces.append(_trusted(Trace, trace_id or f"trace_{self.trace_position}", events,
-                                    self.trace_attributes))
 
     def _event(self, element: ET.Element, where: str) -> None:
         try:
@@ -531,7 +489,7 @@ class _LogReader:
         raw = element.get("value")
         if raw is None:
             raise MalformedDocumentError(f"{where}: {tag} attribute {key!r} without value")
-        if tag == "string" or tag == "id":
+        if tag == "string":
             value = raw
         elif tag == "int" or tag == "float":
             try:
@@ -550,6 +508,9 @@ class _LogReader:
                 )
         elif tag == "date":
             value = self._timestamp(raw, where)
+        elif tag == "id":
+            value = raw
+            self._warn(where, f"id attribute {key!r} is read as text")
         else:
             raise MalformedDocumentError(f"{where}: unknown attribute type {tag!r}")
         nested = element if len(element) else None
@@ -670,19 +631,58 @@ class _LogReader:
         return _trusted(InteractionEvent, name, action, target, fields.get(KEY_INPUT_VALUE),
                         fields.get(KEY_UI_ELEMENT_STATE), timestamp, user, task, extras)
 
-    def finish(self) -> UILog:
-        # A document written untraced holds one wrapping trace, which is
-        # folded away here; otherwise its traces partition the events.
-        untraced = self.attributes.pop(KEY_UNTRACED, False)
-        if untraced and (len(self.traces) > 1 or self.named):
-            self._warn("log", f"{KEY_UNTRACED} is true, so its {len(self.traces)} trace(s) are "
-                              "folded into one untraced log, without their ids and attributes")
-        traced = not untraced and bool(self.traces)
-        if traced and self.stray is not None:
-            # Tolerated only without traces: here no trace would cover it.
-            raise MalformedDocumentError(f"{self.stray}: an event outside every trace")
-        return _trusted(UILog, tuple(self.events), self.builder.build(), self.users, self.tasks,
-                        self.attributes, tuple(self.traces) if traced else None)
+
+#: What :func:`_finished` yields where a trace starts and where it ends.
+_OPEN, _CLOSE = "<trace>", "</trace>"
+
+
+def _finished(source: str):
+    """Yield, in document order, what the parser finishes of ``source``, fed
+    in ``_CHUNK`` slices: each child of ``<log>`` as a 1-tuple, and of each
+    trace ``_OPEN``, its children in lists and ``_CLOSE``. Each is deleted
+    from the tree once read, and comes before a syntax error found later."""
+    from xml.etree import ElementTree as ET  # only a command that reads XES loads the parser
+
+    tree = ET.TreeBuilder()
+    holder = tree.start("", {})  # <log> is holder[0] while it is parsed
+    parser = ET.XMLParser(target=tree)
+    trace = error = None  # trace: the open <trace>, once _OPEN is yielded for it
+    for start in range(0, len(source) + _CHUNK, _CHUNK):  # the last slice is empty: close
+        complete = start >= len(source)
+        try:
+            parser.feed(source[start : start + _CHUNK])
+            if complete:
+                parser.close()
+        except (ET.ParseError, ValueError) as exc:
+            if isinstance(exc, UnicodeEncodeError):  # a lone surrogate, located in its slice
+                exc.object, exc.start, exc.end = source, start + exc.start, start + exc.end
+            error, complete = exc, False
+        if len(holder):
+            log = holder[0]
+            if _local_name(log.tag) != "log":
+                raise MalformedDocumentError(
+                    f"log: expected <log> as the document element, found <{_local_name(log.tag)}>"
+                )
+            done = len(log) if complete else len(log) - 1  # the last child may still be open
+            for index, child in enumerate(log[:]):
+                ended = index < done
+                if _local_name(child.tag) != "trace":
+                    if ended:
+                        yield child,
+                    continue
+                if child is not trace:
+                    trace = child
+                    yield _OPEN
+                batch = child[:] if ended else child[:-1]  # an open trace's last child may be open
+                del child[:len(batch)]
+                yield batch
+                batch.clear()  # read by now: free it before the next slice is parsed
+                if ended:
+                    trace = None
+                    yield _CLOSE
+            del log[:done]
+        if error is not None:
+            raise MalformedDocumentError(f"not well-formed XML: {error}") from error
 
 
 def read_xes(source: str, *, lenient_names: bool = False) -> UILog:
@@ -706,21 +706,48 @@ def read_xes(source: str, *, lenient_names: bool = False) -> UILog:
     docstring), or on a repeat of them overwritten, are typed, then
     ignored; both warn.
     """
-    from xml.etree import ElementTree as ET  # only a command that reads XES loads the parser
-
     reader = _LogReader(lenient_names)
-    tree = ET.TreeBuilder()
-    holder = tree.start("", {})  # <log> is holder[0] while it is parsed
-    parser = ET.XMLParser(target=tree)
-    try:
-        for start in range(0, len(source), _CHUNK):
-            parser.feed(source[start : start + _CHUNK])
-            reader.take(holder, False)
-        parser.close()
-    except (ET.ParseError, ValueError) as exc:
-        if isinstance(exc, UnicodeEncodeError):  # a lone surrogate, located in its slice
-            exc.object, exc.start, exc.end = source, start + exc.start, start + exc.end
-        reader.take(holder, False)  # what the parser finished before the error comes first
-        raise MalformedDocumentError(f"not well-formed XML: {exc}") from exc
-    reader.take(holder, True)
-    return reader.finish()
+    events, attributes, traces = reader.events, {}, []
+    trace = stray = None  # the attributes of the open trace; the first event under <log>
+    where, position, named = "log", 0, 0  # position: of the next trace or event under <log>
+    for children in _finished(source):
+        if children is _OPEN:
+            trace, where, first = {}, f"trace {position}", len(events)
+            position += 1
+        elif children is _CLOSE:  # nothing under <log> has moved position since _OPEN
+            trace_id = str(trace.pop(KEY_CONCEPT_NAME, ""))
+            named += trace_id not in ("", _WRAPPER_ID) or bool(trace)
+            traces.append(_trusted(Trace, trace_id or f"trace_{position - 1}",
+                                   tuple(range(first, len(events))), trace))
+            trace, where = None, "log"
+        else:
+            for child in children:
+                tag = _local_name(child.tag)
+                if tag == "event" and trace is not None:
+                    reader._event(child, f"{where}, event {len(events) - first}")
+                elif tag == "event":
+                    stray, position = stray or f"log event {len(events)}", position + 1
+                    reader._event(child, f"log event {len(events)}")
+                elif tag in _STRUCTURAL_TAGS:
+                    if tag != "extension" or child.get("prefix") not in _WRITTEN_PREFIXES:
+                        reader._warn(where, f"<{tag}> is not kept; ignored")
+                elif trace is not None:
+                    key, value, _ = reader._attribute(child, where)
+                    reader._keep(trace, key, value, where, "trace")
+                else:
+                    key, value, _ = reader._attribute(child, "log")
+                    if key == KEY_UNTRACED and not isinstance(value, bool):
+                        raise MalformedDocumentError(f"log: {key} must be a boolean, got {value!r}")
+                    reader._keep(attributes, key, value, "log", "log")
+    # A document written untraced holds one wrapping trace, which is
+    # folded away here; otherwise its traces partition the events.
+    untraced = attributes.pop(KEY_UNTRACED, False)
+    if untraced and (len(traces) > 1 or named):
+        reader._warn("log", f"{KEY_UNTRACED} is true, so its {len(traces)} trace(s) are "
+                            "folded into one untraced log, without their ids and attributes")
+    traced = not untraced and bool(traces)
+    if traced and stray is not None:
+        # Tolerated only without traces: here no trace would cover it.
+        raise MalformedDocumentError(f"{stray}: an event outside every trace")
+    return _trusted(UILog, tuple(events), reader.builder.build(), reader.users, reader.tasks,
+                    attributes, tuple(traces) if traced else None)

@@ -287,6 +287,12 @@ class TestAbstract:
         assert run("abstract", "-i", LOGIN, "--rules", RULES, "-o", out) == 0
         assert out.read_text().splitlines()[1].startswith("A_Login,")
 
+    def test_csv_output_converts_to_xes(self, tmp_path):
+        table, document = tmp_path / "abstracted.csv", tmp_path / "abstracted.xes"
+        assert run("abstract", "-i", LOGIN, "--rules", RULES, "-o", table) == 0
+        assert run("convert", "-i", table, "-o", document) == 0
+        assert '<boolean key="uilog:abstracted" value="true" />' in document.read_text()
+
 
 class TestExtension:
     def test_stdout_byte_stability(self, capsys):

@@ -7,17 +7,28 @@ bundled ``raw_login`` fixture with ``login.rules``, every element that
 event it is in) with its XES type; ``genlogs`` puts no ``uilog:`` key in
 attributes, so each such element is the writer's own. Together these
 documents write every declared key in every declared type, so the
-declaration states no more than uilog writes either. The module needs
-only the standard library; without pytest, run it as a script::
+declaration states no more than uilog writes either. Conversely,
+``write_xes`` refuses a log, trace or event attribute under a ``uilog:``
+key that is not declared at its level in its type, and ``convert`` to
+XES exits 1 naming it, while a document holding one still reads and
+converts to CSV. The module needs only the standard library; without
+pytest, run it as a script::
 
     PYTHONPATH=src:tests python3.10 tests/test_extension.py
 """
 
+import contextlib
+import io
 import random
+import tempfile
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
+from uilog.cli import main
+from uilog.errors import UnserializableValueError
 from uilog.extension import emit_extension_definition
 from uilog.fixtures import login_rule, raw_login_log
+from uilog.model import InteractionEvent, Trace, UILog
 from uilog.transform import abstract
 from uilog.xes import write_xes
 
@@ -76,7 +87,62 @@ def test_the_declaration_states_every_key_and_type_uilog_writes():
     assert seen == declared()
 
 
+def event_log(**attributes) -> UILog:
+    return UILog(events=(InteractionEvent("a"), InteractionEvent("b", attributes=attributes)))
+
+
+#: Logs with one attribute under a uilog: key that the extension does not
+#: declare at its level in its type, and the refusal each one gets.
+UNDECLARED = (
+    (event_log(**{"uilog:abstracted": "yes"}),
+     "event 1: attribute 'uilog:abstracted' of type string is not declared by the uilog "
+     "extension at event level"),
+    (event_log(**{"uilog:foo": 1}),
+     "event 1: attribute 'uilog:foo' of type int is not declared by the uilog extension "
+     "at event level"),
+    (event_log(**{"uilog:untraced": True}),
+     "event 1: attribute 'uilog:untraced' of type boolean is not declared by the uilog "
+     "extension at event level"),
+    (UILog(events=(InteractionEvent("a"),), traces=(Trace("t", (0,), {"uilog:user": "u"}),)),
+     "trace 't': attribute 'uilog:user' of type string is not declared by the uilog "
+     "extension at trace level"),
+    (UILog(events=(InteractionEvent("a"),), attributes={"uilog:task": ["x"]}),
+     "log: attribute 'uilog:task' of type list is not declared by the uilog extension "
+     "at log level"),
+)
+
+
+def test_write_xes_refuses_a_uilog_key_the_extension_does_not_declare():
+    for log, message in UNDECLARED:
+        try:
+            write_xes(log)
+        except UnserializableValueError as exc:
+            assert str(exc) == message, exc
+        else:
+            raise AssertionError(f"written: {message}")
+    # Declared keys in their types are written, and nested values are free.
+    write_xes(event_log(**{"uilog:abstracted": True, "k": {"uilog:foo": [1]}}))
+
+
+def test_convert_to_xes_names_the_undeclared_key():
+    document = ('<log><trace><event><string key="concept:name" value="a"/>'
+                '<int key="uilog:foo" value="1"/></event></trace></log>')
+    with tempfile.TemporaryDirectory() as directory:
+        source = Path(directory, "in.xes")
+        source.write_text(document, encoding="utf-8")
+        codes, errors = [], io.StringIO()
+        with contextlib.redirect_stderr(errors):
+            for output in (Path(directory, "out.csv"), Path(directory, "out.xes")):
+                codes.append(main(["convert", "-i", str(source), "-o", str(output)]))
+        assert codes == [0, 1], codes
+        assert "attribute 'uilog:foo' of type int is not declared" in errors.getvalue()
+        assert Path(directory, "out.csv").read_text(encoding="utf-8").count("uilog:foo") == 1
+
+
 if __name__ == "__main__":
+    test_write_xes_refuses_a_uilog_key_the_extension_does_not_declare()
+    test_convert_to_xes_names_the_undeclared_key()
+    print(f"{len(UNDECLARED)} undeclared uilog: keys refused")
     problems, seen = undeclared()
     for problem in problems:
         print(problem)

@@ -507,6 +507,14 @@ class TestInverseWriter:
         assert [e.current_state for e in log.events] == [["x", "y"], ["x", "y", "z"], None]
         assert write_table(read_xes(write_xes(log))) == text
 
+    def test_the_abstracted_marker_reads_back_as_a_boolean(self):
+        text = "Activity,uilog:abstracted\na,true\nb,false\nc,'true'\nd,yes\ne,\n"
+        log, _ = ingest(text)
+        assert [e.attributes.get("uilog:abstracted") for e in log.events] == [
+            True, False, "true", "yes", None
+        ]
+        assert write_table(log) == text.replace("'true'", "true")
+
     def test_extras_survive_the_round_trip(self):
         text = "Activity,Mood,Screen\nx,fine,main\ny,,main\n"
         log, _ = ingest(text)

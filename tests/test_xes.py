@@ -191,9 +191,27 @@ class TestRead:
             <event><string key="concept:name" value="a"/></event>
           </trace>
         </log>"""
-        log = read_xes(document)
+        log, noted = read_recording_warnings(document)
         assert [e.activity_name for e in log.events] == ["a"]
         assert log.attributes == {"source": "recorder-x"}
+        # The concept extension is one write_xes declares, so it is dropped without a word.
+        assert noted == ["log: <global> is not kept; ignored",
+                         "log: <classifier> is not kept; ignored"]
+
+    def test_what_a_foreign_document_loses_is_noted_where_it_is(self):
+        document = """<log>
+          <extension name="UILog" prefix="uilog" uri="http://www.xes-standard.org/uilog.xesext"/>
+          <extension name="Identity" prefix="identity" uri="http://www.xes-standard.org/identity.xesext"/>
+          <trace>
+            <classifier name="activity" keys="concept:name"/>
+            <event><string key="concept:name" value="a"/><id key="identity:id" value="e1"/></event>
+          </trace>
+        </log>"""
+        log, noted = read_recording_warnings(document)
+        assert log.events[0].attributes == {"identity:id": "e1"}
+        assert noted == ["log: <extension> is not kept; ignored",
+                         "trace 0: <classifier> is not kept; ignored",
+                         "trace 0, event 0: id attribute 'identity:id' is read as text"]
 
     def test_finer_precision_truncated_with_warning(self):
         document = """<log><trace><event>
@@ -296,7 +314,7 @@ def test_any_attribute_value_reads_or_raises_a_uilog_error(data):
     node = data.draw(st.sampled_from(valued))
     node.set("value", data.draw(st.text(max_size=12)))
     try:
-        read_xes(ET.tostring(root, encoding="unicode"))
+        read_recording_warnings(ET.tostring(root, encoding="unicode"))
     except UILogError:
         pass
 
@@ -611,10 +629,13 @@ class TestFieldKeysAsAttributes:
             write_xes(log)
 
     def test_other_keys_of_the_vocabulary_are_free(self):
+        # Free: a key under another prefix, and a uilog key at a level and in
+        # a type the extension declares it (tests/test_extension.py checks
+        # that the other uilog keys are refused).
         log = UILog(events=(InteractionEvent("a", attributes={"concept:instance": 1,
-                                                              "uilog:untraced": True}),),
+                                                              "uilog:abstracted": True}),),
                     attributes={"concept:name": "l"},
-                    traces=(Trace("t", (0,), {"uilog:user": "u"}),))
+                    traces=(Trace("t", (0,), {"concept:instance": "u"}),))
         again = read_xes(write_xes(log))
         assert (again.events, again.attributes, again.traces) == (
             log.events, log.attributes, log.traces
@@ -859,13 +880,30 @@ def test_log_attributes_and_untraced_flag_may_follow_the_traces(monkeypatch, chu
     if chunk:
         monkeypatch.setattr(xes, "_CHUNK", chunk)
     flag = '<boolean key="uilog:untraced" value="true"/>' if untraced else ""
-    log = read_xes(
+    log, noted = read_recording_warnings(
         f'<log><trace><string key="concept:name" value="t"/>{EVENT.format("a")}'
         f'{EVENT.format("b")}</trace><string key="source" value="rec"/>{flag}</log>'
     )
     assert [event.activity_name for event in log.events] == ["a", "b"]
     assert log.attributes == {"source": "rec"}
     assert log.traces == (None if untraced else (Trace(id="t", events=(0, 1)),))
+    folded = ("log: uilog:untraced is true, so its 1 trace(s) are folded into one untraced "
+              "log, without their ids and attributes")
+    assert noted == ([folded] if untraced else [])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+def test_empty_and_unnamed_traces_keep_their_place(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(xes, "_CHUNK", chunk)
+    log, noted = read_recording_warnings(
+        f'<log><trace/><trace>{EVENT.format("a")}</trace><trace><string key="concept:name" '
+        f'value="t"/>{EVENT.format("b")}</trace><trace>{EVENT.format("c")}</trace></log>'
+    )
+    assert noted == []
+    assert [event.activity_name for event in log.events] == ["a", "b", "c"]
+    assert log.traces == (Trace("trace_0", ()), Trace("trace_1", (0,)), Trace("t", (1,)),
+                          Trace("trace_3", (2,)))
 
 
 # Untraced documents whose fold drops what write_xes does not write, and
